@@ -39,12 +39,9 @@ from .metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    redundancy_quadrature_1d,
     specific_info_wb,
     specific_wer,
-    wb_coefficients,
     wb_coefficients_info,
-    wass_coefficients,
     wass_coefficients_info,
 )
 from .se2 import Pose2, se2_compose, se2_inverse, wrap_angle
@@ -78,7 +75,6 @@ __all__ = [
     "quality_info",
     "redundancy_mc",
     "redundancy_mc_info",
-    "redundancy_quadrature_1d",
     "schur_complement",
     "se2_compose",
     "se2_inverse",
@@ -87,9 +83,7 @@ __all__ = [
     "specific_wer",
     "umeyama_align",
     "validate_antichain",
-    "wb_coefficients",
     "wb_coefficients_info",
-    "wass_coefficients",
     "wass_coefficients_info",
     "wc_ate",
     "wrap_angle",

@@ -158,7 +158,7 @@ def _cmd_oracle(args) -> int:
                 f"mc={mc.value:.6f} quad={ref:.6f} |diff|={err:.2e} tol={tol:.2e}"
             )
             if kind is QualityKind.WB and k == 1:
-                q = quality_info(lam_b, deltas[0], kind)
+                q = quality_info(prior, deltas[0], kind)
                 ok_q = abs(ref - q) < 1e-6
                 failures += 0 if ok_q else 1
                 print(

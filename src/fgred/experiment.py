@@ -36,21 +36,25 @@ from .nonlinear import (
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
 from .svgplot import scatter_svg
 
+# SimRecord fields written to records.csv, in column order: (name, cell type,
+# per landmark). A per-landmark field holds one value per landmark and
+# expands to the columns name_0 .. name_{N_LANDMARKS - 1}.
+_CSV_FIELDS = (
+    ("sim_id", int, False),
+    ("r_wb", float, False),
+    ("r_wb_se", float, False),
+    ("r_wass", float, False),
+    ("r_wass_se", float, False),
+    ("q_wb", float, True),
+    ("q_wass", float, True),
+    ("wc_ate", float, False),
+    ("mean_dist", float, True),
+    ("converged", bool, True),
+)
 RECORD_COLUMNS = [
-    "sim_id",
-    "r_wb",
-    "r_wb_se",
-    "r_wass",
-    "r_wass_se",
-    "q_wb_0",
-    "q_wb_1",
-    "q_wass_0",
-    "q_wass_1",
-    "wc_ate",
-    "mean_dist_0",
-    "mean_dist_1",
-    "converged_0",
-    "converged_1",
+    f"{name}_{s}" if per_landmark else name
+    for name, _, per_landmark in _CSV_FIELDS
+    for s in (range(N_LANDMARKS) if per_landmark else [None])
 ]
 
 # Fixed internal seed for permutation tests: p-values are part of the
@@ -119,22 +123,11 @@ class SimRecord:
         return not self.failed and all(math.isfinite(v) for v in vals)
 
     def csv_row(self) -> list[str]:
-        cells = [
-            str(self.sim_id),
-            repr(float(self.r_wb)),
-            repr(float(self.r_wb_se)),
-            repr(float(self.r_wass)),
-            repr(float(self.r_wass_se)),
-            repr(float(self.q_wb[0])),
-            repr(float(self.q_wb[1])),
-            repr(float(self.q_wass[0])),
-            repr(float(self.q_wass[1])),
-            repr(float(self.wc_ate)),
-            repr(float(self.mean_dist[0])),
-            repr(float(self.mean_dist[1])),
-            str(int(self.converged[0])),
-            str(int(self.converged[1])),
-        ]
+        cells = []
+        for name, cell_type, per_landmark in _CSV_FIELDS:
+            value = getattr(self, name)
+            for v in value if per_landmark else (value,):
+                cells.append(repr(float(v)) if cell_type is float else str(int(v)))
         return cells
 
 
@@ -213,10 +206,10 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
             sol.prior, delta_list, QualityKind.WASS, config.mc_samples, seed
         )
         q_wb = tuple(
-            quality_info(sol.prior.info, d, QualityKind.WB) for d in delta_list
+            quality_info(sol.prior, d, QualityKind.WB) for d in delta_list
         )
         q_wass = tuple(
-            quality_info(sol.prior.info, d, QualityKind.WASS) for d in delta_list
+            quality_info(sol.prior, d, QualityKind.WASS) for d in delta_list
         )
 
         truth_xy = np.array([[p.x, p.y] for p in world.truth_poses])
@@ -372,6 +365,10 @@ def write_records_csv(records: Sequence[SimRecord], path) -> None:
             writer.writerow(rec.csv_row())
 
 
+def _parse_flag(cell: str) -> bool:
+    return bool(int(cell))
+
+
 def read_records_csv(path) -> list[SimRecord]:
     """Parse records.csv back; rows with non-finite key metrics are failed."""
     records = []
@@ -383,18 +380,15 @@ def read_records_csv(path) -> list[SimRecord]:
         for row in reader:
             if len(row) != len(RECORD_COLUMNS):
                 raise ValueError(f"records.csv row has {len(row)} cells")
-            rec = SimRecord(
-                sim_id=int(row[0]),
-                r_wb=float(row[1]),
-                r_wb_se=float(row[2]),
-                r_wass=float(row[3]),
-                r_wass_se=float(row[4]),
-                q_wb=(float(row[5]), float(row[6])),
-                q_wass=(float(row[7]), float(row[8])),
-                wc_ate=float(row[9]),
-                mean_dist=(float(row[10]), float(row[11])),
-                converged=(bool(int(row[12])), bool(int(row[13]))),
-            )
+            cells = iter(row)
+            fields = {}
+            for name, cell_type, per_landmark in _CSV_FIELDS:
+                parse = _parse_flag if cell_type is bool else cell_type
+                values = tuple(
+                    parse(next(cells)) for _ in range(N_LANDMARKS if per_landmark else 1)
+                )
+                fields[name] = values if per_landmark else values[0]
+            rec = SimRecord(**fields)
             rec.failed = not rec.is_usable()
             records.append(rec)
     return records

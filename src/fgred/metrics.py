@@ -23,6 +23,12 @@ of the covariance.
 
 Redundancy of an antichain alpha is E_x min_{J in alpha} S_J(x) under the
 prior, estimated by Monte Carlo (or quadrature in 1-D).
+
+Validation happens at the boundary. The prior is a GaussianBelief, which
+checked and factored Lam_B when it was built. quality_info and the coefficient
+functions check each Delta (symmetric, the prior's shape) on entry and factor
+Lam_B + Delta once. quality and redundancy_mc also check that each source
+holds only supplemental factor indices.
 """
 from __future__ import annotations
 
@@ -32,14 +38,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
+import scipy.linalg
 
 from .factor_graph import SupplementedGraph
 from .gauss import (
     GaussianBelief,
     check_symmetric,
-    invert_pd,
-    logdet_pd,
+    cholesky_pd,
     mahalanobis_sq,
     quadratic_form,
 )
@@ -106,24 +111,31 @@ class RedundancyEstimate:
     argmin_counts: tuple[int, ...]
 
 
-def _delta_and_prior(graph: SupplementedGraph, J: Iterable[int]):
-    idx = sorted({int(j) for j in J})
-    supp = set(graph.supplemental)
-    bad = [j for j in idx if j not in supp]
-    if bad:
-        raise ValueError(f"J must contain only supplemental factor indices, got {bad}")
-    return graph.prior_belief(), graph.stack_subgraph(idx).delta
-
-
-def wb_coefficients_info(lam_b: np.ndarray, delta: np.ndarray) -> WbCoefficients:
-    """Information-quality coefficients from a prior information matrix and Delta."""
-    lam_b = check_symmetric(lam_b, name="prior info")
+def _check_delta(prior: GaussianBelief, delta: np.ndarray) -> np.ndarray:
+    """Delta checked symmetric and of the prior's shape, symmetrized."""
     delta = check_symmetric(delta, name="delta")
-    if lam_b.shape != delta.shape:
-        raise ValueError("prior info and delta must have matching shapes")
-    lam_post = lam_b + delta
-    inv_post = invert_pd(lam_post, name="posterior info")
-    mi = max(0.5 * (logdet_pd(lam_post) - logdet_pd(lam_b)), 0.0)
+    if delta.shape != prior.info.shape:
+        raise ValueError(
+            f"delta has shape {delta.shape}, prior info has shape {prior.info.shape}"
+        )
+    return delta
+
+
+def _posterior_inverse_logdet(
+    prior: GaussianBelief, delta: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Ltilde^-1 and log det Ltilde from one Cholesky factor of Lam_B + Delta."""
+    L = cholesky_pd(prior.info + delta, name="posterior info")
+    inv = scipy.linalg.cho_solve((L, True), np.eye(prior.dim), check_finite=False)
+    return 0.5 * (inv + inv.T), float(2.0 * np.sum(np.log(np.diagonal(L))))
+
+
+def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WbCoefficients:
+    """Information-quality coefficients of one source's Delta over the prior."""
+    delta = _check_delta(prior, delta)
+    inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
+    lam_b = prior.info
+    mi = max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
     M = lam_b - lam_b @ inv_post @ lam_b
     Mp = delta @ inv_post
     return WbCoefficients(
@@ -131,32 +143,19 @@ def wb_coefficients_info(lam_b: np.ndarray, delta: np.ndarray) -> WbCoefficients
     )
 
 
-def wass_coefficients_info(lam_b: np.ndarray, delta: np.ndarray) -> WassCoefficients:
-    """Wasserstein-quality coefficients from a prior information matrix and Delta."""
-    lam_b = check_symmetric(lam_b, name="prior info")
-    delta = check_symmetric(delta, name="delta")
-    if lam_b.shape != delta.shape:
-        raise ValueError("prior info and delta must have matching shapes")
-    inv_b = invert_pd(lam_b, name="prior info")
-    inv_post = invert_pd(lam_b + delta, name="posterior info")
-    Np = inv_b - inv_post - inv_post @ delta @ inv_post
-    N = np.eye(lam_b.shape[0]) - lam_b @ inv_post @ inv_post @ lam_b
+def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoefficients:
+    """Wasserstein-quality coefficients of one source's Delta over the prior."""
+    delta = _check_delta(prior, delta)
+    inv_post, _ = _posterior_inverse_logdet(prior, delta)
+    lam_b = prior.info
+    Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
+    N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
     N = 0.5 * (N + N.T)
     min_eig = float(np.linalg.eigvalsh(N).min())
     if min_eig < -1e-10 * max(1.0, float(np.abs(N).max())):
         # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
         logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", min_eig)
     return WassCoefficients(N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig)
-
-
-def wb_coefficients(graph: SupplementedGraph, J: Iterable[int]) -> WbCoefficients:
-    prior, delta = _delta_and_prior(graph, J)
-    return wb_coefficients_info(prior.info, delta)
-
-
-def wass_coefficients(graph: SupplementedGraph, J: Iterable[int]) -> WassCoefficients:
-    prior, delta = _delta_and_prior(graph, J)
-    return wass_coefficients_info(prior.info, delta)
 
 
 def specific_info_wb(coeffs: WbCoefficients, mu_b: np.ndarray, x: np.ndarray) -> float:
@@ -177,69 +176,37 @@ def specific_wer(coeffs: WassCoefficients, mu_b: np.ndarray, x: np.ndarray) -> f
     return float(np.trace(coeffs.N_prime)) + quadratic_form(dev, coeffs.N)
 
 
-def _wb_batch(coeffs: WbCoefficients, mu_b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    dev = X - mu_b[None, :]
-    quad = np.einsum("ni,ij,nj->n", dev, coeffs.M, dev)
-    return coeffs.mi - 0.5 * (np.trace(coeffs.M_prime) - quad)
+def _specific_values(
+    kind: QualityKind,
+    prior: GaussianBelief,
+    deltas: Sequence[np.ndarray],
+    dev: np.ndarray,
+) -> np.ndarray:
+    """S_J at states mu_B +/- dev, shape (n_sources, n) for dev of shape (n, dim)."""
+    rows = []
+    for delta in deltas:
+        if kind is QualityKind.WB:
+            c = wb_coefficients_info(prior, delta)
+            quad = np.einsum("ni,ij,nj->n", dev, c.M, dev)
+            rows.append(c.mi - 0.5 * (np.trace(c.M_prime) - quad))
+        else:
+            c = wass_coefficients_info(prior, delta)
+            quad = np.einsum("ni,ij,nj->n", dev, c.N, dev)
+            rows.append(np.trace(c.N_prime) + quad)
+    return np.vstack(rows)
 
 
-def _wass_batch(coeffs: WassCoefficients, mu_b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    dev = mu_b[None, :] - X
-    quad = np.einsum("ni,ij,nj->n", dev, coeffs.N, dev)
-    return np.trace(coeffs.N_prime) + quad
-
-
-def quality_info(lam_b: np.ndarray, delta: np.ndarray, kind: QualityKind) -> float:
+def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) -> float:
     """Source quality Q(J): the prior-average of the specific quality.
 
     WB gives the mutual information; WASS gives 2 tr(Lam_B^-1 - Ltilde^-1).
     Both are >= 0 and monotone under adding factors to J.
     """
     kind = QualityKind.parse(kind)
-    lam_b = check_symmetric(lam_b, name="prior info")
-    delta = check_symmetric(delta, name="delta")
+    inv_post, logdet_post = _posterior_inverse_logdet(prior, _check_delta(prior, delta))
     if kind is QualityKind.WB:
-        return max(0.5 * (logdet_pd(lam_b + delta) - logdet_pd(lam_b)), 0.0)
-    inv_b = invert_pd(lam_b, name="prior info")
-    inv_post = invert_pd(lam_b + delta, name="posterior info")
-    return max(2.0 * float(np.trace(inv_b) - np.trace(inv_post)), 0.0)
-
-
-def quality(graph: SupplementedGraph, J: Iterable[int], kind: QualityKind) -> float:
-    prior, delta = _delta_and_prior(graph, J)
-    return quality_info(prior.info, delta, kind)
-
-
-def _source_deltas(graph: SupplementedGraph, alpha: Antichain) -> list[np.ndarray]:
-    supp = set(graph.supplemental)
-    deltas = []
-    for src in alpha.sources:
-        bad = [j for j in src if j not in supp]
-        if bad:
-            raise ValueError(
-                f"antichain source {sorted(src)} contains non-supplemental "
-                f"indices {sorted(bad)}"
-            )
-        deltas.append(graph.stack_subgraph(src).delta)
-    return deltas
-
-
-def _batch_values(
-    kind: QualityKind,
-    prior: GaussianBelief,
-    deltas: Sequence[np.ndarray],
-    X: np.ndarray,
-) -> np.ndarray:
-    """Specific-quality values per source, shape (n_sources, n_samples)."""
-    rows = []
-    for delta in deltas:
-        if kind is QualityKind.WB:
-            c = wb_coefficients_info(prior.info, delta)
-            rows.append(_wb_batch(c, prior.mean, X))
-        else:
-            c = wass_coefficients_info(prior.info, delta)
-            rows.append(_wass_batch(c, prior.mean, X))
-    return np.vstack(rows)
+        return max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
+    return max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
 
 
 def redundancy_mc_info(
@@ -261,7 +228,7 @@ def redundancy_mc_info(
         raise ValueError("need at least one source delta")
     rng = np.random.default_rng(rng_seed)
     X = prior.sample(rng, n_samples)
-    vals = _batch_values(kind, prior, deltas, X)
+    vals = _specific_values(kind, prior, deltas, X - prior.mean[None, :])
     mins = vals.min(axis=0)
     which = vals.argmin(axis=0)
     counts = np.bincount(which, minlength=len(deltas))
@@ -274,41 +241,6 @@ def redundancy_mc_info(
     )
 
 
-def redundancy_mc(
-    graph: SupplementedGraph,
-    alpha: Antichain,
-    kind: QualityKind,
-    n_samples: int = 10_000,
-    rng_seed=0,
-) -> RedundancyEstimate:
-    """Monte Carlo redundancy of an antichain of supplemental index sets."""
-    kind = QualityKind.parse(kind)
-    deltas = _source_deltas(graph, alpha)
-    return redundancy_mc_info(
-        graph.prior_belief(), deltas, kind, n_samples=n_samples, rng_seed=rng_seed
-    )
-
-
-def _quadratic_pieces(
-    kind: QualityKind, prior: GaussianBelief, deltas: Sequence[np.ndarray]
-) -> list[tuple[float, float]]:
-    """1-D specific qualities as (constant, quadratic coefficient) pairs.
-
-    S_J(x) = a_J + b_J (x - mu_B)^2 in one dimension for both kinds.
-    """
-    pieces = []
-    for delta in deltas:
-        if kind is QualityKind.WB:
-            c = wb_coefficients_info(prior.info, delta)
-            pieces.append(
-                (c.mi - 0.5 * float(np.trace(c.M_prime)), 0.5 * float(c.M[0, 0]))
-            )
-        else:
-            c = wass_coefficients_info(prior.info, delta)
-            pieces.append((float(np.trace(c.N_prime)), float(c.N[0, 0])))
-    return pieces
-
-
 def redundancy_quadrature_1d_info(
     prior: GaussianBelief,
     deltas: Sequence[np.ndarray],
@@ -319,22 +251,27 @@ def redundancy_quadrature_1d_info(
     Integrates min_J S_J(x) against the prior density over mu +/- 15 sigma,
     passing the crossing points of the quadratic pieces as breakpoints.
     """
+    from scipy import integrate  # only this oracle needs it; slow to import
+
     kind = QualityKind.parse(kind)
     if prior.dim != 1:
         raise ValueError("quadrature reference only supports 1-D states")
     if not deltas:
         raise ValueError("need at least one source delta")
-    pieces = _quadratic_pieces(kind, prior, deltas)
+    # In 1-D, S_J(x) = a_J + b_J t^2 with t = x - mu: read off at t = 0 and 1.
+    at = _specific_values(kind, prior, deltas, np.array([[0.0], [1.0]]))
+    a = at[:, 0]
+    b = at[:, 1] - at[:, 0]
     mu = float(prior.mean[0])
     sigma = 1.0 / np.sqrt(float(prior.info[0, 0]))
     lo, hi = mu - 15.0 * sigma, mu + 15.0 * sigma
 
-    # Pieces intersect where (a_i - a_j) + (b_i - b_j) t^2 = 0, t = x - mu.
+    # Pieces intersect where (a_i - a_j) + (b_i - b_j) t^2 = 0.
     points = []
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            da = pieces[i][0] - pieces[j][0]
-            db = pieces[i][1] - pieces[j][1]
+    for i in range(len(deltas)):
+        for j in range(i + 1, len(deltas)):
+            da = a[i] - a[j]
+            db = b[i] - b[j]
             if abs(db) > 1e-300:
                 t2 = -da / db
                 if t2 > 0:
@@ -343,8 +280,6 @@ def redundancy_quadrature_1d_info(
                         if lo < cand < hi:
                             points.append(cand)
 
-    a = np.array([p[0] for p in pieces])
-    b = np.array([p[1] for p in pieces])
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
 
     def integrand(x: float) -> float:
@@ -359,36 +294,36 @@ def redundancy_quadrature_1d_info(
     return float(val)
 
 
-def redundancy_quadrature_1d(
-    graph: SupplementedGraph, alpha: Antichain, kind: QualityKind
-) -> float:
-    if graph.state_dim != 1:
-        raise ValueError("quadrature reference only supports 1-D states")
-    deltas = _source_deltas(graph, alpha)
-    return redundancy_quadrature_1d_info(graph.prior_belief(), deltas, QualityKind.parse(kind))
+def _graph_deltas(
+    graph: SupplementedGraph, sources: Iterable[Iterable[int]]
+) -> list[np.ndarray]:
+    """Delta_J of each source J, which must hold supplemental indices only."""
+    supp = set(graph.supplemental)
+    deltas = []
+    for src in sources:
+        idx = sorted({int(j) for j in src})
+        bad = [j for j in idx if j not in supp]
+        if bad:
+            raise ValueError(
+                f"source {idx} contains non-supplemental factor indices {bad}"
+            )
+        deltas.append(graph.stack_subgraph(idx).delta)
+    return deltas
 
 
-def redundancy_report(
+def quality(graph: SupplementedGraph, J: Iterable[int], kind: QualityKind) -> float:
+    """Quality of the supplemental factor set J over the graph's prior."""
+    return quality_info(graph.prior_belief(), _graph_deltas(graph, [J])[0], kind)
+
+
+def redundancy_mc(
     graph: SupplementedGraph,
     alpha: Antichain,
     kind: QualityKind,
     n_samples: int = 10_000,
     rng_seed=0,
-) -> dict:
-    """JSON-ready record for one evaluated antichain.
-
-    Contains the kind, the antichain's sources, the Monte Carlo estimate with
-    its standard error and sample count, and each source's quality.
-    """
-    kind = QualityKind.parse(kind)
-    est = redundancy_mc(graph, alpha, kind, n_samples=n_samples, rng_seed=rng_seed)
-    return {
-        "kind": kind.value,
-        "antichain": [sorted(src) for src in alpha.sources],
-        "value": est.value,
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        "per_source_quality": [
-            quality(graph, src, kind) for src in alpha.sources
-        ],
-    }
+) -> RedundancyEstimate:
+    """Monte Carlo redundancy of an antichain of supplemental index sets."""
+    return redundancy_mc_info(
+        graph.prior_belief(), _graph_deltas(graph, alpha.sources), kind, n_samples, rng_seed
+    )

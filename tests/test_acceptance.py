@@ -32,7 +32,7 @@ from fgred.metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    redundancy_quadrature_1d,
+    redundancy_quadrature_1d_info,
     specific_info_wb,
     specific_wer,
     wass_coefficients_info,
@@ -84,6 +84,12 @@ def random_supplemented_graph(rng):
                          gamma=random_spd(rng, rows), args=tuple(range(dim)))
         )
     return SupplementedGraph(factors=factors, base=(0,), n_vars=dim, var_dim=1)
+
+
+def quadrature_1d(g, alpha, kind):
+    """1-D quadrature redundancy of an antichain of a graph's factor sets."""
+    deltas = [g.stack_subgraph(src).delta for src in alpha.sources]
+    return redundancy_quadrature_1d_info(g.prior_belief(), deltas, kind)
 
 
 def random_measurement_system(rng, dim, rows):
@@ -147,8 +153,8 @@ def test_criterion_1_axiom_suite():
         beta = validate_antichain([(j,) for j in supp[:-1]])
         for kind in QualityKind:
             if g.state_dim == 1:
-                ra = redundancy_quadrature_1d(g, alpha, kind)
-                rb = redundancy_quadrature_1d(g, beta, kind)
+                ra = quadrature_1d(g, alpha, kind)
+                rb = quadrature_1d(g, beta, kind)
                 assert ra <= rb + 1e-9
             else:
                 # identical draws make the pointwise min ordering exact
@@ -190,7 +196,7 @@ def test_criterion_2_specific_function_oracles():
         logdet_b = np.linalg.slogdet(belief.info)[1]
         vals_wb = 0.5 * (logdet_t - logdet_b) - 0.5 * (quad_post - quad_prior)
         got_wb = specific_info_wb(
-            wb_coefficients_info(belief.info, delta), belief.mean, x
+            wb_coefficients_info(belief, delta), belief.mean, x
         )
         t_wb = abs(vals_wb.mean() - got_wb) / (vals_wb.std() / math.sqrt(n_inner))
 
@@ -199,7 +205,7 @@ def test_criterion_2_specific_function_oracles():
         post_err = np.trace(cov_t) + ((mu_post - x) ** 2).sum(axis=1)
         vals_wa = prior_err - post_err
         got_wa = specific_wer(
-            wass_coefficients_info(belief.info, delta), belief.mean, x
+            wass_coefficients_info(belief, delta), belief.mean, x
         )
         t_wa = abs(vals_wa.mean() - got_wa) / (vals_wa.std() / math.sqrt(n_inner))
 
@@ -227,22 +233,22 @@ def test_criterion_3_expectation_identities():
                 belief, [delta], kind, n_samples=10_000,
                 rng_seed=EXP_SEED_BASE + 2 * inst + k_idx,
             )
-            q = quality_info(belief.info, delta, kind)
+            q = quality_info(belief, delta, kind)
             t = abs(est.value - q) / max(est.std_error, 1e-300)
             max_t = max(max_t, t)
             assert t <= 3.0, f"instance {inst} {kind.value}: {t:.2f} std errors"
 
     # exact scalar case: unit prior precision, unit information gain
-    lam = np.array([[1.0]])
+    prior = GaussianBelief(mean=np.zeros(1), info=np.array([[1.0]]))
     delta = np.array([[1.0]])
-    co_wa = wass_coefficients_info(lam, delta)
+    co_wa = wass_coefficients_info(prior, delta)
     assert co_wa.N_prime[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert co_wa.N[0, 0] == pytest.approx(0.75, abs=1e-12)
-    q_wa = quality_info(lam, delta, QualityKind.WASS)
+    q_wa = quality_info(prior, delta, QualityKind.WASS)
     assert q_wa == pytest.approx(1.0, abs=1e-12)
     # E over the unit prior adds the two coefficients: 1/4 + 3/4 = 1
     assert co_wa.N_prime[0, 0] + co_wa.N[0, 0] == pytest.approx(q_wa, abs=1e-12)
-    co_wb = wb_coefficients_info(lam, delta)
+    co_wb = wb_coefficients_info(prior, delta)
     assert co_wb.mi == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     assert co_wb.M_prime[0, 0] == pytest.approx(co_wb.M[0, 0], abs=1e-12)
 
@@ -277,7 +283,7 @@ def test_criterion_4_mutual_information_closed_form():
     for _ in range(50):
         dim = int(rng.integers(1, 6))
         belief, delta, _, _ = random_measurement_system(rng, dim, int(rng.integers(1, 5)))
-        mi = wb_coefficients_info(belief.info, delta).mi
+        mi = wb_coefficients_info(belief, delta).mi
         alt = 0.5 * np.linalg.slogdet(
             np.eye(dim) + delta @ np.linalg.inv(belief.info)
         )[1]

@@ -10,14 +10,10 @@ from fgred.metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    redundancy_quadrature_1d,
     redundancy_quadrature_1d_info,
-    redundancy_report,
     specific_info_wb,
     specific_wer,
-    wass_coefficients,
     wass_coefficients_info,
-    wb_coefficients,
     wb_coefficients_info,
 )
 
@@ -51,6 +47,12 @@ def two_source_graph(rng, n_vars=1, var_dim=2):
     return SupplementedGraph(factors=factors, base=(0,), n_vars=n_vars, var_dim=var_dim)
 
 
+def quadrature_1d(g, alpha, kind):
+    """1-D quadrature redundancy of an antichain of a graph's factor sets."""
+    deltas = [g.stack_subgraph(src).delta for src in alpha.sources]
+    return redundancy_quadrature_1d_info(g.prior_belief(), deltas, kind)
+
+
 def gauss_kl(mu0, cov0, mu1, cov1):
     """KL(N0 || N1), textbook closed form."""
     k = len(mu0)
@@ -76,7 +78,7 @@ def test_specific_info_matches_kl_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
         belief, delta, A, gamma = random_system(rng)
-        co = wb_coefficients_info(belief.info, delta)
+        co = wb_coefficients_info(belief, delta)
         cov_b = belief.cov()
         cov_z_given_x = np.linalg.inv(gamma)
         cov_z = cov_z_given_x + A @ cov_b @ A.T
@@ -92,7 +94,7 @@ def test_specific_wer_matches_nested_mc():
     # Wasserstein error, the expectation estimated by brute-force z sampling
     rng = np.random.default_rng(1)
     belief, delta, A, gamma = random_system(rng)
-    co = wass_coefficients_info(belief.info, delta)
+    co = wass_coefficients_info(belief, delta)
     x = belief.mean + rng.standard_normal(belief.dim)
 
     cov_b = belief.cov()
@@ -118,14 +120,14 @@ def test_expected_specific_equals_quality():
         belief, delta, _, _ = random_system(rng)
         xrng = np.random.default_rng(7)
         X = belief.sample(xrng, 40_000)
-        co_wb = wb_coefficients_info(belief.info, delta)
-        co_wa = wass_coefficients_info(belief.info, delta)
+        co_wb = wb_coefficients_info(belief, delta)
+        co_wa = wass_coefficients_info(belief, delta)
         for co, fn, kind in (
             (co_wb, specific_info_wb, QualityKind.WB),
             (co_wa, specific_wer, QualityKind.WASS),
         ):
             vals = np.array([fn(co, belief.mean, x) for x in X[:20_000]])
-            q = quality_info(belief.info, delta, kind)
+            q = quality_info(belief, delta, kind)
             se = vals.std() / np.sqrt(len(vals))
             assert abs(vals.mean() - q) < 4 * se
 
@@ -142,7 +144,7 @@ def test_wass_quality_trace_form():
     belief, delta, _, _ = random_system(rng)
     lam_t = belief.info + delta
     want = 2.0 * np.trace(np.linalg.inv(belief.info) - np.linalg.inv(lam_t))
-    assert quality_info(belief.info, delta, QualityKind.WASS) == pytest.approx(want, abs=1e-10)
+    assert quality_info(belief, delta, QualityKind.WASS) == pytest.approx(want, abs=1e-10)
 
 
 def test_quality_monotone_in_source_set():
@@ -160,9 +162,9 @@ def test_coefficient_matrices_psd():
     rng = np.random.default_rng(6)
     for _ in range(20):
         belief, delta, _, _ = random_system(rng, n=int(rng.integers(1, 6)))
-        co_wb = wb_coefficients_info(belief.info, delta)
+        co_wb = wb_coefficients_info(belief, delta)
         assert np.linalg.eigvalsh(co_wb.M).min() >= -1e-8
-        co_wa = wass_coefficients_info(belief.info, delta)
+        co_wa = wass_coefficients_info(belief, delta)
         assert np.linalg.eigvalsh(co_wa.N_prime).min() >= -1e-8
         # N may be indefinite; the recorded minimum eigenvalue is the witness
         assert co_wa.n_min_eig == pytest.approx(np.linalg.eigvalsh(co_wa.N).min(), abs=1e-9)
@@ -171,7 +173,7 @@ def test_coefficient_matrices_psd():
 def test_specific_wb_minimized_at_prior_mean():
     rng = np.random.default_rng(7)
     belief, delta, _, _ = random_system(rng)
-    co = wb_coefficients_info(belief.info, delta)
+    co = wb_coefficients_info(belief, delta)
     at_mean = specific_info_wb(co, belief.mean, belief.mean)
     for _ in range(20):
         x = belief.mean + rng.standard_normal(belief.dim)
@@ -185,7 +187,7 @@ def test_self_redundancy_quadrature_matches_quality_1d():
         for kind in QualityKind:
             for J in ((1,), (2,)):
                 alpha = validate_antichain([J])
-                r = redundancy_quadrature_1d(g, alpha, kind)
+                r = quadrature_1d(g, alpha, kind)
                 assert r == pytest.approx(quality(g, J, kind), abs=1e-6)
 
 
@@ -195,7 +197,7 @@ def test_mc_matches_quadrature_1d():
         g = two_source_graph(rng, n_vars=1, var_dim=1)
         alpha = validate_antichain([(1,), (2,)])
         for kind in QualityKind:
-            quad = redundancy_quadrature_1d(g, alpha, kind)
+            quad = quadrature_1d(g, alpha, kind)
             mc = redundancy_mc(g, alpha, kind, n_samples=40_000, rng_seed=trial)
             assert abs(mc.value - quad) < 4 * mc.std_error + 1e-9
 
@@ -253,13 +255,34 @@ def test_quadrature_handles_piece_crossings():
         assert abs(mc.value - quad) < 4 * mc.std_error + 1e-9
 
 
-def test_redundancy_report_record():
+def test_delta_checked_against_prior():
     rng = np.random.default_rng(14)
-    g = two_source_graph(rng)
-    alpha = validate_antichain([(1,), (2,)])
-    rec = redundancy_report(g, alpha, QualityKind.WB, n_samples=2000, rng_seed=0)
-    assert rec["kind"] == "wb"
-    assert rec["antichain"] == [[1], [2]]
-    assert rec["n_samples"] == 2000
-    assert len(rec["per_source_quality"]) == 2
-    assert np.isfinite(rec["value"]) and rec["std_error"] > 0
+    belief, delta, _, _ = random_system(rng)
+    skewed = delta.copy()
+    skewed[0, 1] += 1.0
+    # a 1x1 delta would broadcast against the prior without the shape check
+    bad_deltas = [(skewed, "delta is not symmetric")] + [
+        (np.eye(n), "prior info has shape") for n in (1, belief.dim + 1)
+    ]
+    calls = [
+        lambda d: wb_coefficients_info(belief, d),
+        lambda d: wass_coefficients_info(belief, d),
+    ]
+    for kind in QualityKind:
+        calls.append(lambda d, kind=kind: quality_info(belief, d, kind))
+        calls.append(
+            lambda d, kind=kind: redundancy_mc_info(belief, [delta, d], kind, n_samples=100)
+        )
+    for call in calls:
+        for bad, message in bad_deltas:
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+
+
+def test_graph_sources_must_be_supplemental():
+    g = two_source_graph(np.random.default_rng(15))
+    for kind in QualityKind:
+        with pytest.raises(ValueError, match="non-supplemental"):
+            quality(g, (0, 1), kind)
+        with pytest.raises(ValueError, match="non-supplemental"):
+            redundancy_mc(g, validate_antichain([(0,), (1,)]), kind, n_samples=100)

@@ -242,8 +242,8 @@ def test_metrics_invariant_under_rigid_reanchoring():
 
     for s in range(2):
         for kind in QualityKind:
-            a = quality_info(prior.info, deltas[s], kind)
-            b = quality_info(prior2.info, deltas2[s], kind)
+            a = quality_info(prior, deltas[s], kind)
+            b = quality_info(prior2, deltas2[s], kind)
             assert a == pytest.approx(b, abs=1e-6, rel=1e-6)
     for kind in QualityKind:
         ra = redundancy_mc_info(prior, [deltas[0], deltas[1]], kind, n_samples=20_000, rng_seed=0)
