@@ -16,8 +16,6 @@ from .gauss import (
     NotPositiveDefiniteError,
     cholesky_pd,
     check_symmetric,
-    conditional_mean_posterior,
-    expected_recentred_quadratic,
     logdet_pd,
     mahalanobis_sq,
     schur_complement,
@@ -66,9 +64,7 @@ __all__ = [
     "bivariate_atoms",
     "check_symmetric",
     "cholesky_pd",
-    "conditional_mean_posterior",
     "enumerate_antichains",
-    "expected_recentred_quadratic",
     "logdet_pd",
     "mahalanobis_sq",
     "quality",

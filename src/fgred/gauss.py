@@ -94,13 +94,6 @@ def logdet_pd(M: np.ndarray, name: str = "matrix") -> float:
     return float(2.0 * np.sum(np.log(np.diagonal(L))))
 
 
-def invert_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Explicit inverse of a symmetric PD matrix (dims here are small)."""
-    L = cholesky_pd(M, name=name)
-    inv = scipy.linalg.cho_solve((L, True), np.eye(M.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
-
-
 def solve_pd(M: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve M x = b for symmetric PD M."""
     L = cholesky_pd(M, name=name)
@@ -208,54 +201,3 @@ class GaussianBelief:
             self._chol, eps, lower=True, trans="T", check_finite=False
         )
         return self.mean[None, :] + dev.T
-
-
-def conditional_mean_posterior(
-    belief_b: GaussianBelief, delta: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Conditional expectation of the posterior mean given the true state x.
-
-    Measurements drawn from state x update the prior (mu_B, Lam_B) through an
-    information increment Delta; averaging over the measurement noise,
-
-        E(mu_post | x) = (Lam_B + Delta)^-1 (Lam_B mu_B + Delta x).
-
-    The result is affine in x.
-    """
-    delta = check_symmetric(delta, name="delta")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if delta.shape[0] != belief_b.dim or x.shape[0] != belief_b.dim:
-        raise ValueError("delta/x dimension mismatch with prior belief")
-    lam_post = belief_b.info + delta
-    rhs = belief_b.info @ belief_b.mean + delta @ x
-    return solve_pd(lam_post, rhs, name="posterior info")
-
-
-def expected_recentred_quadratic(
-    belief_b: GaussianBelief,
-    delta: np.ndarray,
-    T: np.ndarray,
-    m: np.ndarray,
-    x: np.ndarray,
-) -> float:
-    """E(||mu_post + m||_T^2 | x) for PSD weight T and offset m.
-
-    The posterior mean under measurements from state x is Gaussian with the
-    conditional mean above and covariance Ltilde^-1 Delta Ltilde^-1, so
-
-        E = tr(T Ltilde^-1 Delta Ltilde^-1) + ||E(mu_post|x) + m||_T^2
-
-    with Ltilde = Lam_B + Delta.
-    """
-    delta = check_symmetric(delta, name="delta")
-    T = check_symmetric(T, name="T")
-    m = np.asarray(m, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = belief_b.dim
-    if not (delta.shape[0] == T.shape[0] == m.shape[0] == x.shape[0] == d):
-        raise ValueError("argument dimension mismatch with prior belief")
-    lam_post = belief_b.info + delta
-    inv_post = invert_pd(lam_post, name="posterior info")
-    trace_term = float(np.trace(T @ inv_post @ delta @ inv_post))
-    cond_mean = inv_post @ (belief_b.info @ belief_b.mean + delta @ x)
-    return trace_term + mahalanobis_sq(cond_mean + m, T)

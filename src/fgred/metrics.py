@@ -152,10 +152,11 @@ def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoef
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
     N = 0.5 * (N + N.T)
     min_eig = float(np.linalg.eigvalsh(N).min())
-    if min_eig < -1e-10 * max(1.0, float(np.abs(N).max())):
+    coeffs = WassCoefficients(N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig)
+    if not coeffs.n_is_psd:
         # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
         logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", min_eig)
-    return WassCoefficients(N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig)
+    return coeffs
 
 
 def specific_info_wb(coeffs: WbCoefficients, mu_b: np.ndarray, x: np.ndarray) -> float:

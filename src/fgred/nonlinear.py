@@ -1,22 +1,23 @@
 """Nonlinear SLAM factor graph, Gauss-Newton, and linearization.
 
 Variables are keyed ("x", i) for poses (dim 3) and ("l", s) for landmarks
-(dim 2). Factors expose a residual r(v) = h(v) - z and the Jacobians of h at
-v; Gauss-Newton whitens both with the Cholesky factor of the measurement
-precision and iterates linearize-solve-retract with additive updates (pose
-angles re-wrapped).
+(dim 2). Factors expose a residual r(v) = h(v) - z and the Jacobians H of h
+at v. A factor's precision Gamma = L L^T is checked and factored once, when
+the NonlinearGraph is built; L^T is the factor's whitener.
 
-Linearizing a factor at v0 yields the linear Gaussian factor with A = H and
-z_eff = H v0 - r(v0), so factors that are already linear round-trip exactly.
+`linearize` is the one linearization path: the whitened Jacobian J (rows
+L^T H) and residual L^T r of a factor subset. Gauss-Newton solves
+J^T J dx = -J^T r and retracts additively (pose angles re-wrapped). The
+information forms, the base prior and each source increment, are
+J^T J = sum_j H_j^T Gamma_j H_j of the same J.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factor_graph import LinearFactor, SupplementedGraph
 from .gauss import GaussianBelief, NotPositiveDefiniteError, cholesky_pd, schur_complement, solve_pd
 from .se2 import Pose2, se2_compose, wrap_angle
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld
@@ -138,16 +139,25 @@ class RangeBearingFactor:
 
 @dataclass(frozen=True)
 class NonlinearGraph:
-    """Factor list plus variable ordering, base set, and source groups."""
+    """Factor list plus variable ordering, base set, and source groups.
+
+    Construction checks every factor's `gamma` as symmetric PD and keeps
+    L^T of its Cholesky factor as `whiteners[j]` for every later solve.
+    """
 
     variables: tuple[VarKey, ...]
     dims: dict
     factors: tuple
     base: frozenset[int]
     sources: dict
+    whiteners: tuple = field(init=False, repr=False, compare=False)
 
-    def var_dim(self, var: VarKey) -> int:
-        return self.dims[var]
+    def __post_init__(self):
+        whiteners = tuple(
+            cholesky_pd(f.gamma, name=f"gamma of factor {j}").T
+            for j, f in enumerate(self.factors)
+        )
+        object.__setattr__(self, "whiteners", whiteners)
 
     def touched_vars(self, subset: Iterable[int]) -> tuple[VarKey, ...]:
         """Variables touched by the subset's factors, in graph order."""
@@ -173,6 +183,36 @@ def _offsets(variables: Sequence[VarKey], dims: Mapping) -> tuple[dict, int]:
     return off, total
 
 
+def linearize(
+    graph: NonlinearGraph,
+    subset: Iterable[int],
+    values: Values,
+    state: Sequence[VarKey],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened Jacobian J and residual r of `subset`'s factors at `values`.
+
+    Rows stack the factors in `subset` order, factor j contributing
+    L_j^T H_j and L_j^T r_j(values), so J^T J = sum_j H_j^T Gamma_j H_j and
+    J^T r is the gradient of half the squared whitened residual. Columns
+    follow `state`, which must contain every variable the factors touch.
+    """
+    off, total = _offsets(state, graph.dims)
+    whitened = [(graph.factors[j], graph.whiteners[j]) for j in subset]
+    rows_total = sum(Lt.shape[0] for _, Lt in whitened)
+    J = np.zeros((rows_total, total))
+    r = np.zeros(rows_total)
+    row = 0
+    for f, Lt in whitened:
+        k = Lt.shape[0]
+        r[row : row + k] = Lt @ f.residual(values)
+        for var, jac in zip(f.vars, f.jacobians(values)):
+            if var not in off:
+                raise ValueError(f"factor touches {var}, outside the state")
+            J[row : row + k, off[var] : off[var] + graph.dims[var]] = Lt @ jac
+        row += k
+    return J, r
+
+
 def solve_gauss_newton(
     graph: NonlinearGraph,
     subset: Iterable[int],
@@ -190,32 +230,15 @@ def solve_gauss_newton(
     if not graph.base <= set(subset):
         raise ValueError("subset must include every base factor")
     solve_vars = graph.touched_vars(subset)
-    off, total = _offsets(solve_vars, graph.dims)
+    off, _ = _offsets(solve_vars, graph.dims)
     values = {k: np.array(v, dtype=float) for k, v in init.items()}
     for v in solve_vars:
         if v not in values:
             raise ValueError(f"initial values missing variable {v}")
 
-    whitened = []
-    rows_total = 0
-    for j in subset:
-        f = graph.factors[j]
-        Lt = cholesky_pd(f.gamma, name="gamma").T
-        whitened.append((f, Lt))
-        rows_total += Lt.shape[0]
-
     max_update = np.inf
     for it in range(1, max_iters + 1):
-        J = np.zeros((rows_total, total))
-        r = np.zeros(rows_total)
-        row = 0
-        for f, Lt in whitened:
-            k = Lt.shape[0]
-            r[row : row + k] = Lt @ f.residual(values)
-            for var, jac in zip(f.vars, f.jacobians(values)):
-                if var in off:
-                    J[row : row + k, off[var] : off[var] + graph.dims[var]] = Lt @ jac
-            row += k
+        J, r = linearize(graph, subset, values, solve_vars)
         H = J.T @ J
         g = J.T @ r
         try:
@@ -233,70 +256,6 @@ def solve_gauss_newton(
     return GaussNewtonResult(values, False, max_iters, max_update)
 
 
-def stacked_state(
-    graph: NonlinearGraph, values: Values, variables: Sequence[VarKey] | None = None
-) -> np.ndarray:
-    """Concatenate variable values into one vector in graph order."""
-    variables = tuple(variables) if variables is not None else graph.variables
-    return np.concatenate([np.asarray(values[v], dtype=float) for v in variables])
-
-
-def linearize_factor(
-    factor,
-    values: Values,
-    variables: Sequence[VarKey],
-    off: Mapping,
-    dims: Mapping,
-    state_dim: int,
-) -> LinearFactor:
-    """First-order linear Gaussian surrogate of `factor` at `values`.
-
-    A is the Jacobian embedded in the stacked state; the effective
-    measurement is z_eff = A v0 - r(v0) so the surrogate's residual matches
-    the true residual to first order at the linearization point.
-    """
-    r = factor.residual(values)
-    A = np.zeros((r.shape[0], state_dim))
-    args = []
-    for var, jac in zip(factor.vars, factor.jacobians(values)):
-        if var not in off:
-            raise ValueError(f"factor touches {var}, outside the state")
-        A[:, off[var] : off[var] + dims[var]] = jac
-        args.extend(range(off[var], off[var] + dims[var]))
-    v0 = np.concatenate([np.asarray(values[v], dtype=float) for v in variables])
-    z_eff = A @ v0 - r
-    return LinearFactor(A=A, z=z_eff, gamma=factor.gamma, args=tuple(args))
-
-
-def linearize_to_lfg(
-    graph: NonlinearGraph,
-    values: Values,
-    subset: Iterable[int] | None = None,
-) -> SupplementedGraph:
-    """Linearize a (subset of a) nonlinear graph into a SupplementedGraph.
-
-    The stacked state is scalar-blocked (var_dim = 1), covering the
-    variables touched by the subset in graph order. The base/supplemental
-    split is preserved. Construction fails if the included base factors do
-    not determine the included variables, e.g. a subset whose landmark is
-    only seen by supplemental factors; marginalize such variables first
-    (see pose_information_system).
-    """
-    subset = (
-        tuple(range(len(graph.factors)))
-        if subset is None
-        else tuple(sorted({int(j) for j in subset}))
-    )
-    variables = graph.touched_vars(subset)
-    off, total = _offsets(variables, graph.dims)
-    lin = [
-        linearize_factor(graph.factors[j], values, variables, off, graph.dims, total)
-        for j in subset
-    ]
-    base_pos = [k for k, j in enumerate(subset) if j in graph.base]
-    return SupplementedGraph(factors=lin, base=base_pos, n_vars=total, var_dim=1)
-
-
 def pose_information_system(
     graph: NonlinearGraph,
     base_values: Values,
@@ -304,40 +263,27 @@ def pose_information_system(
 ) -> tuple[GaussianBelief, dict]:
     """Pose-marginal information forms for redundancy evaluation.
 
-    The base factors (anchor + odometry) are linearized at `base_values` to
-    give the prior belief over the stacked poses. Each source's
-    range-bearing factors are linearized at `source_values[s]` over
-    (poses + its landmark) and the landmark block is Schur-marginalized,
-    leaving an information increment Delta_s over the poses alone. Callers
-    that compare sources against the prior should keep the pose entries of
-    every linearization point equal, otherwise the gauge-like directions of
-    the deltas are misaligned with the prior's weak directions.
+    The base factors (anchor + odometry) are linearized at `base_values`:
+    Lambda_B = J^T J, and the prior mean is one Gauss-Newton step from
+    `base_values`. Each source's range-bearing factors are linearized at
+    `source_values[s]` over (poses + its landmark), and Schur-marginalizing
+    the landmark out of J^T J leaves an increment Delta_s over the poses.
+    Callers that compare sources against the prior should keep the pose
+    entries of every linearization point equal, otherwise the gauge-like
+    directions of the deltas are misaligned with the prior's weak
+    directions.
     """
     pose_vars = tuple(v for v in graph.variables if v[0] == "x")
-    off, pose_dim = _offsets(pose_vars, graph.dims)
-
-    lam_b = np.zeros((pose_dim, pose_dim))
-    rhs = np.zeros(pose_dim)
-    for j in sorted(graph.base):
-        lf = linearize_factor(
-            graph.factors[j], base_values, pose_vars, off, graph.dims, pose_dim
-        )
-        lam_b += lf.information()
-        rhs += lf.weighted_rhs()
-    lam_b = 0.5 * (lam_b + lam_b.T)
-    prior = GaussianBelief(mean=solve_pd(lam_b, rhs, name="base information"), info=lam_b)
+    J, r = linearize(graph, sorted(graph.base), base_values, pose_vars)
+    x0 = np.concatenate([np.asarray(base_values[v], dtype=float) for v in pose_vars])
+    lam_b = J.T @ J
+    mean = x0 - solve_pd(lam_b, J.T @ r, name="base information")
+    prior = GaussianBelief(mean=mean, info=lam_b)
 
     deltas = {}
     for s, vals in source_values.items():
-        state = pose_vars + (("l", s),)
-        s_off, s_dim = _offsets(state, graph.dims)
-        delta_full = np.zeros((s_dim, s_dim))
-        for j in sorted(graph.sources[s]):
-            lf = linearize_factor(graph.factors[j], vals, state, s_off, graph.dims, s_dim)
-            delta_full += lf.information()
-        deltas[s] = schur_complement(
-            0.5 * (delta_full + delta_full.T), np.arange(pose_dim)
-        )
+        J, _ = linearize(graph, sorted(graph.sources[s]), vals, pose_vars + (("l", s),))
+        deltas[s] = schur_complement(J.T @ J, np.arange(prior.dim))
     return prior, deltas
 
 

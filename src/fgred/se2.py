@@ -37,13 +37,6 @@ class Pose2:
             raise ValueError("a pose needs exactly (x, y, theta)")
         return cls(v[0], v[1], v[2])
 
-    def rotation(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return np.array([[c, -s], [s, c]])
-
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def se2_compose(a: Pose2, b: Pose2) -> Pose2:
     """Group composition a * b (apply b in a's frame)."""
@@ -59,8 +52,3 @@ def se2_inverse(a: Pose2) -> Pose2:
     """Group inverse: compose(a, inverse(a)) is the identity."""
     c, s = np.cos(a.theta), np.sin(a.theta)
     return Pose2(-(c * a.x + s * a.y), s * a.x - c * a.y, -a.theta)
-
-
-def se2_relative(a: Pose2, b: Pose2) -> Pose2:
-    """b expressed in a's frame: a^-1 * b."""
-    return se2_compose(se2_inverse(a), b)

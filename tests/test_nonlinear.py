@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from fgred.factor_graph import LinearFactor, SupplementedGraph
+from fgred.gauss import NotPositiveDefiniteError
 from fgred.nonlinear import (
-    ANCHOR_SIGMA,
     NonlinearGraph,
     OdometryFactor,
     PriorFactor,
     RangeBearingFactor,
     build_nonlinear_graph,
     dead_reckoning_init,
-    linearize_to_lfg,
+    linearize,
     pose_information_system,
     solve_gauss_newton,
-    stacked_state,
     triangulate_landmark,
 )
 from fgred.se2 import Pose2, se2_compose, wrap_angle
 from fgred.sim2d import SimConfig, simulate_world
+from reference import pose_rotation
 
 
 def zero_noise_config(**kw):
@@ -25,6 +24,11 @@ def zero_noise_config(**kw):
     base = dict(sigma_step=zero3, sigma_odom=zero3, range_var_coeff=0.0, bearing_var=0.0)
     base.update(kw)
     return SimConfig(**base)
+
+
+def random_spd(rng, n):
+    A = rng.standard_normal((n, n))
+    return A @ A.T + np.eye(n)
 
 
 def truth_values(world):
@@ -147,13 +151,14 @@ def test_subset_must_cover_base():
         solve_gauss_newton(g, sorted(g.sources[0]), dead_reckoning_init(w))
 
 
-def test_linearize_linear_graph_round_trips():
-    # prior factors are affine, so relinearizing anywhere gives the same LFG
+def test_linearize_affine_factors_independent_of_point():
+    # prior factors are affine, so relinearizing anywhere gives the same
+    # whitened Jacobian and the same effective measurement J v - r
     rng = np.random.default_rng(6)
     variables = (("x", 0), ("x", 1))
     dims = {("x", 0): 3, ("x", 1): 3}
     factors = tuple(
-        PriorFactor(var=v, measurement=rng.uniform(-0.5, 0.5, 3), gamma=np.eye(3))
+        PriorFactor(var=v, measurement=rng.uniform(-0.5, 0.5, 3), gamma=random_spd(rng, 3))
         for v in variables
     )
     g = NonlinearGraph(
@@ -162,12 +167,12 @@ def test_linearize_linear_graph_round_trips():
     )
     vals1 = {v: rng.uniform(-0.5, 0.5, 3) for v in variables}
     vals2 = {v: rng.uniform(-0.5, 0.5, 3) for v in variables}
-    lfg1 = linearize_to_lfg(g, vals1)
-    lfg2 = linearize_to_lfg(g, vals2)
-    for a, b in zip(lfg1.factors, lfg2.factors):
-        assert np.allclose(a.A, b.A, atol=1e-12)
-        assert np.allclose(a.z, b.z, atol=1e-12)
-        assert np.allclose(a.gamma, b.gamma, atol=1e-12)
+    J1, r1 = linearize(g, (0, 1), vals1, variables)
+    J2, r2 = linearize(g, (0, 1), vals2, variables)
+    assert np.allclose(J1, J2, atol=1e-12)
+    x1 = np.concatenate([vals1[v] for v in variables])
+    x2 = np.concatenate([vals2[v] for v in variables])
+    assert np.allclose(J1 @ x1 - r1, J2 @ x2 - r2, atol=1e-12)
 
 
 def test_linearized_posterior_pd_and_prior_matches_base():
@@ -220,7 +225,7 @@ def test_metrics_invariant_under_rigid_reanchoring():
         return se2_compose(T, Pose2.from_array(np.asarray(arr))).as_array()
 
     def move_point(p):
-        R = T.rotation()
+        R = pose_rotation(T)
         return R @ np.asarray(p, dtype=float) + np.array([T.x, T.y])
 
     moved_anchor = PriorFactor(
@@ -270,39 +275,65 @@ def test_nonconvergence_flagged_not_raised():
     assert res.n_iters == 1
 
 
-def test_linearize_to_lfg_base_subset():
+def information_oracle(graph, subset, values, state):
+    """sum_j H_j^T Gamma_j H_j and the stacked L_j^T r_j, factor by factor."""
+    offsets = np.cumsum([0] + [graph.dims[v] for v in state])
+    col = {v: slice(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
+    info = np.zeros((offsets[-1], offsets[-1]))
+    rs = []
+    for j in subset:
+        f = graph.factors[j]
+        H = np.zeros((len(f.residual(values)), offsets[-1]))
+        for var, jac in zip(f.vars, f.jacobians(values)):
+            H[:, col[var]] = jac
+        info += H.T @ f.gamma @ H
+        rs.append(np.linalg.cholesky(f.gamma).T @ f.residual(values))
+    return info, np.concatenate(rs)
+
+
+def test_linearize_matches_information_oracle():
     w = simulate_world(SimConfig(seed=11, n_poses=4))
-    g = build_nonlinear_graph(w)
-    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
-    vals = {k: np.array(v) for k, v in base.values.items()}
-    lfg = linearize_to_lfg(g, vals, subset=sorted(g.base))
-    assert isinstance(lfg, SupplementedGraph)
-    assert lfg.var_dim == 1
-    assert lfg.state_dim == 3 * 5
-    assert set(lfg.base) == set(range(len(g.base)))
-    # residual offset convention: z reproduces A v - r at the lin point
-    x0 = stacked_state(g, vals, variables=g.touched_vars(sorted(g.base)))
-    f0 = lfg.factors[0]
-    r0 = g.factors[0].residual(vals)
-    assert np.allclose(f0.z, f0.A @ x0 - r0, atol=1e-10)
-    # the GN step from the linearized system matches the belief mean
-    post = lfg.posterior_belief(())
-    res = solve_gauss_newton(g, sorted(g.base), vals)
-    assert np.allclose(
-        post.mean,
-        np.concatenate([res.values[("x", i)] for i in range(5)]),
-        atol=1e-6,
-    )
-
-
-def test_linearize_to_lfg_unconstrained_landmark_rejected():
-    # landmarks are touched only by supplemental factors, so the base block
-    # is rank-deficient; the documented remedy is marginalization
-    w = simulate_world(SimConfig(seed=12, n_poses=4))
     g = build_nonlinear_graph(w)
     base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
     vals = {k: np.array(v) for k, v in base.values.items()}
     for s in range(2):
         vals[("l", s)] = triangulate_landmark(w, s, base.values)
-    with pytest.raises(ValueError, match="full-rank"):
-        linearize_to_lfg(g, vals)
+    subsets = [sorted(g.base), sorted(g.base | g.sources[0]), sorted(g.sources[1])]
+    for subset in subsets:
+        state = g.touched_vars(subset)
+        # columns follow the given state order, whatever it is
+        for order in (state, state[::-1]):
+            J, r = linearize(g, subset, vals, order)
+            info, r_want = information_oracle(g, subset, vals, order)
+            assert np.abs(J.T @ J - info).max() <= 1e-12 * np.abs(info).max()
+            assert np.allclose(r, r_want, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError, match="outside the state"):
+            linearize(g, subset, vals, state[1:])
+    # the base solve is stationary: one step from its own J, r is ~zero
+    pose_state = g.touched_vars(sorted(g.base))
+    J, r = linearize(g, sorted(g.base), base.values, pose_state)
+    assert np.abs(np.linalg.solve(J.T @ J, J.T @ r)).max() < 1e-6
+    # base factors leave the landmarks undetermined, which is why
+    # pose_information_system marginalizes each source's landmark
+    J, _ = linearize(g, sorted(g.base), vals, g.variables)
+    assert not J[:, -4:].any()
+
+
+def test_graph_rejects_bad_gamma_at_construction():
+    good = np.eye(3)
+    bad = [
+        (ValueError, np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        (NotPositiveDefiniteError, np.diag([1.0, -1.0, 1.0])),
+        (NotPositiveDefiniteError, np.diag([1.0, 0.0, 1.0])),
+    ]
+    variables = (("x", 0), ("x", 1))
+    for err, gamma in bad:
+        factors = (
+            PriorFactor(var=("x", 0), measurement=np.zeros(3), gamma=good),
+            PriorFactor(var=("x", 1), measurement=np.zeros(3), gamma=gamma),
+        )
+        with pytest.raises(err, match="gamma of factor 1"):
+            NonlinearGraph(
+                variables=variables, dims={v: 3 for v in variables}, factors=factors,
+                base=frozenset({0, 1}), sources={},
+            )

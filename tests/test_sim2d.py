@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fgred.se2 import se2_relative, wrap_angle
+from fgred.se2 import wrap_angle
 from fgred.sim2d import SimConfig, SimWorld, simulate_world
+from reference import se2_relative
 
 
 def zero_noise_config(**kw):

@@ -1,5 +1,7 @@
 """The benchmark's traced run (perfbench/tracing.py) wraps fgred's public
-names from outside; a rename or signature change there breaks `--trace 1`."""
+names from outside; a rename or signature change there breaks `--trace 1`.
+Its untraced checks read solver results directly, so those names are
+guarded here too."""
 import importlib
 import importlib.util
 import inspect
@@ -36,3 +38,32 @@ def test_traced_parameters_in_place():
     # from the bound arguments of a Gauss-Newton solve.
     assert list(inspect.signature(redundancy_mc_info).parameters)[2] == "kind"
     assert "max_iters" in inspect.signature(solve_gauss_newton).parameters
+
+
+def test_solution_fields_read_by_checks():
+    # The untraced run re-solves sampled worlds and reads these attributes
+    # directly (perfbench/workloads.py: _recheck_sims, _whitened_residual,
+    # _stationarity_problems), so none may be renamed or dropped.
+    import numpy as np
+
+    from fgred.experiment import solve_world
+    from fgred.nonlinear import build_nonlinear_graph
+    from fgred.sim2d import SimConfig, simulate_world
+
+    world = simulate_world(SimConfig(seed=0, n_poses=4))
+    sol = solve_world(world)
+    assert np.asarray(sol.prior.info).shape == (15, 15)
+    assert all(np.asarray(sol.deltas[s]).shape == (15, 15) for s in sorted(sol.deltas))
+    graph = build_nonlinear_graph(world)
+    solves = [(sorted(graph.base), sol.base_result)] + [
+        (sorted(graph.base | graph.sources[s]), res)
+        for s, res in sorted(sol.source_results.items())
+    ]
+    for subset, result in solves:
+        assert isinstance(result.converged, bool)
+        variables = graph.touched_vars(subset)
+        assert all(v in result.values for v in variables)
+        for j in subset:
+            factor = graph.factors[j]
+            r = factor.residual(result.values)
+            assert np.asarray(factor.gamma).shape == (r.shape[0], r.shape[0])
