@@ -16,8 +16,6 @@ from .gauss import (
     NotPositiveDefiniteError,
     cholesky_pd,
     check_symmetric,
-    logdet_pd,
-    mahalanobis_sq,
     schur_complement,
 )
 from .factor_graph import LinearFactor, SubgraphInfo, SupplementedGraph
@@ -37,8 +35,6 @@ from .metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    specific_info_wb,
-    specific_wer,
     wb_coefficients_info,
     wass_coefficients_info,
 )
@@ -65,8 +61,6 @@ __all__ = [
     "check_symmetric",
     "cholesky_pd",
     "enumerate_antichains",
-    "logdet_pd",
-    "mahalanobis_sq",
     "quality",
     "quality_info",
     "redundancy_mc",
@@ -75,8 +69,6 @@ __all__ = [
     "se2_compose",
     "se2_inverse",
     "simulate_world",
-    "specific_info_wb",
-    "specific_wer",
     "umeyama_align",
     "validate_antichain",
     "wb_coefficients_info",

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .alignment import wc_ate
@@ -266,6 +265,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     return records
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v; tied values share the mean of their ranks."""
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the highest rank in each tie group
+    return (last - 0.5 * (counts - 1))[group]
+
+
 def _spearman_with_permutation(
     x: np.ndarray, y: np.ndarray, n_shuffles: int = 10_000
 ) -> dict:
@@ -276,8 +282,8 @@ def _spearman_with_permutation(
     """
     if np.unique(x).size < 2 or np.unique(y).size < 2:
         return {"rho": math.nan, "p_value": math.nan, "degenerate": True}
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     rx = (rx - rx.mean()) / rx.std()
     ry = (ry - ry.mean()) / ry.std()
     n = rx.shape[0]

@@ -25,7 +25,6 @@ from .gauss import (
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
-    logdet_pd,
     solve_pd,
 )
 
@@ -147,12 +146,11 @@ class SupplementedGraph:
         self._var_dim = int(var_dim)
         base_info = self.stack_subgraph(base_t)
         try:
-            cholesky_pd(base_info.delta, name="base information")
+            mean = solve_pd(base_info.delta, base_info.weighted_rhs, name="base information")
         except NotPositiveDefiniteError as exc:
             raise ValueError(
                 f"base graph is not full-rank: {exc}"
             ) from exc
-        mean = solve_pd(base_info.delta, base_info.weighted_rhs)
         self._prior = GaussianBelief(mean=mean, info=base_info.delta)
 
     @property
@@ -222,26 +220,6 @@ class SupplementedGraph:
         rhs = self._prior.info @ self._prior.mean + sub.weighted_rhs
         mean = solve_pd(lam_post, rhs, name="posterior info")
         return GaussianBelief(mean=mean, info=lam_post)
-
-    def mutual_information(self, J: Iterable[int]) -> float:
-        """I(Z_J; X) = 0.5 (log det(Lam_B + Delta_J) - log det Lam_B), nats."""
-        idx = _as_index_tuple(J, self.m)
-        overlap = set(idx) & set(self._base)
-        if overlap:
-            raise ValueError(f"J intersects the base set: {sorted(overlap)}")
-        if not idx:
-            return 0.0
-        sub = self.stack_subgraph(idx)
-        val = 0.5 * (
-            logdet_pd(self._prior.info + sub.delta, name="posterior info")
-            - self._prior.logdet_info()
-        )
-        return max(val, 0.0)
-
-    def sample_prior(self, rng_seed, count: int) -> np.ndarray:
-        """Draw `count` states from the prior, shape (count, state_dim)."""
-        rng = np.random.default_rng(rng_seed)
-        return self._prior.sample(rng, count)
 
     def sample_measurements(self, J: Iterable[int], x: np.ndarray, rng_seed) -> np.ndarray:
         """Draw one stacked measurement vector for factors J given state x.

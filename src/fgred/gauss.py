@@ -16,9 +16,6 @@ import scipy.linalg
 PIVOT_TOL = 1e-10
 SYM_RTOL = 1e-10
 
-# Relative eigenvalue tolerance for "is PSD" checks on quadratic-form weights.
-PSD_TOL = 1e-8
-
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when a matrix required to be PD fails its Cholesky check.
@@ -88,41 +85,10 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return L
 
 
-def logdet_pd(M: np.ndarray, name: str = "matrix") -> float:
-    """log det M for symmetric PD M, via Cholesky (never the raw determinant)."""
-    L = cholesky_pd(M, name=name)
-    return float(2.0 * np.sum(np.log(np.diagonal(L))))
-
-
 def solve_pd(M: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve M x = b for symmetric PD M."""
     L = cholesky_pd(M, name=name)
     return scipy.linalg.cho_solve((L, True), b, check_finite=False)
-
-
-def quadratic_form(v: np.ndarray, M: np.ndarray) -> float:
-    """v.T M v with no definiteness check; may be negative for indefinite M."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ M @ v)
-
-
-def mahalanobis_sq(v: np.ndarray, M: np.ndarray) -> float:
-    """Squared Mahalanobis norm v.T M v for PSD weight M.
-
-    M is eigenvalue-checked: a negative eigenvalue beyond PSD_TOL (relative)
-    is an error. Tiny negative results from roundoff are clamped to 0.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    M = check_symmetric(M, name="weight")
-    if v.shape[0] != M.shape[0]:
-        raise ValueError(f"vector dim {v.shape[0]} != weight dim {M.shape[0]}")
-    w = np.linalg.eigvalsh(M)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.min() < -PSD_TOL * scale:
-        raise ValueError(
-            f"weight matrix has negative eigenvalue {w.min():.3e}, not PSD"
-        )
-    return max(quadratic_form(v, M), 0.0)
 
 
 def schur_complement(M: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-_ATOM_KEYS = None  # built lazily by bivariate_atoms
+# The four antichains over predictors {1, 2} that bivariate_atoms inverts.
+_ATOM_KEYS = {
+    "both": frozenset({frozenset({1}), frozenset({2})}),
+    "s1": frozenset({frozenset({1})}),
+    "s2": frozenset({frozenset({2})}),
+    "joint": frozenset({frozenset({1, 2})}),
+}
 
 
 def _as_source(s: Iterable[int]) -> frozenset[int]:
@@ -100,18 +106,6 @@ def enumerate_antichains(n: int) -> list[Antichain]:
     return out
 
 
-def _atom_keys() -> dict:
-    global _ATOM_KEYS
-    if _ATOM_KEYS is None:
-        _ATOM_KEYS = {
-            "both": frozenset({frozenset({1}), frozenset({2})}),
-            "s1": frozenset({frozenset({1})}),
-            "s2": frozenset({frozenset({2})}),
-            "joint": frozenset({frozenset({1, 2})}),
-        }
-    return _ATOM_KEYS
-
-
 def bivariate_atoms(
     imin_values: Mapping,
 ) -> tuple[float, float, float, float]:
@@ -126,14 +120,13 @@ def bivariate_atoms(
     for k, v in imin_values.items():
         sources = k.sources if isinstance(k, Antichain) else k
         table[frozenset(frozenset(s) for s in sources)] = float(v)
-    keys = _atom_keys()
-    missing = [name for name, key in keys.items() if key not in table]
+    missing = [name for name, key in _ATOM_KEYS.items() if key not in table]
     if missing:
         raise ValueError(
             f"missing antichain values for Moebius inversion: {missing}"
         )
-    r = table[keys["both"]]
-    u1 = table[keys["s1"]] - r
-    u2 = table[keys["s2"]] - r
-    s = table[keys["joint"]] - u1 - u2 - r
+    r = table[_ATOM_KEYS["both"]]
+    u1 = table[_ATOM_KEYS["s1"]] - r
+    u2 = table[_ATOM_KEYS["s2"]] - r
+    s = table[_ATOM_KEYS["joint"]] - u1 - u2 - r
     return (r, u1, u2, s)

@@ -21,6 +21,11 @@ Wasserstein quality (expected reduction of squared estimation error):
 which averages to Q_wass = 2 tr(Lam_B^-1 - Ltilde^-1), twice the trace drop
 of the covariance.
 
+wb_coefficients_info and wass_coefficients_info return these coefficients.
+Their at(dev) method evaluates S_J at mu_B + dev for a batch of deviations.
+It is the one evaluator of S_J: the Monte Carlo and quadrature redundancies
+and the oracle tests all call it.
+
 Redundancy of an antichain alpha is E_x min_{J in alpha} S_J(x) under the
 prior, estimated by Monte Carlo (or quadrature in 1-D).
 
@@ -41,13 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .factor_graph import SupplementedGraph
-from .gauss import (
-    GaussianBelief,
-    check_symmetric,
-    cholesky_pd,
-    mahalanobis_sq,
-    quadratic_form,
-)
+from .gauss import GaussianBelief, check_symmetric, cholesky_pd
 from .lattice import Antichain
 
 logger = logging.getLogger(__name__)
@@ -77,6 +76,11 @@ class WbCoefficients:
     M: np.ndarray
     M_prime: np.ndarray
 
+    def at(self, dev: np.ndarray) -> np.ndarray:
+        """S_wb at mu_B + dev for each row of dev (shape (n, dim)), shape (n,)."""
+        quad = np.einsum("ni,ij,nj->n", dev, self.M, dev)
+        return self.mi - 0.5 * (np.trace(self.M_prime) - quad)
+
 
 @dataclass(frozen=True, eq=False)
 class WassCoefficients:
@@ -94,6 +98,15 @@ class WassCoefficients:
     def n_is_psd(self) -> bool:
         scale = max(1.0, float(np.abs(self.N).max()))
         return self.n_min_eig >= -1e-10 * scale
+
+    def at(self, dev: np.ndarray) -> np.ndarray:
+        """S_wass at mu_B + dev for each row of dev (shape (n, dim)), shape (n,).
+
+        N may be indefinite, so the quadratic term is not clamped and a value
+        can dip below tr(N') for some states.
+        """
+        quad = np.einsum("ni,ij,nj->n", dev, self.N, dev)
+        return np.trace(self.N_prime) + quad
 
 
 @dataclass(frozen=True)
@@ -159,24 +172,6 @@ def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoef
     return coeffs
 
 
-def specific_info_wb(coeffs: WbCoefficients, mu_b: np.ndarray, x: np.ndarray) -> float:
-    """S_wb(x) = mi - 0.5 (tr(M') - ||x - mu_B||^2_M)."""
-    dev = np.asarray(x, dtype=float) - np.asarray(mu_b, dtype=float)
-    return coeffs.mi - 0.5 * (
-        float(np.trace(coeffs.M_prime)) - mahalanobis_sq(dev, coeffs.M)
-    )
-
-
-def specific_wer(coeffs: WassCoefficients, mu_b: np.ndarray, x: np.ndarray) -> float:
-    """S_wass(x) = tr(N') + ||mu_B - x||^2_N.
-
-    N may be indefinite, so the quadratic term is evaluated without a PSD
-    check and the value can dip below tr(N') for some states.
-    """
-    dev = np.asarray(mu_b, dtype=float) - np.asarray(x, dtype=float)
-    return float(np.trace(coeffs.N_prime)) + quadratic_form(dev, coeffs.N)
-
-
 def _specific_values(
     kind: QualityKind,
     prior: GaussianBelief,
@@ -184,17 +179,9 @@ def _specific_values(
     dev: np.ndarray,
 ) -> np.ndarray:
     """S_J at states mu_B +/- dev, shape (n_sources, n) for dev of shape (n, dim)."""
-    rows = []
-    for delta in deltas:
-        if kind is QualityKind.WB:
-            c = wb_coefficients_info(prior, delta)
-            quad = np.einsum("ni,ij,nj->n", dev, c.M, dev)
-            rows.append(c.mi - 0.5 * (np.trace(c.M_prime) - quad))
-        else:
-            c = wass_coefficients_info(prior, delta)
-            quad = np.einsum("ni,ij,nj->n", dev, c.N, dev)
-            rows.append(np.trace(c.N_prime) + quad)
-    return np.vstack(rows)
+    # Looked up per call, so a wrapper installed on the module sees each call.
+    coefficients = wb_coefficients_info if kind is QualityKind.WB else wass_coefficients_info
+    return np.vstack([coefficients(prior, delta).at(dev) for delta in deltas])
 
 
 def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) -> float:
@@ -260,9 +247,9 @@ def redundancy_quadrature_1d_info(
     if not deltas:
         raise ValueError("need at least one source delta")
     # In 1-D, S_J(x) = a_J + b_J t^2 with t = x - mu: read off at t = 0 and 1.
-    at = _specific_values(kind, prior, deltas, np.array([[0.0], [1.0]]))
-    a = at[:, 0]
-    b = at[:, 1] - at[:, 0]
+    vals = _specific_values(kind, prior, deltas, np.array([[0.0], [1.0]]))
+    a = vals[:, 0]
+    b = vals[:, 1] - vals[:, 0]
     mu = float(prior.mean[0])
     sigma = 1.0 / np.sqrt(float(prior.info[0, 0]))
     lo, hi = mu - 15.0 * sigma, mu + 15.0 * sigma

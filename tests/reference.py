@@ -9,7 +9,7 @@ here rather than in fgred.
 import numpy as np
 import scipy.linalg
 
-from fgred.gauss import GaussianBelief, check_symmetric, cholesky_pd, mahalanobis_sq, solve_pd
+from fgred.gauss import GaussianBelief, check_symmetric, cholesky_pd, solve_pd
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
 
@@ -68,7 +68,8 @@ def expected_recentred_quadratic(
     inv_post = invert_pd(lam_post, name="posterior info")
     trace_term = float(np.trace(T @ inv_post @ delta @ inv_post))
     cond_mean = inv_post @ (belief_b.info @ belief_b.mean + delta @ x)
-    return trace_term + mahalanobis_sq(cond_mean + m, T)
+    v = cond_mean + m
+    return trace_term + float(v @ T @ v)
 
 
 def se2_relative(a: Pose2, b: Pose2) -> Pose2:

@@ -142,6 +142,20 @@ def test_correlation_report_constant_degenerate():
     assert math.isnan(rep["spearman_rwass_wcate"]["rho"])
 
 
+def test_average_ranks_match_scipy_rankdata():
+    from scipy import stats
+
+    rng = np.random.default_rng(3)
+    inputs = [
+        rng.standard_normal(50),
+        rng.integers(0, 6, size=60).astype(float),
+        np.array([2.0, -1.0, 2.0, 0.0, -0.0, 2.0, 5.0]),
+        np.array([1.0, 1.0, 1.0]),
+    ]
+    for v in inputs:
+        assert np.array_equal(experiment._average_ranks(v), stats.rankdata(v))
+
+
 def test_correlation_report_too_few_records():
     with pytest.raises(ValueError, match="30"):
         correlation_report(synthetic_records(n=10))

@@ -5,6 +5,7 @@ import pytest
 
 from fgred.factor_graph import LinearFactor, SupplementedGraph
 from fgred.gauss import GaussianBelief
+from fgred.metrics import QualityKind, quality
 
 
 def random_graph(rng, n_vars=2, var_dim=2, n_base=2, n_supp=4):
@@ -84,7 +85,7 @@ def test_mutual_information_monotone_and_closed_form():
         prev = 0.0
         for k in range(len(supp) + 1):
             J = supp[:k]
-            mi = g.mutual_information(J)
+            mi = quality(g, J, QualityKind.WB)
             assert mi >= prev - 1e-10
             prev = mi
             # determinant identity
@@ -156,11 +157,11 @@ def test_sample_measurements_moments():
     assert np.all(np.abs(Z.mean(axis=0) - expect_mean) < 4 * se)
 
 
-def test_sample_prior_moments():
+def test_prior_belief_sample_moments():
     rng = np.random.default_rng(9)
     g = random_graph(rng)
-    X = g.sample_prior(rng_seed=0, count=50_000)
     prior = g.prior_belief()
+    X = prior.sample(np.random.default_rng(0), 50_000)
     cov = prior.cov()
     se = np.sqrt(np.diag(cov) / 50_000)
     assert np.all(np.abs(X.mean(axis=0) - prior.mean) < 4 * se)

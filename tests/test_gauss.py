@@ -6,9 +6,6 @@ from fgred.gauss import (
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
-    logdet_pd,
-    mahalanobis_sq,
-    quadratic_form,
     schur_complement,
     solve_pd,
 )
@@ -61,7 +58,8 @@ def test_logdet_against_cofactor_expansion():
     for _ in range(15):
         n = int(rng.integers(1, 7))
         M = random_spd(rng, n)
-        assert logdet_pd(M) == pytest.approx(np.log(brute_det(M)), abs=1e-8)
+        belief = GaussianBelief(mean=np.zeros(n), info=M)
+        assert belief.logdet_info() == pytest.approx(np.log(brute_det(M)), abs=1e-8)
 
 
 def test_invert_and_solve():
@@ -80,19 +78,6 @@ def test_check_symmetric_symmetrizes_and_rejects():
     assert np.array_equal(S, S.T)
     with pytest.raises(ValueError):
         check_symmetric(np.array([[1.0, 2.0], [0.0, 3.0]]))
-
-
-def test_quadratic_and_mahalanobis():
-    rng = np.random.default_rng(3)
-    M = random_spd(rng, 4)
-    v = rng.standard_normal(4)
-    assert quadratic_form(v, M) == pytest.approx(v @ M @ v)
-    assert mahalanobis_sq(v, M) == pytest.approx(v @ M @ v)
-    # PSD input with roundoff-negative result clamps to zero
-    P = np.outer([1.0, -1.0], [1.0, -1.0])
-    assert mahalanobis_sq(np.array([1.0, 1.0]), P) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        mahalanobis_sq(v, -M)
 
 
 def test_schur_complement_against_inverse_subblock():

@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fgred
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_public_names_resolve():
+    for name in fgred.__all__:
+        assert hasattr(fgred, name), f"fgred.__all__ names missing {name}"
+    namespace = {}
+    exec("from fgred import *", namespace)
+    assert set(fgred.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is slow to import and the CLI has no use for it.
+    code = "import sys, fgred.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
