@@ -3,9 +3,9 @@
 The package measures how redundantly a state estimate is supported by groups
 of measurement factors. It provides information-form Gaussian primitives, a
 supplemented linear factor graph, the antichain lattice used by partial
-information decomposition, two specific-quality metrics with Monte Carlo
-redundancy estimators, and a 2D landmark SLAM simulation study that compares
-redundancy against worst-case trajectory error.
+information decomposition, two specific-quality metrics with exact
+two-source and Monte Carlo redundancies, and a 2D landmark SLAM simulation
+study that compares redundancy against worst-case trajectory error.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
+    redundancy_pair_info,
     wb_coefficients_info,
     wass_coefficients_info,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "quality_info",
     "redundancy_mc",
     "redundancy_mc_info",
+    "redundancy_pair_info",
     "schur_complement",
     "se2_compose",
     "se2_inverse",

@@ -4,7 +4,6 @@ Subcommands:
   simulate   draw the batch's worlds and write them as JSON
   analyze    run the full study: solve, measure redundancy, correlate, plot
   report     rebuild summary.json and figures from an existing records.csv
-  oracle     run slow reference cross-checks of the closed-form metrics
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 3 more than 20% of simulations failed.
@@ -16,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .experiment import (
     ExperimentConfig,
     correlation_report,
@@ -25,13 +22,6 @@ from .experiment import (
     read_records_csv,
     run_experiment,
     simulate_batch_world,
-)
-from .gauss import GaussianBelief
-from .metrics import (
-    QualityKind,
-    quality_info,
-    redundancy_mc_info,
-    redundancy_quadrature_1d_info,
 )
 
 FAILED_FRACTION_LIMIT = 0.2
@@ -131,47 +121,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    """Cross-check Monte Carlo redundancy against 1-D quadrature."""
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    n_cases = 12
-    n_samples = 40_000
-    failures = 0
-    for case in range(n_cases):
-        lam_b = np.array([[float(rng.uniform(0.2, 3.0))]])
-        mu = np.array([float(rng.normal(0.0, 2.0))])
-        prior = GaussianBelief(mean=mu, info=lam_b)
-        k = int(rng.integers(1, 4))
-        deltas = [
-            np.array([[float(rng.uniform(0.05, 4.0))]]) for _ in range(k)
-        ]
-        for kind in (QualityKind.WB, QualityKind.WASS):
-            mc = redundancy_mc_info(prior, deltas, kind, n_samples, rng_seed=case)
-            ref = redundancy_quadrature_1d_info(prior, deltas, kind)
-            err = abs(mc.value - ref)
-            tol = 3.0 * mc.std_error + 1e-9
-            ok = err <= tol
-            failures += 0 if ok else 1
-            status = "PASS" if ok else "FAIL"
-            print(
-                f"[{status}] case {case:2d} {kind.value:4s}: "
-                f"mc={mc.value:.6f} quad={ref:.6f} |diff|={err:.2e} tol={tol:.2e}"
-            )
-            if kind is QualityKind.WB and k == 1:
-                q = quality_info(prior, deltas[0], kind)
-                ok_q = abs(ref - q) < 1e-6
-                failures += 0 if ok_q else 1
-                print(
-                    f"[{'PASS' if ok_q else 'FAIL'}] case {case:2d} "
-                    f"self-redundancy: quad={ref:.6f} quality={q:.6f}"
-                )
-    if failures:
-        print(f"{failures} oracle checks failed", file=sys.stderr)
-        return 1
-    print("all oracle checks passed")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgred",
@@ -182,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", _cmd_simulate, "generate simulation worlds as JSON"),
         ("analyze", _cmd_analyze, "run the redundancy vs error study"),
         ("report", _cmd_report, "rebuild summary and figures from records.csv"),
-        ("oracle", _cmd_oracle, "run reference cross-checks of the metrics"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="JSON config path")

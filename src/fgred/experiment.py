@@ -3,7 +3,8 @@
 Each simulation draws a world, solves the base (anchor + odometry) problem
 and one SLAM problem per landmark source, linearizes around those solutions,
 Schur-marginalizes the landmarks, and evaluates both redundancy metrics on
-the pose-marginal information forms. Worst-case trajectory error and
+the pose-marginal information forms, exactly for the two landmark sources
+(metrics.redundancy_pair_info). Worst-case trajectory error and
 trajectory-to-landmark distances are recorded alongside.
 
 Per-simulation seeds are derived from the root seed and the simulation id
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .alignment import wc_ate
 from .gauss import GaussianBelief
-from .metrics import QualityKind, quality_info, redundancy_mc_info
+from .metrics import QualityKind, quality_info, redundancy_pair_info
 from .nonlinear import (
     build_nonlinear_graph,
     dead_reckoning_init,
@@ -67,7 +68,9 @@ class ExperimentConfig:
     """Batch parameters wrapping a base simulation config.
 
     The sim config's own seed field is ignored; each simulation gets a seed
-    derived from (root_seed, sim_id).
+    derived from (root_seed, sim_id). mc_samples is validated and kept in
+    saved configs, but the two-source study does not read it: its
+    redundancies are exact.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
@@ -102,7 +105,11 @@ class ExperimentConfig:
 
 @dataclass
 class SimRecord:
-    """Per-simulation outcome row. Failed rows carry NaNs and a reason."""
+    """Per-simulation outcome row. Failed rows carry NaNs and a reason.
+
+    r_wb_se and r_wass_se are the redundancies' standard errors; run_single
+    writes 0.0 because its redundancies are exact.
+    """
 
     sim_id: int
     r_wb: float = math.nan
@@ -133,12 +140,6 @@ class SimRecord:
 def world_seed(root_seed: int, sim_id: int) -> int:
     """Deterministic per-simulation world seed."""
     ss = np.random.SeedSequence([int(root_seed), int(sim_id), 0])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def mc_seed(root_seed: int, sim_id: int) -> int:
-    """Deterministic per-simulation Monte Carlo seed."""
-    ss = np.random.SeedSequence([int(root_seed), int(sim_id), 1])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -196,14 +197,8 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
         world = simulate_batch_world(config, sim_id)
         sol = solve_world(world)
         delta_list = [sol.deltas[s] for s in range(N_LANDMARKS)]
-        seed = mc_seed(config.root_seed, sim_id)
-
-        est_wb = redundancy_mc_info(
-            sol.prior, delta_list, QualityKind.WB, config.mc_samples, seed
-        )
-        est_wass = redundancy_mc_info(
-            sol.prior, delta_list, QualityKind.WASS, config.mc_samples, seed
-        )
+        r_wb = redundancy_pair_info(sol.prior, delta_list, QualityKind.WB)
+        r_wass = redundancy_pair_info(sol.prior, delta_list, QualityKind.WASS)
         q_wb = tuple(
             quality_info(sol.prior, d, QualityKind.WB) for d in delta_list
         )
@@ -224,10 +219,10 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
         base_ok = sol.base_result.converged
         return SimRecord(
             sim_id=sim_id,
-            r_wb=est_wb.value,
-            r_wb_se=est_wb.std_error,
-            r_wass=est_wass.value,
-            r_wass_se=est_wass.std_error,
+            r_wb=r_wb,
+            r_wb_se=0.0,
+            r_wass=r_wass,
+            r_wass_se=0.0,
             q_wb=q_wb,
             q_wass=q_wass,
             wc_ate=wc,

@@ -203,47 +203,6 @@ class SupplementedGraph:
         """Posterior of the base factors alone (the prior for this graph)."""
         return self._prior
 
-    def posterior_belief(self, J: Iterable[int]) -> GaussianBelief:
-        """Belief after adding supplemental factors J on top of the base.
-
-        J must be disjoint from the base; J = empty returns the prior object
-        itself.
-        """
-        idx = _as_index_tuple(J, self.m)
-        overlap = set(idx) & set(self._base)
-        if overlap:
-            raise ValueError(f"J intersects the base set: {sorted(overlap)}")
-        if not idx:
-            return self._prior
-        sub = self.stack_subgraph(idx)
-        lam_post = self._prior.info + sub.delta
-        rhs = self._prior.info @ self._prior.mean + sub.weighted_rhs
-        mean = solve_pd(lam_post, rhs, name="posterior info")
-        return GaussianBelief(mean=mean, info=lam_post)
-
-    def sample_measurements(self, J: Iterable[int], x: np.ndarray, rng_seed) -> np.ndarray:
-        """Draw one stacked measurement vector for factors J given state x.
-
-        Each factor's draw is Gaussian with mean A_j x and covariance
-        Gamma_j^-1; draws are independent across factors and concatenated in
-        ascending factor order.
-        """
-        idx = _as_index_tuple(J, self.m)
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.state_dim:
-            raise ValueError(f"x has dim {x.shape[0]}, expected {self.state_dim}")
-        rng = np.random.default_rng(rng_seed)
-        parts = []
-        for j in idx:
-            f = self._factors[j]
-            L = cholesky_pd(f.gamma, name="gamma")
-            eps = rng.standard_normal(f.rows)
-            noise = np.linalg.solve(L.T, eps)
-            parts.append(f.A @ x + noise)
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
-
     def to_dict(self) -> dict:
         """JSON-ready dict with row-major nested lists."""
         return {

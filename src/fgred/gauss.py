@@ -148,11 +148,16 @@ class GaussianBelief:
         return float(2.0 * np.sum(np.log(np.diagonal(self._chol))))
 
     def cov(self) -> np.ndarray:
-        """Materialized covariance (inverse information)."""
-        inv = scipy.linalg.cho_solve(
-            (self._chol, True), np.eye(self.dim), check_finite=False
-        )
-        return 0.5 * (inv + inv.T)
+        """Materialized covariance (inverse information), solved once, read-only."""
+        cov = self.__dict__.get("_cov")
+        if cov is None:
+            inv = scipy.linalg.cho_solve(
+                (self._chol, True), np.eye(self.dim), check_finite=False
+            )
+            cov = 0.5 * (inv + inv.T)
+            cov.setflags(write=False)
+            object.__setattr__(self, "_cov", cov)
+        return cov
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw `count` samples, shape (count, dim).

@@ -22,12 +22,14 @@ which averages to Q_wass = 2 tr(Lam_B^-1 - Ltilde^-1), twice the trace drop
 of the covariance.
 
 wb_coefficients_info and wass_coefficients_info return these coefficients.
-Their at(dev) method evaluates S_J at mu_B + dev for a batch of deviations.
-It is the one evaluator of S_J: the Monte Carlo and quadrature redundancies
-and the oracle tests all call it.
+Their `quadratic` property writes S_J(mu_B + dev) = c_J + dev^T W_J dev
+(WB: c = mi - 0.5 tr M', W = 0.5 M; WASS: c = tr N', W = N), and at(dev)
+evaluates that form for a batch of deviations. It is the one evaluator of
+S_J: the Monte Carlo and exact redundancies and the oracle tests all use it.
 
 Redundancy of an antichain alpha is E_x min_{J in alpha} S_J(x) under the
-prior, estimated by Monte Carlo (or quadrature in 1-D).
+prior. redundancy_pair_info evaluates it exactly for two sources;
+redundancy_mc_info estimates it by Monte Carlo for any number.
 
 Validation happens at the boundary. The prior is a GaussianBelief, which
 checked and factored Lam_B when it was built. quality_info and the coefficient
@@ -38,6 +40,7 @@ holds only supplemental factor indices.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -76,10 +79,20 @@ class WbCoefficients:
     M: np.ndarray
     M_prime: np.ndarray
 
+    @property
+    def quality(self) -> float:
+        """Q_wb, the prior average of S_wb: the mutual information mi."""
+        return self.mi
+
+    @property
+    def quadratic(self) -> tuple[float, np.ndarray]:
+        """(c, W) with S_wb(mu_B + dev) = c + dev^T W dev."""
+        return self.mi - 0.5 * float(np.trace(self.M_prime)), 0.5 * self.M
+
     def at(self, dev: np.ndarray) -> np.ndarray:
         """S_wb at mu_B + dev for each row of dev (shape (n, dim)), shape (n,)."""
-        quad = np.einsum("ni,ij,nj->n", dev, self.M, dev)
-        return self.mi - 0.5 * (np.trace(self.M_prime) - quad)
+        c, W = self.quadratic
+        return c + np.einsum("ni,ij,nj->n", dev, W, dev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,16 +101,23 @@ class WassCoefficients:
 
     N_prime is PSD; N is not guaranteed PSD when Lam_B and Delta do not
     commute, so its smallest eigenvalue is recorded rather than enforced.
+    quality is Q_wass, the prior average of S_wass.
     """
 
     N: np.ndarray
     N_prime: np.ndarray
     n_min_eig: float
+    quality: float
 
     @property
     def n_is_psd(self) -> bool:
         scale = max(1.0, float(np.abs(self.N).max()))
         return self.n_min_eig >= -1e-10 * scale
+
+    @property
+    def quadratic(self) -> tuple[float, np.ndarray]:
+        """(c, W) with S_wass(mu_B + dev) = c + dev^T W dev."""
+        return float(np.trace(self.N_prime)), self.N
 
     def at(self, dev: np.ndarray) -> np.ndarray:
         """S_wass at mu_B + dev for each row of dev (shape (n, dim)), shape (n,).
@@ -105,8 +125,8 @@ class WassCoefficients:
         N may be indefinite, so the quadratic term is not clamped and a value
         can dip below tr(N') for some states.
         """
-        quad = np.einsum("ni,ij,nj->n", dev, self.N, dev)
-        return np.trace(self.N_prime) + quad
+        c, W = self.quadratic
+        return c + np.einsum("ni,ij,nj->n", dev, W, dev)
 
 
 @dataclass(frozen=True)
@@ -143,12 +163,19 @@ def _posterior_inverse_logdet(
     return 0.5 * (inv + inv.T), float(2.0 * np.sum(np.log(np.diagonal(L))))
 
 
+def _quality(prior: GaussianBelief, inv_post, logdet_post: float, kind: QualityKind) -> float:
+    """Q(J) from Ltilde^-1 and log det Ltilde (see quality_info)."""
+    if kind is QualityKind.WB:
+        return max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
+    return max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
+
+
 def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WbCoefficients:
     """Information-quality coefficients of one source's Delta over the prior."""
     delta = _check_delta(prior, delta)
     inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
     lam_b = prior.info
-    mi = max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
+    mi = _quality(prior, inv_post, logdet_post, QualityKind.WB)
     M = lam_b - lam_b @ inv_post @ lam_b
     Mp = delta @ inv_post
     return WbCoefficients(
@@ -159,29 +186,28 @@ def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WbCoeffici
 def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoefficients:
     """Wasserstein-quality coefficients of one source's Delta over the prior."""
     delta = _check_delta(prior, delta)
-    inv_post, _ = _posterior_inverse_logdet(prior, delta)
+    inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
     lam_b = prior.info
     Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
     N = 0.5 * (N + N.T)
     min_eig = float(np.linalg.eigvalsh(N).min())
-    coeffs = WassCoefficients(N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig)
+    quality = _quality(prior, inv_post, logdet_post, QualityKind.WASS)
+    coeffs = WassCoefficients(
+        N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig, quality=quality
+    )
     if not coeffs.n_is_psd:
         # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
         logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", min_eig)
     return coeffs
 
 
-def _specific_values(
-    kind: QualityKind,
-    prior: GaussianBelief,
-    deltas: Sequence[np.ndarray],
-    dev: np.ndarray,
-) -> np.ndarray:
-    """S_J at states mu_B +/- dev, shape (n_sources, n) for dev of shape (n, dim)."""
+def _coefficients(kind: QualityKind, prior: GaussianBelief, delta: np.ndarray):
+    """The kind's coefficients of one source."""
     # Looked up per call, so a wrapper installed on the module sees each call.
-    coefficients = wb_coefficients_info if kind is QualityKind.WB else wass_coefficients_info
-    return np.vstack([coefficients(prior, delta).at(dev) for delta in deltas])
+    if kind is QualityKind.WB:
+        return wb_coefficients_info(prior, delta)
+    return wass_coefficients_info(prior, delta)
 
 
 def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) -> float:
@@ -191,10 +217,7 @@ def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) ->
     Both are >= 0 and monotone under adding factors to J.
     """
     kind = QualityKind.parse(kind)
-    inv_post, logdet_post = _posterior_inverse_logdet(prior, _check_delta(prior, delta))
-    if kind is QualityKind.WB:
-        return max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
-    return max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
+    return _quality(prior, *_posterior_inverse_logdet(prior, _check_delta(prior, delta)), kind)
 
 
 def redundancy_mc_info(
@@ -216,7 +239,8 @@ def redundancy_mc_info(
         raise ValueError("need at least one source delta")
     rng = np.random.default_rng(rng_seed)
     X = prior.sample(rng, n_samples)
-    vals = _specific_values(kind, prior, deltas, X - prior.mean[None, :])
+    dev = X - prior.mean[None, :]
+    vals = np.vstack([_coefficients(kind, prior, delta).at(dev) for delta in deltas])
     mins = vals.min(axis=0)
     which = vals.argmin(axis=0)
     counts = np.bincount(which, minlength=len(deltas))
@@ -229,57 +253,98 @@ def redundancy_mc_info(
     )
 
 
-def redundancy_quadrature_1d_info(
-    prior: GaussianBelief,
-    deltas: Sequence[np.ndarray],
-    kind: QualityKind,
-) -> float:
-    """Adaptive-quadrature redundancy for 1-D states (reference oracle).
+# Imhof's rule (_expected_abs): Gauss-Legendre nodes per panel, the most the
+# phase may turn across a panel, the dropped tail's bound relative to
+# sqrt(E D^2), and the budget of nodes times eigenvalues.
+_IMHOF_NODES = 20
+_IMHOF_MAX_TURN = 32.0
+_IMHOF_TAIL_TOL = 1e-12
+_IMHOF_BUDGET = 400_000
 
-    Integrates min_J S_J(x) against the prior density over mu +/- 15 sigma,
-    passing the crossing points of the quadratic pieces as breakpoints.
+
+@functools.cache
+def _legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _expected_abs(c: float, lam: np.ndarray) -> float:
+    """E|D| for D = c + sum_i lam_i z_i^2 with z ~ N(0, I).
+
+    Imhof (1961), Davies (1980): E|D| = (2/pi) int_0^inf (1 - Re phi_D(u)) / u^2
+    du with Re phi_D = rho cos theta, rho = prod_i (1 + 4 u^2 lam_i^2)^(-1/4),
+    theta = c u + 1/2 sum_i arctan(2 u lam_i); 1 - rho cos theta is summed as
+    (1 - rho) + 2 rho sin^2(theta / 2), which does not cancel near u = 0.
+    u = s tan t, s = 1 / sqrt(E D^2). Panels are t in (0, pi/4) and then one
+    per octave of u, up to the first U where the dropped tail
+    int_U^inf rho cos theta / u^2 du (at most rho / U, about
+    rho / U * 2 / (|c| U) once theta turns at rate c) is below
+    _IMHOF_TAIL_TOL / s; the rest adds 1 / U. A panel across which theta may
+    turn by more than _IMHOF_MAX_TURN is split evenly in u, so dominated
+    pairs (|c| large against |lam|) stay resolved.
     """
-    from scipy import integrate  # only this oracle needs it; slow to import
+    m = c + float(lam.sum())
+    if (c >= 0.0 and lam.min() >= 0.0) or (c <= 0.0 and lam.max() <= 0.0):
+        return abs(m)  # D never changes sign
+    # E|D| = |m| + 2 E[F^+] for F = -sign(m) D, and F^+ <= exp(t F - 1) / t
+    # for 0 < t < 1 / (2 max |lam|): where that is negligible, so is E[F^+].
+    sign = 1.0 if m >= 0.0 else -1.0
+    t = np.linspace(0.02, 0.98, 49) / (2.0 * float(np.abs(lam).max()))
+    log_mgf = -sign * c * t - 0.5 * np.log1p(2.0 * sign * np.multiply.outer(t, lam)).sum(1)
+    if (log_mgf - 1.0 - np.log(t)).min() <= np.log(_IMHOF_TAIL_TOL * abs(m)):
+        return abs(m)
+    s = 1.0 / np.sqrt(m * m + 2.0 * float(lam @ lam))
+    u_edges = s * np.tan(np.r_[0.0, 0.5 * np.pi - 0.25 * np.pi * 0.5 ** np.arange(40)])
+    x = 2.0 * np.multiply.outer(u_edges, lam)
+    u_pos = np.maximum(u_edges, s)
+    log_tail = -0.25 * np.log1p(x * x).sum(1) - np.log(u_pos / s * np.fmax(1.0, abs(c) * u_pos / 2))
+    last = int(np.argmax(log_tail <= np.log(_IMHOF_TAIL_TOL)))
+    turn = abs(c) * np.diff(u_edges) + 0.5 * np.abs(np.diff(np.arctan(x), axis=0)).sum(1)
+    splits = np.maximum(np.ceil(turn[:last] / _IMHOF_MAX_TURN), 1).astype(int)
+    if last == 0 or splits.sum() * _IMHOF_NODES * lam.size > _IMHOF_BUDGET:
+        raise ValueError(f"E|D| out of reach: c = {c:.3e}, max |lam| = {np.abs(lam).max():.3e}")
+    pieces = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(u_edges, u_edges[1:], splits)]
+    edges = np.arctan(np.concatenate([*pieces, u_edges[last : last + 1]]) / s)
+    nodes, weights = _legendre_01(_IMHOF_NODES)
+    width = np.diff(edges)[:, None]
+    t = (edges[:-1, None] + width * nodes).ravel()
+    u = s * np.tan(t)
+    log_rho, half_theta = np.empty_like(u), 0.5 * c * u
+    for i in range(0, u.size, 128):  # blocks of nodes keep the work arrays small
+        x = 2.0 * np.multiply.outer(u[i : i + 128], lam)
+        half_theta[i : i + 128] += 0.25 * np.arctan(x).sum(1)
+        log_rho[i : i + 128] = -0.25 * np.log1p(np.square(x, out=x), out=x).sum(1)
+    f = -np.expm1(log_rho) + 2.0 * np.exp(log_rho) * np.sin(half_theta) ** 2
+    integral = (width * weights).ravel() @ (f / (s * np.sin(t) ** 2))
+    return 2.0 / np.pi * (integral + 1.0 / u_edges[last])
 
+
+def redundancy_pair_info(
+    prior: GaussianBelief, deltas: Sequence[np.ndarray], kind: QualityKind
+) -> float:
+    """Exact redundancy E_x min(S_a, S_b) of two sources with x ~ prior.
+
+    With Lam_B = L L^T and x = mu_B + L^-T z, z ~ N(0, I), S_J = c_J +
+    z^T L^-1 W_J L^-T z (the coefficients' `quadratic`), so D = S_a - S_b =
+    c + sum_i lam_i z_i^2, lam the eigenvalues of L^-1 (W_a - W_b) L^-T. Then
+    min(S_a, S_b) = S_a - D^+ and E[D^+] = (E D + E|D|) / 2 (_expected_abs).
+    Source a has the smaller quality (the coefficients' own, bit for bit
+    quality_info's), and Q_a - max(E[D^+], 0) never exceeds min(Q_a, Q_b),
+    not even by rounding. It has no sampling error.
+    """
     kind = QualityKind.parse(kind)
-    if prior.dim != 1:
-        raise ValueError("quadrature reference only supports 1-D states")
-    if not deltas:
-        raise ValueError("need at least one source delta")
-    # In 1-D, S_J(x) = a_J + b_J t^2 with t = x - mu: read off at t = 0 and 1.
-    vals = _specific_values(kind, prior, deltas, np.array([[0.0], [1.0]]))
-    a = vals[:, 0]
-    b = vals[:, 1] - vals[:, 0]
-    mu = float(prior.mean[0])
-    sigma = 1.0 / np.sqrt(float(prior.info[0, 0]))
-    lo, hi = mu - 15.0 * sigma, mu + 15.0 * sigma
-
-    # Pieces intersect where (a_i - a_j) + (b_i - b_j) t^2 = 0.
-    points = []
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            da = a[i] - a[j]
-            db = b[i] - b[j]
-            if abs(db) > 1e-300:
-                t2 = -da / db
-                if t2 > 0:
-                    t = float(np.sqrt(t2))
-                    for cand in (mu - t, mu + t):
-                        if lo < cand < hi:
-                            points.append(cand)
-
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-
-    def integrand(x: float) -> float:
-        t2 = (x - mu) ** 2
-        s = (a + b * t2).min()
-        return s * norm * np.exp(-0.5 * t2 / sigma**2)
-
-    val, _ = integrate.quad(
-        integrand, lo, hi, points=sorted(set(points)) or None,
-        epsabs=1e-9, epsrel=1e-9, limit=400,
-    )
-    return float(val)
+    if len(deltas) != 2:
+        raise ValueError(f"need exactly two source deltas, got {len(deltas)}")
+    coeffs = [_coefficients(kind, prior, delta) for delta in deltas]
+    a = int(coeffs[1].quality < coeffs[0].quality)
+    (c_a, W_a), (c_b, W_b) = coeffs[a].quadratic, coeffs[1 - a].quadratic
+    half = scipy.linalg.solve_triangular(prior.chol, W_a - W_b, lower=True, check_finite=False)
+    B = scipy.linalg.solve_triangular(prior.chol, half.T, lower=True, check_finite=False)
+    lam = np.linalg.eigvalsh(0.5 * (B + B.T))
+    c = c_a - c_b
+    positive_part = 0.5 * (c + float(lam.sum()) + _expected_abs(c, lam))
+    return float(coeffs[a].quality - max(positive_part, 0.0))
 
 
 def _graph_deltas(

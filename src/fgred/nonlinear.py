@@ -143,6 +143,7 @@ class NonlinearGraph:
 
     Construction checks every factor's `gamma` as symmetric PD and keeps
     L^T of its Cholesky factor as `whiteners[j]` for every later solve.
+    Factors that share one `gamma` array (the odometry) share one factor.
     """
 
     variables: tuple[VarKey, ...]
@@ -153,10 +154,11 @@ class NonlinearGraph:
     whiteners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        whiteners = tuple(
-            cholesky_pd(f.gamma, name=f"gamma of factor {j}").T
-            for j, f in enumerate(self.factors)
-        )
+        by_gamma = {}
+        for j, f in enumerate(self.factors):
+            if id(f.gamma) not in by_gamma:
+                by_gamma[id(f.gamma)] = cholesky_pd(f.gamma, name=f"gamma of factor {j}").T
+        whiteners = tuple(by_gamma[id(f.gamma)] for f in self.factors)
         object.__setattr__(self, "whiteners", whiteners)
 
     def touched_vars(self, subset: Iterable[int]) -> tuple[VarKey, ...]:

@@ -2,14 +2,21 @@
 
 The conditional posterior moments are the closed forms the metric
 derivations start from; the tests check them against Monte Carlo draws of
-measurements. The SE(2) helpers give relative poses and the rotation and
-translation parts of a pose. None of this is on a library path, so it lives
-here rather than in fgred.
+measurements. posterior_belief and sample_measurements give a supplemented
+graph's exact posterior and a measurement draw. The 1-D quadrature redundancy is the oracle for the Monte
+Carlo and exact two-source redundancies. The SE(2) helpers give relative
+poses and the rotation and translation parts of a pose. None of this is on a
+library path, so it lives here rather than in fgred.
 """
+from typing import Sequence
+
 import numpy as np
 import scipy.linalg
+from scipy import integrate
 
+from fgred.factor_graph import SupplementedGraph
 from fgred.gauss import GaussianBelief, check_symmetric, cholesky_pd, solve_pd
+from fgred.metrics import QualityKind, wass_coefficients_info, wb_coefficients_info
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
 
@@ -70,6 +77,118 @@ def expected_recentred_quadratic(
     cond_mean = inv_post @ (belief_b.info @ belief_b.mean + delta @ x)
     v = cond_mean + m
     return trace_term + float(v @ T @ v)
+
+
+def redundancy_quadrature_1d_info(
+    prior: GaussianBelief,
+    deltas: Sequence[np.ndarray],
+    kind: QualityKind,
+) -> float:
+    """Adaptive-quadrature redundancy for 1-D states.
+
+    Integrates min_J S_J(x) against the prior density over mu +/- 15 sigma,
+    passing the crossing points of the quadratic pieces as breakpoints.
+    """
+    kind = QualityKind.parse(kind)
+    if prior.dim != 1:
+        raise ValueError("quadrature reference only supports 1-D states")
+    if not deltas:
+        raise ValueError("need at least one source delta")
+    # In 1-D, S_J(x) = a_J + b_J t^2 with t = x - mu: read off at t = 0 and 1.
+    coefficients = wb_coefficients_info if kind is QualityKind.WB else wass_coefficients_info
+    vals = np.vstack([coefficients(prior, d).at(np.array([[0.0], [1.0]])) for d in deltas])
+    a = vals[:, 0]
+    b = vals[:, 1] - vals[:, 0]
+    mu = float(prior.mean[0])
+    sigma = 1.0 / np.sqrt(float(prior.info[0, 0]))
+    lo, hi = mu - 15.0 * sigma, mu + 15.0 * sigma
+
+    # Pieces intersect where (a_i - a_j) + (b_i - b_j) t^2 = 0.
+    points = []
+    for i in range(len(deltas)):
+        for j in range(i + 1, len(deltas)):
+            da = a[i] - a[j]
+            db = b[i] - b[j]
+            if abs(db) > 1e-300:
+                t2 = -da / db
+                if t2 > 0:
+                    t = float(np.sqrt(t2))
+                    for cand in (mu - t, mu + t):
+                        if lo < cand < hi:
+                            points.append(cand)
+
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+
+    def integrand(x: float) -> float:
+        t2 = (x - mu) ** 2
+        s = (a + b * t2).min()
+        return s * norm * np.exp(-0.5 * t2 / sigma**2)
+
+    val, _ = integrate.quad(
+        integrand, lo, hi, points=sorted(set(points)) or None,
+        epsabs=1e-9, epsrel=1e-9, limit=400,
+    )
+    return float(val)
+
+
+def posterior_belief(graph: SupplementedGraph, J) -> GaussianBelief:
+    """Belief after adding supplemental factors J on top of the base.
+
+    J must be disjoint from the base; J = empty returns the prior object
+    itself.
+    """
+    idx = tuple(sorted({int(j) for j in J}))
+    overlap = set(idx) & set(graph.base)
+    if overlap:
+        raise ValueError(f"J intersects the base set: {sorted(overlap)}")
+    prior = graph.prior_belief()
+    if not idx:
+        return prior
+    sub = graph.stack_subgraph(idx)
+    lam_post = prior.info + sub.delta
+    mean = solve_pd(lam_post, prior.info @ prior.mean + sub.weighted_rhs, name="posterior info")
+    return GaussianBelief(mean=mean, info=lam_post)
+
+
+def sample_measurements(graph: SupplementedGraph, J, x: np.ndarray, rng_seed) -> np.ndarray:
+    """One stacked measurement vector for factors J (ascending) given state x.
+
+    Factor j's draw is A_j x plus Gaussian noise of covariance Gamma_j^-1,
+    independent across factors.
+    """
+    rng = np.random.default_rng(rng_seed)
+    parts = []
+    for j in sorted({int(j) for j in J}):
+        f = graph.factors[j]
+        noise = np.linalg.solve(cholesky_pd(f.gamma, name="gamma").T, rng.standard_normal(f.rows))
+        parts.append(f.A @ np.asarray(x, dtype=float) + noise)
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def expected_abs_quad(c: float, lam: np.ndarray) -> float:
+    """E|c + sum_i lam_i z_i^2| by adaptive quadrature of Imhof's integral.
+
+    Integrates (2/pi) (1 - Re phi(u)) / u^2 over octaves of u with
+    scipy.integrate.quad, out to where the remaining oscillating part is
+    below 1e-16 of the whole, and adds int_U^inf du / u^2 = 1 / U.
+    """
+    lam = np.asarray(lam, dtype=float)
+
+    def integrand(u: float) -> float:
+        x = 2.0 * u * lam
+        log_rho = -0.25 * np.log1p(x * x).sum()
+        half_theta = 0.5 * c * u + 0.25 * np.arctan(x).sum()
+        return (-np.expm1(log_rho) + 2.0 * np.exp(log_rho) * np.sin(half_theta) ** 2) / u**2
+
+    scale = 1.0 / np.sqrt((c + lam.sum()) ** 2 + 2.0 * lam @ lam)
+    total, lo, hi = 0.0, 0.0, scale
+    while True:
+        part, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)
+        total += part
+        rho = np.exp(-0.25 * np.log1p(4.0 * hi * hi * lam * lam).sum())
+        if rho / hi <= 1e-16 * total:
+            return 2.0 / np.pi * (total + 1.0 / hi)
+        lo, hi = hi, 2.0 * hi
 
 
 def se2_relative(a: Pose2, b: Pose2) -> Pose2:

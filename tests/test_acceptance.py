@@ -28,7 +28,6 @@ from fgred.metrics import (
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    redundancy_quadrature_1d_info,
     wass_coefficients_info,
     wb_coefficients_info,
 )
@@ -41,7 +40,11 @@ from fgred.nonlinear import (
     triangulate_landmark,
 )
 from fgred.sim2d import SimConfig, simulate_world
-from reference import conditional_mean_posterior, expected_recentred_quadratic
+from reference import (
+    conditional_mean_posterior,
+    expected_recentred_quadratic,
+    redundancy_quadrature_1d_info,
+)
 
 
 # Pinned MC seed streams. With a thousand-odd 3-sigma checks in one sweep a

@@ -123,10 +123,3 @@ def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
     # outputs are still written so the failure can be inspected
     assert (out / "records.csv").exists()
 
-
-def test_oracle_cross_checks_pass(capsys):
-    rc = main(["oracle"])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    assert "all oracle checks passed" in out
-    assert "FAIL" not in out

@@ -15,9 +15,19 @@ from fgred.experiment import (
     run_experiment,
     run_single,
     simulate_batch_world,
+    solve_world,
     write_records_csv,
 )
+from fgred.metrics import (
+    QualityKind,
+    _expected_abs,
+    redundancy_mc_info,
+    redundancy_pair_info,
+    wass_coefficients_info,
+    wb_coefficients_info,
+)
 from fgred.sim2d import SimConfig
+from reference import expected_abs_quad
 
 
 def small_config(**sim_kw):
@@ -56,9 +66,52 @@ def test_run_single_produces_usable_record():
     assert rec.sim_id == 3
     assert not rec.failed
     assert rec.is_usable()
-    assert rec.r_wb_se > 0 and rec.r_wass_se > 0
+    # exact redundancies: no sampling error, and E min <= min E holds
+    # without a standard-error allowance
+    assert rec.r_wb_se == 0.0 and rec.r_wass_se == 0.0
+    assert rec.r_wb <= min(rec.q_wb) and rec.r_wass <= min(rec.q_wass)
     assert all(q >= 0 for q in rec.q_wb)
     assert all(d > 0 for d in rec.mean_dist)
+
+
+def study_system(sim_id):
+    """(prior, [delta_0, delta_1]) of a default-config study world, root seed 0."""
+    sol = solve_world(simulate_batch_world(ExperimentConfig(), sim_id))
+    return sol.prior, [sol.deltas[0], sol.deltas[1]]
+
+
+def test_exact_redundancy_matches_monte_carlo_on_study_worlds():
+    for sim_id in (0, 1):
+        prior, deltas = study_system(sim_id)
+        for kind in QualityKind:
+            exact = redundancy_pair_info(prior, deltas, kind)
+            mc = redundancy_mc_info(prior, deltas, kind, n_samples=200_000, rng_seed=sim_id)
+            assert abs(exact - mc.value) < 4 * mc.std_error
+
+
+def test_imhof_rule_matches_adaptive_quadrature():
+    # the same integral, E|S_a - S_b| over the whitened prior, by the
+    # library's rule and by adaptive quadrature; sims 29 and 79 are dominated
+    # WB pairs, where a plain 400-node rule is off by ~1e-7
+    for sim_id in (0, 29, 79):
+        prior, deltas = study_system(sim_id)
+        for coefficients in (wb_coefficients_info, wass_coefficients_info):
+            (c_a, W_a), (c_b, W_b) = (coefficients(prior, d).quadratic for d in deltas)
+            L_inv = np.linalg.inv(prior.chol)
+            lam = np.linalg.eigvalsh(L_inv @ (W_a - W_b) @ L_inv.T)
+            want = expected_abs_quad(c_a - c_b, lam)
+            assert _expected_abs(c_a - c_b, lam) == pytest.approx(want, rel=1e-9)
+
+
+def test_exact_redundancy_never_exceeds_min_quality():
+    # with no standard error to absorb rounding, E min <= min E must hold
+    # bit for bit on every record; sim 37 of this batch is a WB pair whose
+    # redundancy equals the smaller quality, where an anchor computed apart
+    # from quality_info lands above it by rounding
+    cfg = ExperimentConfig(n_sims=40, root_seed=3)
+    for rec in run_experiment(cfg, jobs=1):
+        assert rec.is_usable()
+        assert rec.r_wb <= min(rec.q_wb) and rec.r_wass <= min(rec.q_wass)
 
 
 def test_noiseless_sim_record():

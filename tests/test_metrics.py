@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
+import fgred.metrics as metrics
 from fgred.factor_graph import LinearFactor, SupplementedGraph
 from fgred.gauss import GaussianBelief
 from fgred.lattice import validate_antichain
 from fgred.metrics import (
     QualityKind,
+    WbCoefficients,
     quality,
     quality_info,
     redundancy_mc,
     redundancy_mc_info,
-    redundancy_quadrature_1d_info,
+    redundancy_pair_info,
     wass_coefficients_info,
     wb_coefficients_info,
 )
+from reference import redundancy_quadrature_1d_info
 
 
 def random_spd(rng, n, scale=1.0):
@@ -274,3 +278,84 @@ def test_graph_sources_must_be_supplemental():
             quality(g, (0, 1), kind)
         with pytest.raises(ValueError, match="non-supplemental"):
             redundancy_mc(g, validate_antichain([(0,), (1,)]), kind, n_samples=100)
+
+
+def test_pair_matches_quadrature_1d():
+    # the exact two-source redundancy against the x-space quadrature oracle,
+    # including pairs whose quadratic pieces cross inside the range
+    rng = np.random.default_rng(16)
+    belief = GaussianBelief(mean=np.zeros(1), info=np.array([[1.0]]))
+    cases = [(belief, [np.array([[0.5]]), np.array([[3.0]])])]
+    for _ in range(10):
+        g = two_source_graph(rng, n_vars=1, var_dim=1)
+        cases.append((g.prior_belief(), [g.stack_subgraph(J).delta for J in ((1,), (2,))]))
+    for prior, deltas in cases:
+        for kind in QualityKind:
+            quad = redundancy_quadrature_1d_info(prior, deltas, kind)
+            assert redundancy_pair_info(prior, deltas, kind) == pytest.approx(quad, abs=1e-9)
+
+
+def test_expected_abs_matches_z_quadrature():
+    # E|c + lam z^2| against direct quadrature over z; in 1-D the two
+    # sources' pieces never cross, so these (c, lam) pairs of opposite sign
+    # exercise the Imhof rule, from balanced to strongly dominated, and the
+    # bound that skips it when D all but never changes sign
+    def by_z(c, lam):
+        def f(z):
+            return abs(c + lam * z * z) * np.exp(-0.5 * z * z)
+
+        root = np.sqrt(-c / lam)
+        points = [root] if root < 40.0 else None
+        val, _ = integrate.quad(f, 0.0, 40.0, points=points, epsabs=0.0, epsrel=1e-13, limit=400)
+        return 2.0 * val / np.sqrt(2.0 * np.pi)
+
+    cases = [(-1.0, 0.5), (0.3, -2.0), (-4.0, 0.9), (25.85, -0.57), (-0.0167, 0.0152), (-15.0, 1e-3)]
+    for c, lam in cases:
+        got = metrics._expected_abs(c, np.array([lam]))
+        assert got == pytest.approx(by_z(c, lam), rel=1e-9)
+
+
+def test_pair_identical_sources_give_quality():
+    rng = np.random.default_rng(17)
+    belief, delta, _, _ = random_system(rng, n=4)
+    for kind in QualityKind:
+        assert redundancy_pair_info(belief, [delta, delta], kind) == quality_info(belief, delta, kind)
+
+
+def test_pair_symmetric_in_sources():
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        belief, d1, _, _ = random_system(rng, n=4)
+        _, d2, _, _ = random_system(rng, n=4)
+        for kind in QualityKind:
+            assert redundancy_pair_info(belief, [d1, d2], kind) == redundancy_pair_info(
+                belief, [d2, d1], kind
+            )
+
+
+def test_pair_constant_difference_gives_min_quality(monkeypatch):
+    # two sources whose specific qualities differ by a constant everywhere:
+    # every lam is 0, so D never changes sign and E min = min(Q_a, Q_b)
+    rng = np.random.default_rng(19)
+    belief, delta, _, _ = random_system(rng, n=3)
+    base = wb_coefficients_info(belief, delta)
+    d_low, d_high = delta, delta.copy()
+    shift = {id(d_low): 0.0, id(d_high): 0.75}
+
+    def shifted(prior, d):
+        return WbCoefficients(mi=base.mi + shift[id(d)], M=base.M, M_prime=base.M_prime)
+
+    monkeypatch.setattr(metrics, "wb_coefficients_info", shifted)
+    for pair in ([d_low, d_high], [d_high, d_low]):
+        assert redundancy_pair_info(belief, pair, QualityKind.WB) == base.mi
+    assert metrics._expected_abs(-0.75, np.zeros(3)) == 0.75
+
+
+def test_pair_validation():
+    rng = np.random.default_rng(20)
+    belief, d1, _, _ = random_system(rng)
+    for deltas in ([d1], [d1, d1, d1]):
+        with pytest.raises(ValueError, match="exactly two"):
+            redundancy_pair_info(belief, deltas, QualityKind.WB)
+    with pytest.raises(ValueError, match="prior info has shape"):
+        redundancy_pair_info(belief, [d1, np.eye(1)], QualityKind.WASS)

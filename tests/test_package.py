@@ -17,8 +17,12 @@ def test_public_names_resolve():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is slow to import and the CLI has no use for it.
-    code = "import sys, fgred.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats and scipy.integrate are slow to import and the CLI has no
+    # use for either.
+    code = (
+        "import sys, fgred.cli; "
+        "print('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
