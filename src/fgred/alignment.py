@@ -59,11 +59,6 @@ def aligned_sq_errors(truth, estimate) -> np.ndarray:
     return np.einsum("ij,ij->i", dev, dev)
 
 
-def ate(truth, estimate) -> float:
-    """Sum of squared aligned errors for one estimate."""
-    return float(aligned_sq_errors(truth, estimate).sum())
-
-
 def wc_ate(truth, estimates) -> float:
     """Worst-case trajectory error across candidate estimates.
 

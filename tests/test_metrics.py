@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -162,6 +164,22 @@ def test_coefficient_matrices_psd():
         assert co_wa.n_min_eig == pytest.approx(np.linalg.eigvalsh(co_wa.N).min(), abs=1e-9)
 
 
+def test_indefinite_n_logged_and_eigenvalue_lazy(caplog):
+    # this prior and source do not commute and N has eigenvalue -0.78
+    belief = GaussianBelief(mean=np.zeros(2), info=np.array([[1.0, 0.9], [0.9, 1.0]]))
+    delta = np.diag([10.0, 0.0])
+    with caplog.at_level(logging.INFO, logger="fgred.metrics"):
+        co = wass_coefficients_info(belief, delta)
+    # without debug logging nothing reads N's spectrum
+    assert "n_min_eig" not in vars(co) and not caplog.records
+    assert co.n_min_eig == pytest.approx(-0.7802278947049203, rel=1e-12)
+    with caplog.at_level(logging.DEBUG, logger="fgred.metrics"):
+        wass_coefficients_info(belief, delta)
+    assert [r.getMessage() for r in caplog.records] == [
+        "Wasserstein N matrix not PSD: min eigenvalue -7.802e-01"
+    ]
+
+
 def test_specific_wb_minimized_at_prior_mean():
     rng = np.random.default_rng(7)
     belief, delta, _, _ = random_system(rng)
@@ -236,15 +254,17 @@ def test_redundancy_mc_deterministic():
 
 
 def test_quadrature_handles_piece_crossings():
-    # sources engineered so the argmin switches inside the integration range
-    info = np.array([[1.0]])
-    belief = GaussianBelief(mean=np.zeros(1), info=info)
-    d1 = np.array([[0.5]])
-    d2 = np.array([[3.0]])
+    # in 2-D a source that pins x_0 and one that pins x_1 each give the
+    # pointwise minimum on part of the prior's mass, so the exact rule must
+    # integrate across the switch
+    belief = GaussianBelief(mean=np.array([0.3, -0.2]), info=np.array([[1.0, 0.3], [0.3, 2.0]]))
+    deltas = [np.diag([4.0, 0.2]), np.diag([0.3, 3.0])]
+    n_samples = 200_000
     for kind in QualityKind:
-        quad = redundancy_quadrature_1d_info(belief, [d1, d2], kind)
-        mc = redundancy_mc_info(belief, [d1, d2], kind, n_samples=200_000, rng_seed=0)
-        assert abs(mc.value - quad) < 4 * mc.std_error + 1e-9
+        mc = redundancy_mc_info(belief, deltas, kind, n_samples=n_samples, rng_seed=0)
+        assert min(mc.argmin_counts) > 0.05 * n_samples
+        exact = redundancy_pair_info(belief, deltas, kind)
+        assert abs(mc.value - exact) < 4 * mc.std_error
 
 
 def test_delta_checked_against_prior():
@@ -281,8 +301,9 @@ def test_graph_sources_must_be_supplemental():
 
 
 def test_pair_matches_quadrature_1d():
-    # the exact two-source redundancy against the x-space quadrature oracle,
-    # including pairs whose quadratic pieces cross inside the range
+    # the exact two-source redundancy against the x-space quadrature oracle;
+    # in 1-D one source's piece lies below the other's everywhere, and
+    # test_quadrature_handles_piece_crossings covers pieces that cross
     rng = np.random.default_rng(16)
     belief = GaussianBelief(mean=np.zeros(1), info=np.array([[1.0]]))
     cases = [(belief, [np.array([[0.5]]), np.array([[3.0]])])]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fgred.experiment import ExperimentConfig, simulate_batch_world
 from fgred.gauss import NotPositiveDefiniteError
 from fgred.nonlinear import (
     NonlinearGraph,
@@ -16,7 +17,14 @@ from fgred.nonlinear import (
 )
 from fgred.se2 import Pose2, se2_compose, wrap_angle
 from fgred.sim2d import SimConfig, simulate_world
-from reference import pose_rotation
+from reference import (
+    factor_jacobians,
+    factor_residual,
+    kernel_jacobians,
+    linearize_loop,
+    pose_rotation,
+    solve_gauss_newton_loop,
+)
 
 
 def zero_noise_config(**kw):
@@ -77,7 +85,7 @@ def test_jacobians_match_finite_differences():
             ),
         ]
         for f in factors:
-            for got, want in zip(f.jacobians(values), numeric_jacobians(f, values)):
+            for got, want in zip(kernel_jacobians(f, values), numeric_jacobians(f, values)):
                 assert np.allclose(got, want, atol=1e-5)
 
 
@@ -87,8 +95,88 @@ def test_zero_range_degenerate():
         pose_var=("x", 0), landmark_var=("l", 0),
         measurement=np.array([1.0, 0.0]), gamma=np.eye(2),
     )
+    g = NonlinearGraph(
+        variables=tuple(values), dims={("x", 0): 3, ("l", 0): 2}, factors=(f,),
+        base=frozenset({0}), sources={},
+    )
     with pytest.raises(ValueError, match="degenerate range-bearing geometry"):
-        f.jacobians(values)
+        linearize(g, (0,), values, tuple(values))
+
+
+def near_pi_angles(rng, m):
+    """Angles in [-pi, pi], half of them within 1e-9 of +-pi and some exactly there."""
+    a = rng.uniform(-np.pi, np.pi, m)
+    edge = rng.random(m) < 0.5
+    a[edge] = rng.choice([-np.pi, np.pi], edge.sum()) + rng.uniform(-1e-9, 1e-9, edge.sum())
+    a[:: m // 8] = rng.choice([-np.pi, np.pi], len(a[:: m // 8]))
+    return a
+
+
+def test_kernels_match_reference_bodies():
+    # the batched kernels against the scalar bodies, bit for bit, with
+    # angles at the wrap boundary and more factors than one SIMD register
+    rng = np.random.default_rng(21)
+    m = 200
+    poses = rng.uniform(-5, 5, (2 * m, 3))
+    poses[:, 2] = near_pi_angles(rng, 2 * m)
+    values = {("x", i): p for i, p in enumerate(poses)}
+    values.update({("l", i): lm for i, lm in enumerate(rng.uniform(-5, 5, (m, 2)))})
+    z_pose = rng.uniform(-1, 1, (m, 3))
+    z_pose[:, 2] = near_pi_angles(rng, m)
+    z_rb = np.column_stack([rng.uniform(0.5, 5, m), near_pi_angles(rng, m)])
+    groups = [
+        [PriorFactor(("x", i), z_pose[i], np.eye(3)) for i in range(m)],
+        [OdometryFactor(("x", i), ("x", m + i), z_pose[i], np.eye(3)) for i in range(m)],
+        [RangeBearingFactor(("x", i), ("l", i), z_rb[i], np.eye(2)) for i in range(m)],
+    ]
+    for group in groups:
+        v = np.array([np.concatenate([values[var] for var in f.vars]) for f in group])
+        r, jac = group[0].kernel(v, np.array([f.measurement for f in group]))
+        assert np.array_equal(r, [factor_residual(f, values) for f in group])
+        assert np.array_equal(jac, [np.hstack(factor_jacobians(f, values)) for f in group])
+        for f in group[:20]:
+            assert np.array_equal(f.residual(values), factor_residual(f, values))
+
+
+def assert_same_solve(graph, subset, init, **kwargs):
+    got = solve_gauss_newton(graph, subset, init, **kwargs)
+    want = solve_gauss_newton_loop(graph, subset, init, **kwargs)
+    assert (got.converged, got.n_iters) == (want.converged, want.n_iters)
+    assert np.array_equal(got.max_update, want.max_update, equal_nan=True)
+    assert got.values.keys() == want.values.keys()
+    for k, v in want.values.items():
+        assert np.array_equal(got.values[k], v), k
+    return got
+
+
+def test_solver_matches_loop_reference():
+    # sim 5 of root seed 5 holds a source solve that reaches max_iters
+    worlds = [
+        simulate_batch_world(ExperimentConfig(root_seed=5), 5),
+        simulate_world(SimConfig(seed=12)),
+        simulate_world(SimConfig(seed=13, n_poses=40)),
+    ]
+    capped = 0
+    for world in worlds:
+        g = build_nonlinear_graph(world)
+        base = assert_same_solve(g, sorted(g.base), dead_reckoning_init(world))
+        for s in sorted(g.sources):
+            init = dict(base.values)
+            init[("l", s)] = triangulate_landmark(world, s, base.values)
+            subset = sorted(g.base | g.sources[s])
+            res = assert_same_solve(g, subset, init)
+            capped += not res.converged and res.n_iters == 50
+            assert_same_solve(g, subset, init, max_iters=1)
+    assert capped >= 1
+    # odometry alone leaves the gauge free: a singular first step
+    variables = (("x", 0), ("x", 1))
+    odometry = OdometryFactor(variables[0], variables[1], np.array([1.0, 0.0, 0.1]), np.eye(3))
+    g = NonlinearGraph(
+        variables=variables, dims={v: 3 for v in variables}, factors=(odometry,),
+        base=frozenset({0}), sources={},
+    )
+    res = assert_same_solve(g, [0], {v: np.zeros(3) for v in variables})
+    assert not res.converged and res.n_iters == 1
 
 
 def test_build_graph_structure():
@@ -283,11 +371,11 @@ def information_oracle(graph, subset, values, state):
     rs = []
     for j in subset:
         f = graph.factors[j]
-        H = np.zeros((len(f.residual(values)), offsets[-1]))
-        for var, jac in zip(f.vars, f.jacobians(values)):
+        H = np.zeros((len(factor_residual(f, values)), offsets[-1]))
+        for var, jac in zip(f.vars, factor_jacobians(f, values)):
             H[:, col[var]] = jac
         info += H.T @ f.gamma @ H
-        rs.append(np.linalg.cholesky(f.gamma).T @ f.residual(values))
+        rs.append(np.linalg.cholesky(f.gamma).T @ factor_residual(f, values))
     return info, np.concatenate(rs)
 
 
@@ -307,6 +395,9 @@ def test_linearize_matches_information_oracle():
             info, r_want = information_oracle(g, subset, vals, order)
             assert np.abs(J.T @ J - info).max() <= 1e-12 * np.abs(info).max()
             assert np.allclose(r, r_want, rtol=1e-12, atol=0.0)
+            # and bit for bit what the per-factor loop builds
+            J_loop, r_loop = linearize_loop(g, subset, vals, order)
+            assert np.array_equal(J, J_loop) and np.array_equal(r, r_loop)
         with pytest.raises(ValueError, match="outside the state"):
             linearize(g, subset, vals, state[1:])
     # the base solve is stationary: one step from its own J, r is ~zero
