@@ -29,8 +29,7 @@ from .lattice import (
 from .metrics import (
     QualityKind,
     RedundancyEstimate,
-    WbCoefficients,
-    WassCoefficients,
+    SpecificQuality,
     quality,
     quality_info,
     redundancy_mc,
@@ -53,10 +52,9 @@ __all__ = [
     "RedundancyEstimate",
     "SimConfig",
     "SimWorld",
+    "SpecificQuality",
     "SubgraphInfo",
     "SupplementedGraph",
-    "WassCoefficients",
-    "WbCoefficients",
     "antichain_leq",
     "bivariate_atoms",
     "check_symmetric",

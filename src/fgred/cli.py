@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
@@ -45,9 +46,7 @@ def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise ValueError(f"invalid config {path}: {exc}") from exc
     if seed is not None:
-        config = ExperimentConfig.from_dict(
-            {**config.to_dict(), "root_seed": int(seed)}
-        )
+        config = replace(config, root_seed=int(seed))
     return config
 
 

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -87,21 +87,18 @@ class ExperimentConfig:
             raise ValueError("mc_samples must be >= 100")
 
     def to_dict(self) -> dict:
-        return {
-            "sim": self.sim.to_dict(),
-            "n_sims": self.n_sims,
-            "mc_samples": self.mc_samples,
-            "root_seed": self.root_seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["sim"] = self.sim.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {"sim", "n_sims", "mc_samples", "root_seed"}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = {k: data[k] for k in ("n_sims", "mc_samples", "root_seed") if k in data}
-        if "sim" in data:
-            kwargs["sim"] = SimConfig.from_dict(data["sim"])
+        kwargs = dict(data)
+        if "sim" in kwargs:
+            kwargs["sim"] = SimConfig.from_dict(kwargs["sim"])
         return cls(**kwargs)
 
 
@@ -198,12 +195,12 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
     try:
         world = simulate_batch_world(config, sim_id)
         sol = solve_world(world)
-        # Each kind's coefficients give the pair redundancy and the qualities.
+        # Each kind's per-source SpecificQuality gives the pair redundancy and the qualities.
         redundancy, qualities = {}, {}
         for kind in QualityKind:
-            coeffs = [_coefficients(kind, sol.prior, sol.deltas[s]) for s in range(N_LANDMARKS)]
-            redundancy[kind] = _pair_redundancy(sol.prior, coeffs)
-            qualities[kind] = tuple(c.quality for c in coeffs)
+            sqs = [_coefficients(kind, sol.prior, sol.deltas[s]) for s in range(N_LANDMARKS)]
+            redundancy[kind] = _pair_redundancy(sol.prior, sqs)
+            qualities[kind] = tuple(sq.quality for sq in sqs)
 
         truth_xy = np.array([[p.x, p.y] for p in world.truth_poses])
         n_all = len(world.truth_poses)

@@ -13,9 +13,7 @@ disjoint sets and monotone in the Loewner order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,48 +200,3 @@ class SupplementedGraph:
     def prior_belief(self) -> GaussianBelief:
         """Posterior of the base factors alone (the prior for this graph)."""
         return self._prior
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict with row-major nested lists."""
-        return {
-            "var_dim": self._var_dim,
-            "n_vars": self._n_vars,
-            "factors": [
-                {
-                    "A": f.A.tolist(),
-                    "z": f.z.tolist(),
-                    "gamma": f.gamma.tolist(),
-                    "args": list(f.args),
-                }
-                for f in self._factors
-            ],
-            "base": list(self._base),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupplementedGraph":
-        try:
-            factors = [
-                LinearFactor(
-                    A=np.array(fd["A"], dtype=float),
-                    z=np.array(fd["z"], dtype=float),
-                    gamma=np.array(fd["gamma"], dtype=float),
-                    args=tuple(fd["args"]),
-                )
-                for fd in data["factors"]
-            ]
-            return cls(
-                factors=factors,
-                base=data["base"],
-                n_vars=int(data["n_vars"]),
-                var_dim=int(data["var_dim"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"graph dict is missing key {exc}") from exc
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load_json(cls, path) -> "SupplementedGraph":
-        return cls.from_dict(json.loads(Path(path).read_text()))

@@ -159,6 +159,15 @@ class GaussianBelief:
             object.__setattr__(self, "_cov", cov)
         return cov
 
+    def whiten(self, W: np.ndarray) -> np.ndarray:
+        """L^-1 W L^-T for symmetric W, symmetrized, with info = L L.T.
+
+        For x = mean + L^-T z, (x - mean)^T W (x - mean) = z^T whiten(W) z.
+        """
+        half = scipy.linalg.solve_triangular(self._chol, W, lower=True, check_finite=False)
+        B = scipy.linalg.solve_triangular(self._chol, half.T, lower=True, check_finite=False)
+        return 0.5 * (B + B.T)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw `count` samples, shape (count, dim).
 

@@ -21,11 +21,13 @@ Wasserstein quality (expected reduction of squared estimation error):
 which averages to Q_wass = 2 tr(Lam_B^-1 - Ltilde^-1), twice the trace drop
 of the covariance.
 
-wb_coefficients_info and wass_coefficients_info return these coefficients.
-Their `quadratic` property writes S_J(mu_B + dev) = c_J + dev^T W_J dev
-(WB: c = mi - 0.5 tr M', W = 0.5 M; WASS: c = tr N', W = N), and at(dev)
-evaluates that form for a batch of deviations. It is the one evaluator of
-S_J: the Monte Carlo and exact redundancies and the oracle tests all use it.
+Every specific quality is one SpecificQuality: S_J(mu_B + dev) = c_J +
+dev^T W_J dev with its quality Q_J (WB: c = mi - 0.5 tr M', W = 0.5 M;
+WASS: c = tr N', W = N), which wb_coefficients_info and
+wass_coefficients_info return. Its at(dev) is the one evaluator of S_J.
+With Lam_B = L L^T and x = mu_B + L^-T z, z ~ N(0, I), S_J = c_J + z^T
+prior.whiten(W_J) z: the Monte Carlo redundancy scores standard-normal draws
+with the whitened form, and the exact one whitens W_a - W_b.
 
 Redundancy of an antichain alpha is E_x min_{J in alpha} S_J(x) under the
 prior. redundancy_pair_info evaluates it exactly for two sources;
@@ -42,7 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,64 +74,26 @@ class QualityKind(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class WbCoefficients:
-    """Closed-form pieces of S_wb: constant mi, trace matrix M', quadratic M."""
+class SpecificQuality:
+    """One source's specific quality S_J(mu_B + dev) = c + dev^T W dev.
 
-    mi: float
-    M: np.ndarray
-    M_prime: np.ndarray
-
-    @property
-    def quality(self) -> float:
-        """Q_wb, the prior average of S_wb: the mutual information mi."""
-        return self.mi
-
-    @property
-    def quadratic(self) -> tuple[float, np.ndarray]:
-        """(c, W) with S_wb(mu_B + dev) = c + dev^T W dev."""
-        return self.mi - 0.5 * float(np.trace(self.M_prime)), 0.5 * self.M
-
-    def at(self, dev: np.ndarray) -> np.ndarray:
-        """S_wb at mu_B + dev for each row of dev (shape (n, dim)), shape (n,)."""
-        c, W = self.quadratic
-        return c + np.einsum("ni,ij,nj->n", dev, W, dev)
-
-
-@dataclass(frozen=True, eq=False)
-class WassCoefficients:
-    """Closed-form pieces of S_wass.
-
-    N_prime is PSD; N is not guaranteed PSD when Lam_B and Delta do not
-    commute, so its smallest eigenvalue is reported, computed on first use,
-    rather than enforced. quality is Q_wass, the prior average of S_wass.
+    quality is Q_J, the prior average of S_J. W is not guaranteed PSD (the
+    WASS W = N is indefinite when Lam_B and Delta do not commute), so its
+    smallest eigenvalue is reported, computed on first use, rather than
+    enforced, and S_J can dip below c for some states.
     """
 
-    N: np.ndarray
-    N_prime: np.ndarray
+    c: float
+    W: np.ndarray
     quality: float
 
     @functools.cached_property
-    def n_min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.N).min())
-
-    @property
-    def n_is_psd(self) -> bool:
-        scale = max(1.0, float(np.abs(self.N).max()))
-        return self.n_min_eig >= -1e-10 * scale
-
-    @property
-    def quadratic(self) -> tuple[float, np.ndarray]:
-        """(c, W) with S_wass(mu_B + dev) = c + dev^T W dev."""
-        return float(np.trace(self.N_prime)), self.N
+    def w_min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.W).min())
 
     def at(self, dev: np.ndarray) -> np.ndarray:
-        """S_wass at mu_B + dev for each row of dev (shape (n, dim)), shape (n,).
-
-        N may be indefinite, so the quadratic term is not clamped and a value
-        can dip below tr(N') for some states.
-        """
-        c, W = self.quadratic
-        return c + np.einsum("ni,ij,nj->n", dev, W, dev)
+        """S_J at mu_B + dev for each row of dev (shape (n, dim)), shape (n,)."""
+        return self.c + np.einsum("ni,ij,nj->n", dev, self.W, dev)
 
 
 @dataclass(frozen=True)
@@ -173,36 +137,36 @@ def _quality(prior: GaussianBelief, inv_post, logdet_post: float, kind: QualityK
     return max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
 
 
-def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WbCoefficients:
-    """Information-quality coefficients of one source's Delta over the prior."""
+def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
+    """Information quality of one source's Delta over the prior."""
     delta = _check_delta(prior, delta)
     inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
     lam_b = prior.info
     mi = _quality(prior, inv_post, logdet_post, QualityKind.WB)
     M = lam_b - lam_b @ inv_post @ lam_b
-    Mp = delta @ inv_post
-    return WbCoefficients(
-        mi=mi, M=0.5 * (M + M.T), M_prime=0.5 * (Mp + Mp.T)
-    )
+    c = mi - 0.5 * float(np.trace(delta @ inv_post))
+    return SpecificQuality(c=c, W=0.25 * (M + M.T), quality=mi)
 
 
-def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> WassCoefficients:
-    """Wasserstein-quality coefficients of one source's Delta over the prior."""
+def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
+    """Wasserstein quality of one source's Delta over the prior."""
     delta = _check_delta(prior, delta)
     inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
     lam_b = prior.info
     Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
     quality = _quality(prior, inv_post, logdet_post, QualityKind.WASS)
-    coeffs = WassCoefficients(N=0.5 * (N + N.T), N_prime=0.5 * (Np + Np.T), quality=quality)
-    if logger.isEnabledFor(logging.DEBUG) and not coeffs.n_is_psd:
-        # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
-        logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", coeffs.n_min_eig)
-    return coeffs
+    sq = SpecificQuality(c=float(np.trace(Np)), W=0.5 * (N + N.T), quality=quality)
+    if logger.isEnabledFor(logging.DEBUG):
+        scale = max(1.0, float(np.abs(sq.W).max()))
+        if sq.w_min_eig < -1e-10 * scale:
+            # Legal: N is indefinite for some non-commuting (Lam_B, Delta) pairs.
+            logger.debug("Wasserstein N matrix not PSD: min eigenvalue %.3e", sq.w_min_eig)
+    return sq
 
 
-def _coefficients(kind: QualityKind, prior: GaussianBelief, delta: np.ndarray):
-    """The kind's coefficients of one source."""
+def _coefficients(kind: QualityKind, prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
+    """The kind's specific quality of one source."""
     # Looked up per call, so a wrapper installed on the module sees each call.
     if kind is QualityKind.WB:
         return wb_coefficients_info(prior, delta)
@@ -228,8 +192,11 @@ def redundancy_mc_info(
 ) -> RedundancyEstimate:
     """Monte Carlo estimate of E_x min_i S_i(x) with x ~ prior.
 
-    One source's delta per antichain element. Deterministic for a fixed seed;
-    the standard error is the sample standard deviation over sqrt(n_samples).
+    One source's delta per antichain element. Each draw is a standard normal
+    z, standing for the state x = mu_B + L^-T z that GaussianBelief.sample
+    draws from the same generator, and each source is scored at z with its W
+    whitened by the prior. Deterministic for a fixed seed; the standard
+    error is the sample standard deviation over sqrt(n_samples).
     """
     kind = QualityKind.parse(kind)
     if n_samples < 2:
@@ -237,9 +204,9 @@ def redundancy_mc_info(
     if not deltas:
         raise ValueError("need at least one source delta")
     rng = np.random.default_rng(rng_seed)
-    X = prior.sample(rng, n_samples)
-    dev = X - prior.mean[None, :]
-    vals = np.vstack([_coefficients(kind, prior, delta).at(dev) for delta in deltas])
+    Z = rng.standard_normal((prior.dim, n_samples)).T
+    sqs = [_coefficients(kind, prior, delta) for delta in deltas]
+    vals = np.vstack([replace(sq, W=prior.whiten(sq.W)).at(Z) for sq in sqs])
     mins = vals.min(axis=0)
     which = vals.argmin(axis=0)
     counts = np.bincount(which, minlength=len(deltas))
@@ -325,10 +292,10 @@ def redundancy_pair_info(
     """Exact redundancy E_x min(S_a, S_b) of two sources with x ~ prior.
 
     With Lam_B = L L^T and x = mu_B + L^-T z, z ~ N(0, I), S_J = c_J +
-    z^T L^-1 W_J L^-T z (the coefficients' `quadratic`), so D = S_a - S_b =
-    c + sum_i lam_i z_i^2, lam the eigenvalues of L^-1 (W_a - W_b) L^-T. Then
+    z^T L^-1 W_J L^-T z, so D = S_a - S_b = c + sum_i lam_i z_i^2, lam the
+    eigenvalues of prior.whiten(W_a - W_b). Then
     min(S_a, S_b) = S_a - D^+ and E[D^+] = (E D + E|D|) / 2 (_expected_abs).
-    Source a has the smaller quality (the coefficients' own, bit for bit
+    Source a has the smaller quality (its SpecificQuality's, bit for bit
     quality_info's), and Q_a - max(E[D^+], 0) never exceeds min(Q_a, Q_b),
     not even by rounding. It has no sampling error.
     """
@@ -338,16 +305,13 @@ def redundancy_pair_info(
     return _pair_redundancy(prior, [_coefficients(kind, prior, delta) for delta in deltas])
 
 
-def _pair_redundancy(prior: GaussianBelief, coeffs: Sequence) -> float:
-    """redundancy_pair_info from the two sources' coefficients of one kind."""
-    a = int(coeffs[1].quality < coeffs[0].quality)
-    (c_a, W_a), (c_b, W_b) = coeffs[a].quadratic, coeffs[1 - a].quadratic
-    half = scipy.linalg.solve_triangular(prior.chol, W_a - W_b, lower=True, check_finite=False)
-    B = scipy.linalg.solve_triangular(prior.chol, half.T, lower=True, check_finite=False)
-    lam = np.linalg.eigvalsh(0.5 * (B + B.T))
-    c = c_a - c_b
+def _pair_redundancy(prior: GaussianBelief, sqs: Sequence[SpecificQuality]) -> float:
+    """redundancy_pair_info from the two sources' specific qualities of one kind."""
+    a = int(sqs[1].quality < sqs[0].quality)
+    lam = np.linalg.eigvalsh(prior.whiten(sqs[a].W - sqs[1 - a].W))
+    c = sqs[a].c - sqs[1 - a].c
     positive_part = 0.5 * (c + float(lam.sum()) + _expected_abs(c, lam))
-    return float(coeffs[a].quality - max(positive_part, 0.0))
+    return float(sqs[a].quality - max(positive_part, 0.0))
 
 
 def _graph_deltas(

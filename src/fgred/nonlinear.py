@@ -282,8 +282,9 @@ def pose_information_system(
     """Pose-marginal information forms for redundancy evaluation.
 
     The base factors (anchor + odometry) are linearized at `base_values`:
-    Lambda_B = J^T J, and the prior mean is one Gauss-Newton step from
-    `base_values`. Each source's range-bearing factors are linearized at
+    Lambda_B = J^T J. They form a tree whose MAP fits every factor exactly,
+    so the prior mean is the stacked `base_values`, the converged base
+    solution. Each source's range-bearing factors are linearized at
     `source_values[s]` over (poses + its landmark), and Schur-marginalizing
     the landmark out of J^T J leaves an increment Delta_s over the poses.
     Callers that compare sources against the prior should keep the pose
@@ -292,10 +293,8 @@ def pose_information_system(
     directions.
     """
     pose_vars = tuple(v for v in graph.variables if v[0] == "x")
-    J, r = linearize(graph, sorted(graph.base), base_values, pose_vars)
-    lam_b = J.T @ J
-    mean = _stack(base_values, pose_vars) - solve_pd(lam_b, J.T @ r, name="base information")
-    prior = GaussianBelief(mean=mean, info=lam_b)
+    J, _ = linearize(graph, sorted(graph.base), base_values, pose_vars)
+    prior = GaussianBelief(mean=_stack(base_values, pose_vars), info=J.T @ J)
 
     deltas = {}
     for s, vals in source_values.items():

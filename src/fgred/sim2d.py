@@ -10,7 +10,7 @@ with range noise variance growing quadratically with true distance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,36 +68,23 @@ class SimConfig:
         return np.array(self.sigma_odom, dtype=float)
 
     def to_dict(self) -> dict:
-        return {
-            "n_poses": self.n_poses,
-            "box_half_width": self.box_half_width,
-            "step_mean": list(self.step_mean),
-            "sigma_step": [list(r) for r in self.sigma_step],
-            "sigma_odom": [list(r) for r in self.sigma_odom],
-            "range_var_coeff": self.range_var_coeff,
-            "bearing_var": self.bearing_var,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["step_mean"] = list(self.step_mean)
+        for key in ("sigma_step", "sigma_odom"):
+            out[key] = [list(r) for r in out[key]]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        kwargs = {}
-        for key in (
-            "n_poses", "box_half_width", "range_var_coeff", "bearing_var", "seed",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
-        if "step_mean" in data:
-            kwargs["step_mean"] = tuple(data["step_mean"])
-        for key in ("sigma_step", "sigma_odom"):
-            if key in data:
-                kwargs[key] = tuple(tuple(r) for r in data[key])
-        unknown = set(data) - {
-            "n_poses", "box_half_width", "step_mean", "sigma_step",
-            "sigma_odom", "range_var_coeff", "bearing_var", "seed",
-        }
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
+        kwargs = dict(data)
+        if "step_mean" in kwargs:
+            kwargs["step_mean"] = tuple(kwargs["step_mean"])
+        for key in ("sigma_step", "sigma_odom"):
+            if key in kwargs:
+                kwargs[key] = tuple(tuple(r) for r in kwargs[key])
         return cls(**kwargs)
 
 

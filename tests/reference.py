@@ -5,7 +5,9 @@ derivations start from; the tests check them against Monte Carlo draws of
 measurements. posterior_belief and sample_measurements give a supplemented
 graph's exact posterior and a measurement draw. The 1-D quadrature
 redundancy is the oracle for the Monte Carlo and exact two-source
-redundancies. The SE(2) helpers give relative poses and the rotation and
+redundancies, and the x-space Monte Carlo, which draws states with
+GaussianBelief.sample, is the reference for the library's draws of
+standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
 The factor bodies, linearization and Gauss-Newton solver compute one factor
 at a time what fgred.nonlinear computes with one batched kernel per factor
@@ -29,7 +31,12 @@ from fgred.gauss import (
     cholesky_pd,
     solve_pd,
 )
-from fgred.metrics import QualityKind, wass_coefficients_info, wb_coefficients_info
+from fgred.metrics import (
+    QualityKind,
+    RedundancyEstimate,
+    wass_coefficients_info,
+    wb_coefficients_info,
+)
 from fgred.nonlinear import GaussNewtonResult, OdometryFactor, PriorFactor, RangeBearingFactor
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
@@ -128,6 +135,30 @@ def redundancy_quadrature_1d_info(
         integrand, mu - 15.0 * sigma, mu + 15.0 * sigma, epsabs=1e-9, epsrel=1e-9, limit=400
     )
     return float(val)
+
+
+def redundancy_mc_x_space(
+    prior: GaussianBelief,
+    deltas: Sequence[np.ndarray],
+    kind: QualityKind,
+    n_samples: int,
+    rng_seed,
+) -> RedundancyEstimate:
+    """redundancy_mc_info by the x-space route: states drawn with
+    GaussianBelief.sample and each source scored at x - mu_B."""
+    kind = QualityKind.parse(kind)
+    dev = prior.sample(np.random.default_rng(rng_seed), n_samples) - prior.mean
+    coefficients = wb_coefficients_info if kind is QualityKind.WB else wass_coefficients_info
+    vals = np.vstack([coefficients(prior, d).at(dev) for d in deltas])
+    mins = vals.min(axis=0)
+    counts = np.bincount(vals.argmin(axis=0), minlength=len(deltas))
+    return RedundancyEstimate(
+        value=float(mins.mean()),
+        std_error=float(mins.std(ddof=1) / np.sqrt(n_samples)),
+        n_samples=n_samples,
+        kind=kind,
+        argmin_counts=tuple(int(c) for c in counts),
+    )
 
 
 def posterior_belief(graph: SupplementedGraph, J) -> GaussianBelief:

@@ -236,16 +236,18 @@ def test_criterion_3_expectation_identities():
     # exact scalar case: unit prior precision, unit information gain
     prior = GaussianBelief(mean=np.zeros(1), info=np.array([[1.0]]))
     delta = np.array([[1.0]])
+    # WASS: c = N' and W = N
     co_wa = wass_coefficients_info(prior, delta)
-    assert co_wa.N_prime[0, 0] == pytest.approx(0.25, abs=1e-12)
-    assert co_wa.N[0, 0] == pytest.approx(0.75, abs=1e-12)
+    assert co_wa.c == pytest.approx(0.25, abs=1e-12)
+    assert co_wa.W[0, 0] == pytest.approx(0.75, abs=1e-12)
     q_wa = quality_info(prior, delta, QualityKind.WASS)
     assert q_wa == pytest.approx(1.0, abs=1e-12)
     # E over the unit prior adds the two coefficients: 1/4 + 3/4 = 1
-    assert co_wa.N_prime[0, 0] + co_wa.N[0, 0] == pytest.approx(q_wa, abs=1e-12)
+    assert co_wa.c + co_wa.W[0, 0] == pytest.approx(q_wa, abs=1e-12)
+    # WB: c = mi - M'/2 and W = M/2, and here M' = M, so c = mi - W
     co_wb = wb_coefficients_info(prior, delta)
-    assert co_wb.mi == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-    assert co_wb.M_prime[0, 0] == pytest.approx(co_wb.M[0, 0], abs=1e-12)
+    assert co_wb.quality == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+    assert co_wb.c == pytest.approx(co_wb.quality - co_wb.W[0, 0], abs=1e-12)
 
     report(3, True, f"expectation identities, 100 instances, max |t| = {max_t:.2f}")
 
@@ -278,7 +280,7 @@ def test_criterion_4_mutual_information_closed_form():
     for _ in range(50):
         dim = int(rng.integers(1, 6))
         belief, delta, _, _ = random_measurement_system(rng, dim, int(rng.integers(1, 5)))
-        mi = wb_coefficients_info(belief, delta).mi
+        mi = wb_coefficients_info(belief, delta).quality
         alt = 0.5 * np.linalg.slogdet(
             np.eye(dim) + delta @ np.linalg.inv(belief.info)
         )[1]

@@ -96,11 +96,11 @@ def test_imhof_rule_matches_adaptive_quadrature():
     for sim_id in (0, 29, 79):
         prior, deltas = study_system(sim_id)
         for coefficients in (wb_coefficients_info, wass_coefficients_info):
-            (c_a, W_a), (c_b, W_b) = (coefficients(prior, d).quadratic for d in deltas)
+            sq_a, sq_b = (coefficients(prior, d) for d in deltas)
             L_inv = np.linalg.inv(prior.chol)
-            lam = np.linalg.eigvalsh(L_inv @ (W_a - W_b) @ L_inv.T)
-            want = expected_abs_quad(c_a - c_b, lam)
-            assert _expected_abs(c_a - c_b, lam) == pytest.approx(want, rel=1e-9)
+            lam = np.linalg.eigvalsh(L_inv @ (sq_a.W - sq_b.W) @ L_inv.T)
+            want = expected_abs_quad(sq_a.c - sq_b.c, lam)
+            assert _expected_abs(sq_a.c - sq_b.c, lam) == pytest.approx(want, rel=1e-9)
 
 
 def test_exact_redundancy_never_exceeds_min_quality():

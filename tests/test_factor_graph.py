@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -126,23 +124,6 @@ def test_rank_deficient_base_rejected():
     f = LinearFactor(A=A, z=np.zeros(1), gamma=np.eye(1), args=(0,))
     with pytest.raises(ValueError, match="full-rank"):
         SupplementedGraph(factors=[f], base=(0,), n_vars=1, var_dim=2)
-
-
-def test_json_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    g = random_graph(rng)
-    p = tmp_path / "graph.json"
-    g.save_json(p)
-    g2 = SupplementedGraph.load_json(p)
-    assert g2.base == g.base
-    assert g2.n_vars == g.n_vars and g2.var_dim == g.var_dim
-    for a, b in zip(g.factors, g2.factors):
-        assert np.array_equal(a.A, b.A)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.gamma, b.gamma)
-        assert a.args == b.args
-    # the file is honest JSON
-    json.loads(p.read_text())
 
 
 def test_sample_measurements_moments():

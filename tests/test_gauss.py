@@ -122,6 +122,16 @@ def test_belief_basic_properties():
         GaussianBelief(mean=mean[:3], info=info)
 
 
+def test_whiten_matches_explicit_inverse():
+    rng = np.random.default_rng(9)
+    for n in (1, 3, 6):
+        b = GaussianBelief(mean=np.zeros(n), info=random_spd(rng, n))
+        W = rng.standard_normal((n, n))
+        W = W + W.T
+        L_inv = np.linalg.inv(b.chol)
+        assert np.allclose(b.whiten(W), L_inv @ W @ L_inv.T, rtol=1e-12, atol=1e-12 * np.abs(W).max())
+
+
 def test_belief_sampling_moments():
     rng = np.random.default_rng(7)
     info = random_spd(rng, 3)

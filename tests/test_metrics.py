@@ -10,7 +10,7 @@ from fgred.gauss import GaussianBelief
 from fgred.lattice import validate_antichain
 from fgred.metrics import (
     QualityKind,
-    WbCoefficients,
+    SpecificQuality,
     quality,
     quality_info,
     redundancy_mc,
@@ -19,7 +19,7 @@ from fgred.metrics import (
     wass_coefficients_info,
     wb_coefficients_info,
 )
-from reference import redundancy_quadrature_1d_info
+from reference import redundancy_mc_x_space, redundancy_quadrature_1d_info
 
 
 def random_spd(rng, n, scale=1.0):
@@ -157,11 +157,13 @@ def test_coefficient_matrices_psd():
     for _ in range(20):
         belief, delta, _, _ = random_system(rng, n=int(rng.integers(1, 6)))
         co_wb = wb_coefficients_info(belief, delta)
-        assert np.linalg.eigvalsh(co_wb.M).min() >= -1e-8
+        # W = M / 2
+        assert np.linalg.eigvalsh(2.0 * co_wb.W).min() >= -1e-8
         co_wa = wass_coefficients_info(belief, delta)
-        assert np.linalg.eigvalsh(co_wa.N_prime).min() >= -1e-8
+        # c = tr N' and N' is PSD
+        assert co_wa.c >= 0.0
         # N may be indefinite; the recorded minimum eigenvalue is the witness
-        assert co_wa.n_min_eig == pytest.approx(np.linalg.eigvalsh(co_wa.N).min(), abs=1e-9)
+        assert co_wa.w_min_eig == pytest.approx(np.linalg.eigvalsh(co_wa.W).min(), abs=1e-9)
 
 
 def test_indefinite_n_logged_and_eigenvalue_lazy(caplog):
@@ -171,8 +173,8 @@ def test_indefinite_n_logged_and_eigenvalue_lazy(caplog):
     with caplog.at_level(logging.INFO, logger="fgred.metrics"):
         co = wass_coefficients_info(belief, delta)
     # without debug logging nothing reads N's spectrum
-    assert "n_min_eig" not in vars(co) and not caplog.records
-    assert co.n_min_eig == pytest.approx(-0.7802278947049203, rel=1e-12)
+    assert "w_min_eig" not in vars(co) and not caplog.records
+    assert co.w_min_eig == pytest.approx(-0.7802278947049203, rel=1e-12)
     with caplog.at_level(logging.DEBUG, logger="fgred.metrics"):
         wass_coefficients_info(belief, delta)
     assert [r.getMessage() for r in caplog.records] == [
@@ -242,6 +244,21 @@ def test_redundancy_mc_validation():
         redundancy_mc_info(belief, [], QualityKind.WB)
     with pytest.raises(ValueError):
         redundancy_mc_info(belief, [d1], QualityKind.WB, n_samples=1)
+
+
+def test_mc_matches_x_space_reference():
+    # standard-normal draws scored with the whitened forms against the same
+    # draws mapped to states and scored in x-space
+    rng = np.random.default_rng(21)
+    belief = GaussianBelief(mean=rng.standard_normal(4), info=random_spd(rng, 4))
+    deltas = [random_system(rng, n=4)[1] for _ in range(3)]
+    for kind in QualityKind:
+        for k in (1, 2, 3):
+            got = redundancy_mc_info(belief, deltas[:k], kind, n_samples=4000, rng_seed=k)
+            want = redundancy_mc_x_space(belief, deltas[:k], kind, n_samples=4000, rng_seed=k)
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+            assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0.0)
+            assert got.argmin_counts == want.argmin_counts
 
 
 def test_redundancy_mc_deterministic():
@@ -364,11 +381,11 @@ def test_pair_constant_difference_gives_min_quality(monkeypatch):
     shift = {id(d_low): 0.0, id(d_high): 0.75}
 
     def shifted(prior, d):
-        return WbCoefficients(mi=base.mi + shift[id(d)], M=base.M, M_prime=base.M_prime)
+        return SpecificQuality(c=base.c + shift[id(d)], W=base.W, quality=base.quality + shift[id(d)])
 
     monkeypatch.setattr(metrics, "wb_coefficients_info", shifted)
     for pair in ([d_low, d_high], [d_high, d_low]):
-        assert redundancy_pair_info(belief, pair, QualityKind.WB) == base.mi
+        assert redundancy_pair_info(belief, pair, QualityKind.WB) == base.quality
     assert metrics._expected_abs(-0.75, np.zeros(3)) == 0.75
 
 
