@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .alignment import wc_ate
-from .gauss import GaussianBelief
+from .gauss import GaussianBelief, _one_blas_thread
 from .metrics import QualityKind, _coefficients, _pair_redundancy
 from .nonlinear import (
     build_nonlinear_graph,
@@ -191,7 +191,18 @@ def solve_world(world: SimWorld) -> SlamSolution:
 
 
 def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
-    """One full simulation -> record. Exceptions become a failed record."""
+    """One full simulation -> record. Exceptions become a failed record.
+
+    The simulation's linear algebra runs on one BLAS thread: its matrices
+    are too small to gain from more, and `run_experiment`'s workers are the
+    way to use more cores.
+    """
+    with _one_blas_thread:
+        return _simulate_record(config, sim_id)
+
+
+def _simulate_record(config: ExperimentConfig, sim_id: int) -> SimRecord:
+    """The body of `run_single`, on the caller's BLAS threads."""
     try:
         world = simulate_batch_world(config, sim_id)
         sol = solve_world(world)

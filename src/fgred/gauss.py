@@ -2,14 +2,22 @@
 
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
 funnels its linear algebra through this module so that symmetry and positive
-definiteness are checked in one place.
+definiteness are checked in one place. `_one_blas_thread` limits that linear
+algebra to one BLAS thread for the length of one simulation of the study.
 """
 from __future__ import annotations
 
+import functools
+import logging
+import os
+import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+
+logger = logging.getLogger(__name__)
 
 # Smallest Cholesky pivot accepted before a matrix is declared numerically
 # indefinite, and the relative tolerance for symmetry validation.
@@ -45,14 +53,21 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 1.0)
-    skew = float(np.abs(M - M.T).max()) if M.size else 0.0
+    skew, scale = _skew_and_scale(M) if M.size else (0.0, 1.0)
     if skew > SYM_RTOL * scale:
         raise ValueError(
             f"{name} is not symmetric: max |M - M.T| = {skew:.3e} "
             f"exceeds {SYM_RTOL:.1e} * {scale:.3e}"
         )
     return 0.5 * (M + M.T)
+
+
+def _skew_and_scale(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max |M - M.T| and max(1, max |M|) of each matrix of a (..., n, n) stack."""
+    return (
+        np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)),
+        np.maximum(1.0, np.abs(M).max(axis=(-2, -1))),
+    )
 
 
 def _first_bad_minor(M: np.ndarray) -> int:
@@ -83,6 +98,113 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
         k = int(np.argmin(np.diagonal(L))) + 1
         raise NotPositiveDefiniteError(name, k, pivot=piv)
     return L
+
+
+def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.ndarray]:
+    """`cholesky_pd` of each matrix, one stacked factorization per shape.
+
+    A stack gets `cholesky_pd`'s symmetry check, symmetrization and pivot
+    check; its factors equal `cholesky_pd`'s to rounding, and bit for bit
+    for the 2 x 2 and 3 x 3 precisions of the SLAM factors. If any matrix
+    of a stack fails, the stack is factored one matrix at a time by
+    `cholesky_pd`, so the error names the matrix.
+    """
+    by_shape = {}
+    for i, M in enumerate(Ms):
+        by_shape.setdefault(np.shape(M), []).append(i)
+    out = [None] * len(Ms)
+    for idx in by_shape.values():
+        Ls = _stacked_cholesky(np.array([Ms[i] for i in idx], dtype=float))
+        if Ls is None:
+            Ls = [cholesky_pd(Ms[i], name=names[i]) for i in idx]
+        for i, L in zip(idx, Ls):
+            out[i] = L
+    return out
+
+
+def _stacked_cholesky(G: np.ndarray) -> np.ndarray | None:
+    """Lower factors of stacked matrices G (k, n, n), or None if one fails."""
+    if G.ndim != 3 or G.shape[1] != G.shape[2] or G.shape[1] == 0:
+        return None
+    skew, scale = _skew_and_scale(G)
+    if not (skew <= SYM_RTOL * scale).all():
+        return None
+    try:
+        L = np.linalg.cholesky(0.5 * (G + G.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.diagonal(L, axis1=1, axis2=2) > PIVOT_TOL).all():
+        return None
+    return L
+
+
+@functools.cache
+def _openblas_setters() -> tuple:
+    """`openblas_set_num_threads_local` of every OpenBLAS copy in the process.
+
+    numpy and scipy each map their own OpenBLAS; both export this unprefixed
+    setter from OpenBLAS 0.3.27 on. The copies are found once per process in
+    /proc/self/maps and opened with RTLD_NOLOAD, so nothing new is loaded.
+    Other BLAS libraries, older OpenBLAS and systems without /proc give none.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()
+            })
+    except OSError:
+        paths = []
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    if setters:
+        logger.debug("one BLAS thread per simulation: limiting %d OpenBLAS copies", len(setters))
+    else:
+        logger.debug("one BLAS thread per simulation: no OpenBLAS copy found, threads unchanged")
+    return tuple(setters)
+
+
+class _OneBlasThread:
+    """Context manager: its body runs on one OpenBLAS thread.
+
+    The dense problems of one simulation (tens of dimensions) are too small
+    for BLAS threads to pay for their synchronization; parallelism belongs
+    to the process pool. Despite the setter's name the count is
+    process-wide, so it holds for every thread of the process while any
+    scope is open. Scopes may nest and overlap across threads: the first to
+    open sets each copy to 1 and the last to close restores the count the
+    setter returned. Without an OpenBLAS copy this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._previous = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._open == 0:
+                self._previous = [(setter, setter(1)) for setter in _openblas_setters()]
+            self._open += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._open -= 1
+            if self._open == 0:
+                for setter, count in reversed(self._previous):
+                    setter(count)
+                self._previous = []
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def solve_pd(M: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:

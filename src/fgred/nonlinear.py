@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gauss import GaussianBelief, NotPositiveDefiniteError, cholesky_pd, schur_complement, solve_pd
+from .gauss import GaussianBelief, NotPositiveDefiniteError, cholesky_pd_many, schur_complement, solve_pd
 from .se2 import Pose2, se2_compose, wrap_angle
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld
 
@@ -137,7 +137,8 @@ class NonlinearGraph:
 
     Construction checks every factor's `gamma` as symmetric PD and keeps
     L^T of its Cholesky factor as `whiteners[j]` for every later solve.
-    Factors that share one `gamma` array (the odometry) share one factor.
+    Factors that share one `gamma` array (the odometry) share one factor;
+    the distinct gammas of one shape are factored in one stacked call.
     """
 
     variables: tuple[VarKey, ...]
@@ -148,10 +149,14 @@ class NonlinearGraph:
     whiteners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_gamma = {}
+        first = {}  # id of each distinct gamma -> its first factor
         for j, f in enumerate(self.factors):
-            if id(f.gamma) not in by_gamma:
-                by_gamma[id(f.gamma)] = cholesky_pd(f.gamma, name=f"gamma of factor {j}").T
+            first.setdefault(id(f.gamma), j)
+        chols = cholesky_pd_many(
+            [self.factors[j].gamma for j in first.values()],
+            [f"gamma of factor {j}" for j in first.values()],
+        )
+        by_gamma = {key: L.T for key, L in zip(first, chols)}
         whiteners = tuple(by_gamma[id(f.gamma)] for f in self.factors)
         object.__setattr__(self, "whiteners", whiteners)
 

@@ -12,7 +12,8 @@ translation parts of a pose, and ate the aligned error of one estimate.
 The factor bodies, linearization and Gauss-Newton solver compute one factor
 at a time what fgred.nonlinear computes with one batched kernel per factor
 type, and the tests ask for the same bits. The permutation test draws one
-shuffle at a time and compares standardized rho in floats. None of this is
+shuffle at a time and compares standardized rho in floats.
+blas_thread_counts reads each OpenBLAS copy's thread count. None of this is
 on a library path, so it lives here rather than in fgred.
 """
 from typing import Sequence
@@ -358,3 +359,13 @@ def spearman_permutation_loop(x, y, n_shuffles, seed) -> tuple[float, int]:
     rng = np.random.default_rng(seed)
     hits = sum(rx @ rng.permutation(ry) / n <= rho for _ in range(n_shuffles))
     return rho, int(hits)
+
+
+def blas_thread_counts(setters) -> list[int]:
+    """Each OpenBLAS copy's thread count, read through its setter."""
+    counts = []
+    for setter in setters:
+        count = setter(1)
+        setter(count)
+        counts.append(count)
+    return counts

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fgred.experiment as experiment
+import fgred.gauss as gauss
 from fgred.experiment import (
     ExperimentConfig,
     SimRecord,
@@ -27,7 +28,7 @@ from fgred.metrics import (
     wb_coefficients_info,
 )
 from fgred.sim2d import SimConfig
-from reference import expected_abs_quad, spearman_permutation_loop
+from reference import blas_thread_counts, expected_abs_quad, spearman_permutation_loop
 
 
 def small_config(**sim_kw):
@@ -72,6 +73,36 @@ def test_run_single_produces_usable_record():
     assert rec.r_wb <= min(rec.q_wb) and rec.r_wass <= min(rec.q_wass)
     assert all(q >= 0 for q in rec.q_wb)
     assert all(d > 0 for d in rec.mean_dist)
+
+
+def test_run_single_one_blas_thread_same_record(monkeypatch):
+    setters = gauss._openblas_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS copy with openblas_set_num_threads_local is loaded")
+    cfg = small_config()
+    before = blas_thread_counts(setters)
+    unscoped = experiment._simulate_record(cfg, 2)
+    seen = []
+
+    def counting_solve(world):
+        seen.append(blas_thread_counts(setters))
+        return solve_world(world)
+
+    monkeypatch.setattr(experiment, "solve_world", counting_solve)
+    assert run_single(cfg, 2) == unscoped
+    assert seen == [[1] * len(setters)]
+    assert blas_thread_counts(setters) == before
+
+    class Stop(BaseException):
+        pass
+
+    def stop(config, sim_id):
+        raise Stop
+
+    monkeypatch.setattr(experiment, "_simulate_record", stop)
+    with pytest.raises(Stop):
+        run_single(cfg, 2)
+    assert blas_thread_counts(setters) == before
 
 
 def study_system(sim_id):

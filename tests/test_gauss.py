@@ -1,15 +1,26 @@
+import logging
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import fgred.gauss as gauss
 from fgred.gauss import (
     GaussianBelief,
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
+    cholesky_pd_many,
     schur_complement,
     solve_pd,
 )
-from reference import conditional_mean_posterior, expected_recentred_quadratic, invert_pd
+from reference import (
+    blas_thread_counts,
+    conditional_mean_posterior,
+    expected_recentred_quadratic,
+    invert_pd,
+)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -176,3 +187,92 @@ def test_conditional_moments_against_sampling():
         got = expected_recentred_quadratic(belief, delta, T, mshift, x)
         se_q = vals.std() / np.sqrt(n_draws)
         assert abs(vals.mean() - got) < 4 * se_q + 1e-8
+
+
+def test_cholesky_pd_many_matches_cholesky_pd():
+    rng = np.random.default_rng(3)
+    Ms = [random_spd(rng, n) for n in (2, 3, 2, 5, 1, 3, 2)]
+    names = [f"m{i}" for i in range(len(Ms))]
+    for L, M in zip(cholesky_pd_many(Ms, names), Ms):
+        assert np.allclose(L, cholesky_pd(M), rtol=1e-14, atol=1e-14)
+        assert np.array_equal(L, np.tril(L))
+    # one bad matrix: its stack falls back to cholesky_pd, naming it
+    bad = Ms[:3] + [np.diag([1.0, -1.0, 1.0])]
+    with pytest.raises(NotPositiveDefiniteError, match="m3 is not positive definite"):
+        cholesky_pd_many(bad, names[:4])
+    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="m2 is not symmetric"):
+        cholesky_pd_many([np.eye(2), 2 * np.eye(2), skew], names[:3])
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """The process's OpenBLAS setters, every copy at 2 threads for the test."""
+    setters = gauss._openblas_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS copy with openblas_set_num_threads_local is loaded")
+    before = [setter(2) for setter in setters]
+    yield setters
+    for setter, count in zip(setters, before):
+        setter(count)
+
+
+def test_one_blas_thread_restores_counts(openblas_at_two_threads):
+    setters = openblas_at_two_threads
+    one, two = [1] * len(setters), [2] * len(setters)
+    with gauss._one_blas_thread:
+        assert blas_thread_counts(setters) == one
+        with gauss._one_blas_thread:
+            assert blas_thread_counts(setters) == one
+        assert blas_thread_counts(setters) == one
+    assert blas_thread_counts(setters) == two
+    with pytest.raises(RuntimeError, match="inside"):
+        with gauss._one_blas_thread:
+            raise RuntimeError("inside")
+    assert blas_thread_counts(setters) == two
+
+
+def test_one_blas_thread_overlapping_threads(openblas_at_two_threads):
+    setters = openblas_at_two_threads
+    n_threads = 6
+    barrier = threading.Barrier(n_threads, timeout=10)
+    inside = []
+
+    def scoped(k):
+        barrier.wait()
+        for _ in range(50 + k):
+            with gauss._one_blas_thread:
+                inside.append(blas_thread_counts(setters))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scoped, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inside) == sum(50 + k for k in range(n_threads))
+    assert all(counts == [1] * len(setters) for counts in inside)
+    assert blas_thread_counts(setters) == [2] * len(setters)
+
+
+def test_one_blas_thread_noop_without_openblas(monkeypatch, caplog):
+    real = gauss._openblas_setters()
+    before = blas_thread_counts(real)
+
+    def no_maps(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    # the uncached lookup finds nothing without /proc/self/maps, and says so
+    monkeypatch.setattr(gauss, "open", no_maps, raising=False)
+    with caplog.at_level(logging.DEBUG, logger="fgred.gauss"):
+        assert gauss._openblas_setters.__wrapped__() == ()
+    assert "no OpenBLAS copy found" in caplog.text
+    monkeypatch.setattr(gauss, "_openblas_setters", lambda: ())
+    with gauss._one_blas_thread:
+        assert blas_thread_counts(real) == before
+    assert blas_thread_counts(real) == before

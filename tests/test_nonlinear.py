@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgred.experiment import ExperimentConfig, simulate_batch_world
-from fgred.gauss import NotPositiveDefiniteError
+from fgred.gauss import NotPositiveDefiniteError, cholesky_pd
 from fgred.nonlinear import (
     NonlinearGraph,
     OdometryFactor,
@@ -427,4 +427,31 @@ def test_graph_rejects_bad_gamma_at_construction():
             NonlinearGraph(
                 variables=variables, dims={v: 3 for v in variables}, factors=factors,
                 base=frozenset({0, 1}), sources={},
+            )
+
+
+def test_whiteners_equal_per_factor_cholesky():
+    world = simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30)), 0)
+    g = build_nonlinear_graph(world)
+    assert len(g.factors) == 91
+    for j, f in enumerate(g.factors):
+        ref = cholesky_pd(f.gamma).T
+        assert g.whiteners[j].dtype == ref.dtype
+        assert g.whiteners[j].tobytes() == ref.tobytes(), j
+    # odometry factors still share one whitener
+    assert len({id(g.whiteners[j]) for j in range(1, 31)}) == 1
+
+    rb = sorted(g.sources[1])[4]
+    for err, gamma in [
+        (NotPositiveDefiniteError, np.diag([1.0, -1.0])),
+        (NotPositiveDefiniteError, np.diag([1e-22, 1.0])),  # pivot 1e-11
+        (ValueError, np.array([[1.0, 0.5], [0.0, 1.0]])),
+    ]:
+        factors = list(g.factors)
+        f = factors[rb]
+        factors[rb] = RangeBearingFactor(f.pose_var, f.landmark_var, f.measurement, gamma)
+        with pytest.raises(err, match=f"gamma of factor {rb} is not"):
+            NonlinearGraph(
+                variables=g.variables, dims=g.dims, factors=tuple(factors),
+                base=g.base, sources=g.sources,
             )
