@@ -18,7 +18,7 @@ from .gauss import (
     check_symmetric,
     schur_complement,
 )
-from .factor_graph import LinearFactor, SubgraphInfo, SupplementedGraph
+from .factor_graph import LinearFactor, SupplementedGraph
 from .lattice import (
     Antichain,
     antichain_leq,
@@ -53,7 +53,6 @@ __all__ = [
     "SimConfig",
     "SimWorld",
     "SpecificQuality",
-    "SubgraphInfo",
     "SupplementedGraph",
     "antichain_leq",
     "bivariate_atoms",

@@ -151,7 +151,6 @@ def simulate_batch_world(config: ExperimentConfig, sim_id: int) -> SimWorld:
 class SlamSolution:
     """Solved base and per-source problems for one world."""
 
-    graph: object
     base_result: object
     source_results: dict
     prior: GaussianBelief
@@ -161,33 +160,14 @@ class SlamSolution:
 def solve_world(world: SimWorld) -> SlamSolution:
     """Solve base + per-source SLAM and build pose-marginal info forms."""
     graph = build_nonlinear_graph(world)
-    init = dead_reckoning_init(world)
-    base_res = solve_gauss_newton(graph, sorted(graph.base), init)
-
+    base_res = solve_gauss_newton(graph, sorted(graph.base), dead_reckoning_init(world))
     source_results = {}
-    metric_values = {}
     for s in range(N_LANDMARKS):
-        subset = sorted(graph.base | graph.sources[s])
-        init_s = {k: np.array(v) for k, v in base_res.values.items()}
-        init_s[("l", s)] = triangulate_landmark(world, s, base_res.values)
-        source_results[s] = solve_gauss_newton(graph, subset, init_s)
-        # Shared pose linearization point across sources: keeps the gauge
-        # null spaces of all Delta_s aligned with the base prior's, so the
-        # information comparison reflects measurement content, not
-        # linearization-point mismatch. Only the landmark estimate is taken
-        # from the per-source solve.
-        vals = {k: np.array(v) for k, v in base_res.values.items()}
-        vals[("l", s)] = np.array(source_results[s].values[("l", s)])
-        metric_values[s] = vals
-
-    prior, deltas = pose_information_system(graph, base_res.values, metric_values)
-    return SlamSolution(
-        graph=graph,
-        base_result=base_res,
-        source_results=source_results,
-        prior=prior,
-        deltas=deltas,
-    )
+        init_s = {**base_res.values, ("l", s): triangulate_landmark(world, s, base_res.values)}
+        source_results[s] = solve_gauss_newton(graph, sorted(graph.base | graph.sources[s]), init_s)
+    landmarks = {s: res.values[("l", s)] for s, res in source_results.items()}
+    prior, deltas = pose_information_system(graph, base_res.values, landmarks)
+    return SlamSolution(base_res, source_results, prior, deltas)
 
 
 def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:

@@ -91,14 +91,6 @@ class LinearFactor:
         return self.A.T @ (self.gamma @ self.z)
 
 
-@dataclass(frozen=True)
-class SubgraphInfo:
-    """Stacked information increment and weighted right-hand side for a set J."""
-
-    delta: np.ndarray
-    weighted_rhs: np.ndarray
-
-
 class SupplementedGraph:
     """Linear Gaussian factor graph split into base and supplemental factors.
 
@@ -142,14 +134,15 @@ class SupplementedGraph:
         self._base = base_t
         self._n_vars = int(n_vars)
         self._var_dim = int(var_dim)
-        base_info = self.stack_subgraph(base_t)
+        info = self.stack_subgraph(base_t)
+        rhs = sum(factors[j].weighted_rhs() for j in base_t)
         try:
-            mean = solve_pd(base_info.delta, base_info.weighted_rhs, name="base information")
+            mean = solve_pd(info, rhs, name="base information")
         except NotPositiveDefiniteError as exc:
             raise ValueError(
                 f"base graph is not full-rank: {exc}"
             ) from exc
-        self._prior = GaussianBelief(mean=mean, info=base_info.delta)
+        self._prior = GaussianBelief(mean=mean, info=info)
 
     @property
     def factors(self) -> tuple[LinearFactor, ...]:
@@ -182,20 +175,16 @@ class SupplementedGraph:
         base = set(self._base)
         return tuple(j for j in range(self.m) if j not in base)
 
-    def stack_subgraph(self, J: Iterable[int]) -> SubgraphInfo:
-        """Information increment and weighted rhs for a factor index set J.
+    def stack_subgraph(self, J: Iterable[int]) -> np.ndarray:
+        """Information increment Delta_J of a factor index set J.
 
         Delta_J = sum_{j in J} A_j^T Gamma_j A_j; the empty set gives zeros.
         Additive over disjoint sets by construction.
         """
-        idx = _as_index_tuple(J, self.m)
         delta = np.zeros((self.state_dim, self.state_dim))
-        rhs = np.zeros(self.state_dim)
-        for j in idx:
-            f = self._factors[j]
-            delta += f.information()
-            rhs += f.weighted_rhs()
-        return SubgraphInfo(delta=0.5 * (delta + delta.T), weighted_rhs=rhs)
+        for j in _as_index_tuple(J, self.m):
+            delta += self._factors[j].information()
+        return 0.5 * (delta + delta.T)
 
     def prior_belief(self) -> GaussianBelief:
         """Posterior of the base factors alone (the prior for this graph)."""

@@ -35,6 +35,13 @@ def _canonical(sources: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     return tuple(sorted(set(sources), key=lambda s: (len(s), sorted(s))))
 
 
+def _comparable_pair(
+    sources: tuple[frozenset[int], ...],
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The first two distinct sources of which one contains the other, or None."""
+    return next(((a, b) for a, b in combinations(sources, 2) if a <= b or b <= a), None)
+
+
 @dataclass(frozen=True)
 class Antichain:
     """A set of pairwise subset-incomparable sources, canonically ordered."""
@@ -45,13 +52,12 @@ class Antichain:
         sources = _canonical(_as_source(s) for s in self.sources)
         if not sources:
             raise ValueError("an antichain must contain at least one source")
-        for i, a in enumerate(sources):
-            for b in sources[i + 1 :]:
-                if a < b or b < a:
-                    raise ValueError(
-                        f"not an antichain: {sorted(a)} and {sorted(b)} "
-                        "are subset-comparable"
-                    )
+        pair = _comparable_pair(sources)
+        if pair:
+            raise ValueError(
+                f"not an antichain: {sorted(pair[0])} and {sorted(pair[1])} "
+                "are subset-comparable"
+            )
         object.__setattr__(self, "sources", sources)
 
     def __iter__(self):
@@ -89,19 +95,12 @@ def enumerate_antichains(n: int) -> list[Antichain]:
         for r in range(1, n + 1)
         for c in combinations(ground, r)
     ]
-    out = []
-    for r in range(1, len(subsets) + 1):
-        for combo in combinations(subsets, r):
-            ok = True
-            for i, a in enumerate(combo):
-                for b in combo[i + 1 :]:
-                    if a <= b or b <= a:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(Antichain(combo))
+    out = [
+        Antichain(combo)
+        for r in range(1, len(subsets) + 1)
+        for combo in combinations(subsets, r)
+        if _comparable_pair(combo) is None
+    ]
     out.sort(key=lambda ac: (len(ac.sources), [(len(s), sorted(s)) for s in ac.sources]))
     return out
 

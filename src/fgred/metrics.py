@@ -34,10 +34,12 @@ prior. redundancy_pair_info evaluates it exactly for two sources;
 redundancy_mc_info estimates it by Monte Carlo for any number.
 
 Validation happens at the boundary. The prior is a GaussianBelief, which
-checked and factored Lam_B when it was built. quality_info and the coefficient
-functions check each Delta (symmetric, the prior's shape) on entry and factor
-Lam_B + Delta once. quality and redundancy_mc also check that each source
-holds only supplemental factor indices.
+checked and factored Lam_B when it was built. The coefficient functions check
+each Delta (symmetric, the prior's shape) on entry and build the posterior as
+GaussianBelief(mu_B, Lam_B + Delta), whose cov() and logdet_info() give
+Ltilde^-1 and log det Ltilde from its one factor; quality_info is the
+quality of the kind's SpecificQuality. quality and redundancy_mc also check
+that each source holds only supplemental factor indices.
 """
 from __future__ import annotations
 
@@ -48,10 +50,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .factor_graph import SupplementedGraph
-from .gauss import GaussianBelief, check_symmetric, cholesky_pd
+from .gauss import GaussianBelief, check_symmetric
 from .lattice import Antichain
 
 logger = logging.getLogger(__name__)
@@ -111,38 +112,25 @@ class RedundancyEstimate:
     argmin_counts: tuple[int, ...]
 
 
-def _check_delta(prior: GaussianBelief, delta: np.ndarray) -> np.ndarray:
-    """Delta checked symmetric and of the prior's shape, symmetrized."""
+def _posterior(prior: GaussianBelief, delta: np.ndarray) -> tuple[np.ndarray, GaussianBelief]:
+    """Delta checked symmetric and of the prior's shape, and the posterior.
+
+    The posterior is GaussianBelief(mu_B, Lam_B + Delta), which checks and
+    factors Ltilde once; its cov() is Ltilde^-1.
+    """
     delta = check_symmetric(delta, name="delta")
     if delta.shape != prior.info.shape:
         raise ValueError(
             f"delta has shape {delta.shape}, prior info has shape {prior.info.shape}"
         )
-    return delta
-
-
-def _posterior_inverse_logdet(
-    prior: GaussianBelief, delta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Ltilde^-1 and log det Ltilde from one Cholesky factor of Lam_B + Delta."""
-    L = cholesky_pd(prior.info + delta, name="posterior info")
-    inv = scipy.linalg.cho_solve((L, True), np.eye(prior.dim), check_finite=False)
-    return 0.5 * (inv + inv.T), float(2.0 * np.sum(np.log(np.diagonal(L))))
-
-
-def _quality(prior: GaussianBelief, inv_post, logdet_post: float, kind: QualityKind) -> float:
-    """Q(J) from Ltilde^-1 and log det Ltilde (see quality_info)."""
-    if kind is QualityKind.WB:
-        return max(0.5 * (logdet_post - prior.logdet_info()), 0.0)
-    return max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
+    return delta, GaussianBelief(prior.mean, prior.info + delta)
 
 
 def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
     """Information quality of one source's Delta over the prior."""
-    delta = _check_delta(prior, delta)
-    inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
-    lam_b = prior.info
-    mi = _quality(prior, inv_post, logdet_post, QualityKind.WB)
+    delta, post = _posterior(prior, delta)
+    inv_post, lam_b = post.cov(), prior.info
+    mi = max(0.5 * (post.logdet_info() - prior.logdet_info()), 0.0)
     M = lam_b - lam_b @ inv_post @ lam_b
     c = mi - 0.5 * float(np.trace(delta @ inv_post))
     return SpecificQuality(c=c, W=0.25 * (M + M.T), quality=mi)
@@ -150,12 +138,11 @@ def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQu
 
 def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
     """Wasserstein quality of one source's Delta over the prior."""
-    delta = _check_delta(prior, delta)
-    inv_post, logdet_post = _posterior_inverse_logdet(prior, delta)
-    lam_b = prior.info
+    delta, post = _posterior(prior, delta)
+    inv_post, lam_b = post.cov(), prior.info
     Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
-    quality = _quality(prior, inv_post, logdet_post, QualityKind.WASS)
+    quality = max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
     sq = SpecificQuality(c=float(np.trace(Np)), W=0.5 * (N + N.T), quality=quality)
     if logger.isEnabledFor(logging.DEBUG):
         scale = max(1.0, float(np.abs(sq.W).max()))
@@ -177,10 +164,10 @@ def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) ->
     """Source quality Q(J): the prior-average of the specific quality.
 
     WB gives the mutual information; WASS gives 2 tr(Lam_B^-1 - Ltilde^-1).
-    Both are >= 0 and monotone under adding factors to J.
+    Both are >= 0 and monotone under adding factors to J. It is the quality
+    of the kind's SpecificQuality, bit for bit.
     """
-    kind = QualityKind.parse(kind)
-    return _quality(prior, *_posterior_inverse_logdet(prior, _check_delta(prior, delta)), kind)
+    return _coefficients(QualityKind.parse(kind), prior, delta).quality
 
 
 def redundancy_mc_info(
@@ -327,7 +314,7 @@ def _graph_deltas(
             raise ValueError(
                 f"source {idx} contains non-supplemental factor indices {bad}"
             )
-        deltas.append(graph.stack_subgraph(idx).delta)
+        deltas.append(graph.stack_subgraph(idx))
     return deltas
 
 

@@ -265,10 +265,8 @@ def solve_gauss_newton(
     max_update = np.inf
     for it in range(1, max_iters + 1):
         J, r = plan.linearize(x)
-        H = J.T @ J
-        g = J.T @ r
         try:
-            delta = solve_pd(0.5 * (H + H.T), -g, name="normal equations")
+            delta = solve_pd(J.T @ J, -(J.T @ r), name="normal equations")
         except NotPositiveDefiniteError:
             return result(False, it, float("nan"))
         x += delta
@@ -282,28 +280,29 @@ def solve_gauss_newton(
 def pose_information_system(
     graph: NonlinearGraph,
     base_values: Values,
-    source_values: Mapping[int, Values],
+    landmarks: Mapping[int, np.ndarray],
 ) -> tuple[GaussianBelief, dict]:
     """Pose-marginal information forms for redundancy evaluation.
 
-    The base factors (anchor + odometry) are linearized at `base_values`:
-    Lambda_B = J^T J. They form a tree whose MAP fits every factor exactly,
-    so the prior mean is the stacked `base_values`, the converged base
-    solution. Each source's range-bearing factors are linearized at
-    `source_values[s]` over (poses + its landmark), and Schur-marginalizing
-    the landmark out of J^T J leaves an increment Delta_s over the poses.
-    Callers that compare sources against the prior should keep the pose
-    entries of every linearization point equal, otherwise the gauge-like
-    directions of the deltas are misaligned with the prior's weak
-    directions.
+    Every factor is linearized at one point: the poses of `base_values`,
+    the converged base solution, and for source s its landmark estimate
+    `landmarks[s]`. Sharing the poses keeps the gauge-like directions of
+    each Delta_s aligned with the prior's weak directions, so sources are
+    compared on measurement content, not on where they were linearized.
+    The base factors (anchor + odometry) give Lambda_B = J^T J. They form a
+    tree whose MAP fits every factor exactly, so the prior mean is the
+    stacked base poses. Each source's range-bearing factors are linearized
+    over (poses + its landmark), and Schur-marginalizing the landmark out
+    of J^T J leaves an increment Delta_s over the poses.
     """
     pose_vars = tuple(v for v in graph.variables if v[0] == "x")
     J, _ = linearize(graph, sorted(graph.base), base_values, pose_vars)
     prior = GaussianBelief(mean=_stack(base_values, pose_vars), info=J.T @ J)
 
     deltas = {}
-    for s, vals in source_values.items():
-        J, _ = linearize(graph, sorted(graph.sources[s]), vals, pose_vars + (("l", s),))
+    for s, landmark in landmarks.items():
+        point = {**base_values, ("l", s): landmark}
+        J, _ = linearize(graph, sorted(graph.sources[s]), point, pose_vars + (("l", s),))
         deltas[s] = schur_complement(J.T @ J, np.arange(prior.dim))
     return prior, deltas
 

@@ -175,9 +175,9 @@ def posterior_belief(graph: SupplementedGraph, J) -> GaussianBelief:
     prior = graph.prior_belief()
     if not idx:
         return prior
-    sub = graph.stack_subgraph(idx)
-    lam_post = prior.info + sub.delta
-    mean = solve_pd(lam_post, prior.info @ prior.mean + sub.weighted_rhs, name="posterior info")
+    lam_post = prior.info + graph.stack_subgraph(idx)
+    rhs = sum(graph.factors[j].weighted_rhs() for j in idx)
+    mean = solve_pd(lam_post, prior.info @ prior.mean + rhs, name="posterior info")
     return GaussianBelief(mean=mean, info=lam_post)
 
 

@@ -87,7 +87,7 @@ def random_supplemented_graph(rng):
 
 def quadrature_1d(g, alpha, kind):
     """1-D quadrature redundancy of an antichain of a graph's factor sets."""
-    deltas = [g.stack_subgraph(src).delta for src in alpha.sources]
+    deltas = [g.stack_subgraph(src) for src in alpha.sources]
     return redundancy_quadrature_1d_info(g.prior_belief(), deltas, kind)
 
 

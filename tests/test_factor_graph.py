@@ -59,9 +59,9 @@ def test_information_additivity_disjoint_unions():
     g = random_graph(rng)
     supp = list(g.supplemental)
     J1, J2 = supp[:2], supp[2:]
-    d1 = g.stack_subgraph(J1).delta
-    d2 = g.stack_subgraph(J2).delta
-    both = g.stack_subgraph(J1 + J2).delta
+    d1 = g.stack_subgraph(J1)
+    d2 = g.stack_subgraph(J2)
+    both = g.stack_subgraph(J1 + J2)
     assert np.allclose(both, d1 + d2, atol=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_loewner_monotone_in_subset():
         supp = list(g.supplemental)
         J = supp[:2]
         Jp = supp[:3]
-        diff = g.stack_subgraph(Jp).delta - g.stack_subgraph(J).delta
+        diff = g.stack_subgraph(Jp) - g.stack_subgraph(J)
         assert np.linalg.eigvalsh(diff).min() >= -1e-10
 
 
@@ -89,7 +89,7 @@ def test_mutual_information_monotone_and_closed_form():
             prev = mi
             # determinant identity
             lam_b = g.prior_belief().info
-            delta = g.stack_subgraph(J).delta
+            delta = g.stack_subgraph(J)
             direct = 0.5 * np.linalg.slogdet(np.eye(lam_b.shape[0]) + delta @ np.linalg.inv(lam_b))[1]
             assert mi == pytest.approx(direct, abs=1e-9)
 

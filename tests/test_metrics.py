@@ -53,7 +53,7 @@ def two_source_graph(rng, n_vars=1, var_dim=2):
 
 def quadrature_1d(g, alpha, kind):
     """1-D quadrature redundancy of an antichain of a graph's factor sets."""
-    deltas = [g.stack_subgraph(src).delta for src in alpha.sources]
+    deltas = [g.stack_subgraph(src) for src in alpha.sources]
     return redundancy_quadrature_1d_info(g.prior_belief(), deltas, kind)
 
 
@@ -326,7 +326,7 @@ def test_pair_matches_quadrature_1d():
     cases = [(belief, [np.array([[0.5]]), np.array([[3.0]])])]
     for _ in range(10):
         g = two_source_graph(rng, n_vars=1, var_dim=1)
-        cases.append((g.prior_belief(), [g.stack_subgraph(J).delta for J in ((1,), (2,))]))
+        cases.append((g.prior_belief(), [g.stack_subgraph(J) for J in ((1,), (2,))]))
     for prior, deltas in cases:
         for kind in QualityKind:
             quad = redundancy_quadrature_1d_info(prior, deltas, kind)
@@ -351,6 +351,29 @@ def test_expected_abs_matches_z_quadrature():
     for c, lam in cases:
         got = metrics._expected_abs(c, np.array([lam]))
         assert got == pytest.approx(by_z(c, lam), rel=1e-9)
+
+
+def test_quality_info_is_the_coefficients_quality():
+    # quality_info reads the kind's SpecificQuality, so the two agree bit for
+    # bit, on a linear graph and on a study world's pose-marginal forms
+    from fgred.experiment import solve_world
+    from fgred.sim2d import SimConfig, simulate_world
+
+    g = two_source_graph(np.random.default_rng(31), n_vars=2, var_dim=2)
+    sol = solve_world(simulate_world(SimConfig(seed=3)))
+    cases = [
+        (g.prior_belief(), [g.stack_subgraph(J) for J in ((1,), (2,), (1, 2))]),
+        (sol.prior, [sol.deltas[s] for s in sorted(sol.deltas)]),
+    ]
+    coefficients = {QualityKind.WB: wb_coefficients_info, QualityKind.WASS: wass_coefficients_info}
+    for prior, deltas in cases:
+        for delta in deltas:
+            for kind, coefficients_info in coefficients.items():
+                assert quality_info(prior, delta, kind) == coefficients_info(prior, delta).quality
+    for J in ((1,), (2,), (1, 2)):
+        for kind, coefficients_info in coefficients.items():
+            want = coefficients_info(g.prior_belief(), g.stack_subgraph(J)).quality
+            assert quality(g, J, kind) == want
 
 
 def test_pair_identical_sources_give_quality():

@@ -268,15 +268,14 @@ def test_linearized_posterior_pd_and_prior_matches_base():
     g = build_nonlinear_graph(w)
     base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
     assert base.converged
-    svals = {}
+    landmarks = {}
     for s in range(2):
         init_s = {k: np.array(v) for k, v in base.values.items()}
         init_s[("l", s)] = triangulate_landmark(w, s, base.values)
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
         assert res.converged
-        svals[s] = {k: np.array(v) for k, v in base.values.items()}
-        svals[s][("l", s)] = np.array(res.values[("l", s)])
-    prior, deltas = pose_information_system(g, base.values, svals)
+        landmarks[s] = res.values[("l", s)]
+    prior, deltas = pose_information_system(g, base.values, landmarks)
     n_poses = len(w.truth_poses)
     assert prior.dim == 3 * n_poses
     for s in range(2):
@@ -298,14 +297,13 @@ def test_metrics_invariant_under_rigid_reanchoring():
     w = simulate_world(SimConfig(seed=8))
     g = build_nonlinear_graph(w)
     base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
-    svals = {}
+    landmarks = {}
     for s in range(2):
         init_s = {k: np.array(v) for k, v in base.values.items()}
         init_s[("l", s)] = triangulate_landmark(w, s, base.values)
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
-        svals[s] = {k: np.array(v) for k, v in base.values.items()}
-        svals[s][("l", s)] = np.array(res.values[("l", s)])
-    prior, deltas = pose_information_system(g, base.values, svals)
+        landmarks[s] = res.values[("l", s)]
+    prior, deltas = pose_information_system(g, base.values, landmarks)
 
     T = Pose2(0.7, -1.3, 0.6)
 
@@ -327,11 +325,8 @@ def test_metrics_invariant_under_rigid_reanchoring():
         base=g.base, sources=g.sources,
     )
     base2 = {k: (move_pose(v) if k[0] == "x" else move_point(v)) for k, v in base.values.items()}
-    svals2 = {
-        s: {k: (move_pose(v) if k[0] == "x" else move_point(v)) for k, v in vals.items()}
-        for s, vals in svals.items()
-    }
-    prior2, deltas2 = pose_information_system(g2, base2, svals2)
+    landmarks2 = {s: move_point(lm) for s, lm in landmarks.items()}
+    prior2, deltas2 = pose_information_system(g2, base2, landmarks2)
 
     for s in range(2):
         for kind in QualityKind:

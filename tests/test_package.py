@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,22 @@ def test_cli_import_leaves_out_scipy_stats():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_only_gauss_imports_scipy_linalg():
+    # gauss is the one entry into the dense linear algebra: every other
+    # module reaches scipy.linalg through its checked helpers
+    for path in sorted((SRC / "fgred").glob("*.py")):
+        if path.name == "gauss.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            bad = [n for n in names if n == "scipy.linalg" or n.startswith("scipy.linalg.")]
+            assert not bad, f"{path.name} line {node.lineno} uses {bad}"
