@@ -3,7 +3,8 @@
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
 funnels its linear algebra through this module so that symmetry and positive
 definiteness are checked in one place. `_one_blas_thread` limits that linear
-algebra to one BLAS thread for the length of one simulation of the study.
+algebra to one BLAS thread for the length of one simulation of the study, and
+of one public Monte Carlo redundancy or quality call.
 """
 from __future__ import annotations
 
@@ -88,7 +89,11 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     Raises NotPositiveDefiniteError naming the offending leading minor when
     the factorization fails or produces a pivot at or below PIVOT_TOL.
     """
-    M = check_symmetric(M, name=name)
+    return _cholesky_symmetric(check_symmetric(M, name=name), name)
+
+
+def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+    """cholesky_pd of a matrix that check_symmetric has already returned."""
     try:
         L = scipy.linalg.cholesky(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -175,13 +180,14 @@ def _openblas_setters() -> tuple:
 class _OneBlasThread:
     """Context manager: its body runs on one OpenBLAS thread.
 
-    The dense problems of one simulation (tens of dimensions) are too small
-    for BLAS threads to pay for their synchronization; parallelism belongs
-    to the process pool. Despite the setter's name the count is
-    process-wide, so it holds for every thread of the process while any
-    scope is open. Scopes may nest and overlap across threads: the first to
-    open sets each copy to 1 and the last to close restores the count the
-    setter returned. Without an OpenBLAS copy this does nothing.
+    The dense problems of one simulation (tens of dimensions), and the
+    (dim, n) products of a Monte Carlo call, are too small for BLAS threads
+    to pay for their synchronization; parallelism belongs to the process
+    pool. Despite the setter's name the count is process-wide, so it holds
+    for every thread of the process while any scope is open. Scopes may
+    nest and overlap across threads: the first to open sets each copy to 1
+    and the last to close restores the count the setter returned. Without
+    an OpenBLAS copy this does nothing.
     """
 
     def __init__(self):
@@ -248,7 +254,7 @@ class GaussianBelief:
             raise ValueError(
                 f"mean dim {mean.shape[0]} != info dim {info.shape[0]}"
             )
-        chol = cholesky_pd(info, name="info")
+        chol = _cholesky_symmetric(info, "info")
         mean = mean.copy()
         mean.setflags(write=False)
         info.setflags(write=False)

@@ -27,7 +27,9 @@ WASS: c = tr N', W = N), which wb_coefficients_info and
 wass_coefficients_info return. Its at(dev) is the one evaluator of S_J.
 With Lam_B = L L^T and x = mu_B + L^-T z, z ~ N(0, I), S_J = c_J + z^T
 prior.whiten(W_J) z: the Monte Carlo redundancy scores standard-normal draws
-with the whitened form, and the exact one whitens W_a - W_b.
+with the whitened form, and the exact one whitens W_a - W_b. Scoring n draws
+Z (n, dim) is one matrix product per source, whiten(W_J) Z^T, whose
+columnwise dot with Z^T gives the n quadratic forms.
 
 Redundancy of an antichain alpha is E_x min_{J in alpha} S_J(x) under the
 prior. redundancy_pair_info evaluates it exactly for two sources;
@@ -37,9 +39,12 @@ Validation happens at the boundary. The prior is a GaussianBelief, which
 checked and factored Lam_B when it was built. The coefficient functions check
 each Delta (symmetric, the prior's shape) on entry and build the posterior as
 GaussianBelief(mu_B, Lam_B + Delta), whose cov() and logdet_info() give
-Ltilde^-1 and log det Ltilde from its one factor; quality_info is the
-quality of the kind's SpecificQuality. quality and redundancy_mc also check
-that each source holds only supplemental factor indices.
+Ltilde^-1 and log det Ltilde from its one factor; quality_info reads only
+the quality, through the same private helper as the coefficient functions.
+quality and redundancy_mc also check that each source holds only
+supplemental factor indices. redundancy_mc_info and quality_info run on one
+BLAS thread (gauss._one_blas_thread): the matrices are too small for a
+second thread to pay for waking it.
 """
 from __future__ import annotations
 
@@ -52,7 +57,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .factor_graph import SupplementedGraph
-from .gauss import GaussianBelief, check_symmetric
+from .gauss import GaussianBelief, _one_blas_thread, check_symmetric
 from .lattice import Antichain
 
 logger = logging.getLogger(__name__)
@@ -93,8 +98,17 @@ class SpecificQuality:
         return float(np.linalg.eigvalsh(self.W).min())
 
     def at(self, dev: np.ndarray) -> np.ndarray:
-        """S_J at mu_B + dev for each row of dev (shape (n, dim)), shape (n,)."""
-        return self.c + np.einsum("ni,ij,nj->n", dev, self.W, dev)
+        """S_J at mu_B + dev for each row of dev (shape (n, dim)), shape (n,).
+
+        One matrix product W dev^T, multiplied in place by dev^T and summed
+        down its columns. Any layout of dev is accepted, C- or F-ordered; an
+        F-ordered dev, such as the transpose of a (dim, n) array of draws,
+        gives the product a C-contiguous operand at no copy.
+        """
+        dev_t = np.asarray(dev, dtype=float).T
+        prod = self.W @ dev_t
+        prod *= dev_t
+        return self.c + prod.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -126,11 +140,18 @@ def _posterior(prior: GaussianBelief, delta: np.ndarray) -> tuple[np.ndarray, Ga
     return delta, GaussianBelief(prior.mean, prior.info + delta)
 
 
+def _quality(kind: QualityKind, prior: GaussianBelief, post: GaussianBelief) -> float:
+    """Q_J of the kind from the prior and the posterior of _posterior."""
+    if kind is QualityKind.WB:
+        return max(0.5 * (post.logdet_info() - prior.logdet_info()), 0.0)
+    return max(2.0 * float(np.trace(prior.cov()) - np.trace(post.cov())), 0.0)
+
+
 def wb_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> SpecificQuality:
     """Information quality of one source's Delta over the prior."""
     delta, post = _posterior(prior, delta)
     inv_post, lam_b = post.cov(), prior.info
-    mi = max(0.5 * (post.logdet_info() - prior.logdet_info()), 0.0)
+    mi = _quality(QualityKind.WB, prior, post)
     M = lam_b - lam_b @ inv_post @ lam_b
     c = mi - 0.5 * float(np.trace(delta @ inv_post))
     return SpecificQuality(c=c, W=0.25 * (M + M.T), quality=mi)
@@ -142,7 +163,7 @@ def wass_coefficients_info(prior: GaussianBelief, delta: np.ndarray) -> Specific
     inv_post, lam_b = post.cov(), prior.info
     Np = prior.cov() - inv_post - inv_post @ delta @ inv_post
     N = np.eye(prior.dim) - lam_b @ inv_post @ inv_post @ lam_b
-    quality = max(2.0 * float(np.trace(prior.cov()) - np.trace(inv_post)), 0.0)
+    quality = _quality(QualityKind.WASS, prior, post)
     sq = SpecificQuality(c=float(np.trace(Np)), W=0.5 * (N + N.T), quality=quality)
     if logger.isEnabledFor(logging.DEBUG):
         scale = max(1.0, float(np.abs(sq.W).max()))
@@ -165,9 +186,12 @@ def quality_info(prior: GaussianBelief, delta: np.ndarray, kind: QualityKind) ->
 
     WB gives the mutual information; WASS gives 2 tr(Lam_B^-1 - Ltilde^-1).
     Both are >= 0 and monotone under adding factors to J. It is the quality
-    of the kind's SpecificQuality, bit for bit.
+    of the kind's SpecificQuality, bit for bit, without forming W or c. Runs
+    on one BLAS thread (gauss._one_blas_thread).
     """
-    return _coefficients(QualityKind.parse(kind), prior, delta).quality
+    kind = QualityKind.parse(kind)
+    with _one_blas_thread:
+        return _quality(kind, prior, _posterior(prior, delta)[1])
 
 
 def redundancy_mc_info(
@@ -182,28 +206,29 @@ def redundancy_mc_info(
     One source's delta per antichain element. Each draw is a standard normal
     z, standing for the state x = mu_B + L^-T z that GaussianBelief.sample
     draws from the same generator, and each source is scored at z with its W
-    whitened by the prior. Deterministic for a fixed seed; the standard
-    error is the sample standard deviation over sqrt(n_samples).
+    whitened by the prior, one matrix product per source. Deterministic for
+    a fixed seed; the standard error is the sample standard deviation over
+    sqrt(n_samples). Runs on one BLAS thread (gauss._one_blas_thread).
     """
     kind = QualityKind.parse(kind)
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if not deltas:
         raise ValueError("need at least one source delta")
-    rng = np.random.default_rng(rng_seed)
-    Z = rng.standard_normal((prior.dim, n_samples)).T
-    sqs = [_coefficients(kind, prior, delta) for delta in deltas]
-    vals = np.vstack([replace(sq, W=prior.whiten(sq.W)).at(Z) for sq in sqs])
-    mins = vals.min(axis=0)
-    which = vals.argmin(axis=0)
-    counts = np.bincount(which, minlength=len(deltas))
-    return RedundancyEstimate(
-        value=float(mins.mean()),
-        std_error=float(mins.std(ddof=1) / np.sqrt(n_samples)),
-        n_samples=int(n_samples),
-        kind=kind,
-        argmin_counts=tuple(int(c) for c in counts),
-    )
+    with _one_blas_thread:
+        rng = np.random.default_rng(rng_seed)
+        Z = rng.standard_normal((prior.dim, n_samples)).T
+        sqs = [_coefficients(kind, prior, delta) for delta in deltas]
+        vals = np.vstack([replace(sq, W=prior.whiten(sq.W)).at(Z) for sq in sqs])
+        mins = vals.min(axis=0)
+        counts = np.bincount(vals.argmin(axis=0), minlength=len(deltas))
+        return RedundancyEstimate(
+            value=float(mins.mean()),
+            std_error=float(mins.std(ddof=1) / np.sqrt(n_samples)),
+            n_samples=int(n_samples),
+            kind=kind,
+            argmin_counts=tuple(int(c) for c in counts),
+        )
 
 
 # Imhof's rule (_expected_abs): Gauss-Legendre nodes per panel, the most the

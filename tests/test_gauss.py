@@ -117,18 +117,31 @@ def test_schur_complement_rejects_singular_marginalized_block():
         schur_complement(M, np.array([0]))
 
 
-def test_belief_basic_properties():
+def test_belief_basic_properties(monkeypatch):
     rng = np.random.default_rng(6)
     info = random_spd(rng, 5)
     mean = rng.standard_normal(5)
+    checked, check = [], gauss.check_symmetric
+
+    def counting_check(M, name="matrix"):
+        checked.append(name)
+        return check(M, name)
+
+    monkeypatch.setattr(gauss, "check_symmetric", counting_check)
     b = GaussianBelief(mean=mean, info=info)
+    assert checked == ["info"]  # checked once, then factored unchecked
+    assert np.array_equal(b.chol, cholesky_pd(info))
     assert b.dim == 5
     assert np.allclose(b.cov() @ info, np.eye(5), atol=1e-9)
     assert b.logdet_info() == pytest.approx(np.linalg.slogdet(info)[1])
     with pytest.raises(ValueError):
         b.mean[0] = 1.0  # read-only
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match="info is not positive definite"):
         GaussianBelief(mean=mean, info=-info)
+    skewed = info.copy()
+    skewed[0, 1] += 1.0
+    with pytest.raises(ValueError, match="info is not symmetric"):
+        GaussianBelief(mean=mean, info=skewed)
     with pytest.raises(ValueError):
         GaussianBelief(mean=mean[:3], info=info)
 
@@ -203,18 +216,6 @@ def test_cholesky_pd_many_matches_cholesky_pd():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="m2 is not symmetric"):
         cholesky_pd_many([np.eye(2), 2 * np.eye(2), skew], names[:3])
-
-
-@pytest.fixture
-def openblas_at_two_threads():
-    """The process's OpenBLAS setters, every copy at 2 threads for the test."""
-    setters = gauss._openblas_setters()
-    if not setters:
-        pytest.skip("no OpenBLAS copy with openblas_set_num_threads_local is loaded")
-    before = [setter(2) for setter in setters]
-    yield setters
-    for setter, count in zip(setters, before):
-        setter(count)
 
 
 def test_one_blas_thread_restores_counts(openblas_at_two_threads):

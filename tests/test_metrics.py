@@ -19,7 +19,7 @@ from fgred.metrics import (
     wass_coefficients_info,
     wb_coefficients_info,
 )
-from reference import redundancy_mc_x_space, redundancy_quadrature_1d_info
+from reference import blas_thread_counts, redundancy_mc_x_space, redundancy_quadrature_1d_info
 
 
 def random_spd(rng, n, scale=1.0):
@@ -259,6 +259,66 @@ def test_mc_matches_x_space_reference():
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
             assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0.0)
             assert got.argmin_counts == want.argmin_counts
+
+
+def test_at_matches_per_row_quadratic_form():
+    # the one-product scorer against d^T W d row by row, for draws laid out
+    # row-major, as the transpose of (dim, n) draws, and as a single row;
+    # relative to |c| + |d|^T |W| |d|, since c and the form can cancel
+    rng = np.random.default_rng(23)
+    belief, delta, _, _ = random_system(rng, n=5)
+    draws = rng.standard_normal((5, 300))
+    devs = [np.ascontiguousarray(draws.T), draws.T, draws.T[:1]]
+    assert devs[0].flags.c_contiguous and devs[1].flags.f_contiguous
+    for sq in (wb_coefficients_info(belief, delta), wass_coefficients_info(belief, delta)):
+        for dev in devs:
+            before = dev.copy()
+            want = np.array([sq.c + d @ sq.W @ d for d in dev])
+            scale = np.array([abs(sq.c) + np.abs(d) @ np.abs(sq.W) @ np.abs(d) for d in dev])
+            assert (np.abs(sq.at(dev) - want) <= 1e-13 * scale).all()
+            assert np.array_equal(dev, before)
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [("redundancy_mc_info", {"_posterior", "at"}), ("quality_info", {"_posterior"})],
+)
+def test_mc_and_quality_run_on_one_blas_thread(name, steps, openblas_at_two_threads, monkeypatch):
+    # the count is 1 wherever the call builds a posterior or scores draws,
+    # and the previous count is back after a return and after an exception
+    setters = openblas_at_two_threads
+    belief, delta, _, _ = random_system(np.random.default_rng(24))
+    calls = {
+        "redundancy_mc_info": lambda: redundancy_mc_info(belief, [delta] * 2, QualityKind.WB, 100),
+        "quality_info": lambda: quality_info(belief, delta, QualityKind.WASS),
+    }
+    posterior, at, seen = metrics._posterior, SpecificQuality.at, []
+
+    def counting_posterior(prior, d):
+        seen.append(("_posterior", blas_thread_counts(setters)))
+        return posterior(prior, d)
+
+    def counting_at(sq, dev):
+        seen.append(("at", blas_thread_counts(setters)))
+        return at(sq, dev)
+
+    monkeypatch.setattr(metrics, "_posterior", counting_posterior)
+    monkeypatch.setattr(SpecificQuality, "at", counting_at)
+    calls[name]()
+    assert {step for step, _ in seen} == steps
+    assert all(counts == [1] * len(setters) for _, counts in seen)
+    assert blas_thread_counts(setters) == [2] * len(setters)
+
+    class Stop(BaseException):
+        pass
+
+    def stop(prior, d):
+        raise Stop
+
+    monkeypatch.setattr(metrics, "_posterior", stop)
+    with pytest.raises(Stop):
+        calls[name]()
+    assert blas_thread_counts(setters) == [2] * len(setters)
 
 
 def test_redundancy_mc_deterministic():
