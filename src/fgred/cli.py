@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands:
-  simulate   draw the batch's worlds and write them as JSON
   analyze    run the full study: solve, measure redundancy, correlate, plot
+             (--config, --seed, --out, --jobs)
   report     rebuild summary.json and figures from an existing records.csv
+             (--out)
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 3 more than 20% of simulations failed.
@@ -17,12 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
+    MIN_VALID_FOR_CORRELATION,
     ExperimentConfig,
     correlation_report,
     emit_outputs,
     read_records_csv,
     run_experiment,
-    simulate_batch_world,
 )
 
 FAILED_FRACTION_LIMIT = 0.2
@@ -46,7 +47,7 @@ def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise ValueError(f"invalid config {path}: {exc}") from exc
     if seed is not None:
-        config = replace(config, root_seed=int(seed))
+        config = replace(config, root_seed=seed)
     return config
 
 
@@ -54,24 +55,17 @@ class _IOFail(RuntimeError):
     pass
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.seed)
-    out = Path(args.out) / "worlds"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for i in range(config.n_sims):
-            world = simulate_batch_world(config, i)
-            world.save_json(out / f"sim_{i:04d}.json")
-        manifest = {
-            "n_sims": config.n_sims,
-            "root_seed": config.root_seed,
-            "sim": config.sim.to_dict(),
-        }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        raise _IOFail(str(exc)) from exc
-    print(f"wrote {config.n_sims} worlds to {out}")
-    return EXIT_OK
+def _summarize(records) -> dict:
+    """correlation_report, or bare counts with a note below its minimum."""
+    n_valid = sum(1 for r in records if r.is_usable())
+    if n_valid >= MIN_VALID_FOR_CORRELATION:
+        return correlation_report(records)
+    return {
+        "n_records": len(records),
+        "n_failed": sum(1 for r in records if r.failed),
+        "n_valid": n_valid,
+        "note": "too few usable records for correlation analysis",
+    }
 
 
 def _cmd_analyze(args) -> int:
@@ -79,16 +73,7 @@ def _cmd_analyze(args) -> int:
     records = run_experiment(config, jobs=args.jobs)
     n_failed = sum(1 for r in records if r.failed)
     try:
-        summary = correlation_report(records)
-    except ValueError:
-        summary = {
-            "n_records": len(records),
-            "n_failed": n_failed,
-            "n_valid": sum(1 for r in records if r.is_usable()),
-            "note": "too few usable records for correlation analysis",
-        }
-    try:
-        paths = emit_outputs(records, summary, args.out, config=config)
+        paths = emit_outputs(records, _summarize(records), args.out, config=config)
     except OSError as exc:
         raise _IOFail(str(exc)) from exc
     print(f"{len(records)} simulations, {n_failed} failed")
@@ -110,9 +95,8 @@ def _cmd_report(args) -> int:
         records = read_records_csv(records_path)
     except OSError as exc:
         raise _IOFail(f"cannot read {records_path}: {exc}") from exc
-    summary = correlation_report(records)
     try:
-        paths = emit_outputs(records, summary, args.out)
+        paths = emit_outputs(records, _summarize(records), args.out)
     except OSError as exc:
         raise _IOFail(str(exc)) from exc
     for name, p in paths.items():
@@ -126,17 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Redundancy metrics for linear Gaussian factor graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, helptext in (
-        ("simulate", _cmd_simulate, "generate simulation worlds as JSON"),
-        ("analyze", _cmd_analyze, "run the redundancy vs error study"),
-        ("report", _cmd_report, "rebuild summary and figures from records.csv"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override root seed")
+    analyze = sub.add_parser("analyze", help="run the redundancy vs error study")
+    analyze.add_argument("--config", type=str, default=None, help="JSON config path")
+    analyze.add_argument("--seed", type=int, default=None, help="override root seed")
+    analyze.add_argument("--jobs", type=int, default=1, help="worker processes")
+    analyze.set_defaults(func=_cmd_analyze)
+    report = sub.add_parser("report", help="rebuild summary and figures from records.csv")
+    report.set_defaults(func=_cmd_report)
+    for p in (analyze, report):
         p.add_argument("--out", type=str, default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.set_defaults(func=fn)
     return parser
 
 

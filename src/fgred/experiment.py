@@ -33,7 +33,7 @@ from .nonlinear import (
     solve_gauss_newton,
     triangulate_landmark,
 )
-from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
+from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
 
 # SimRecord fields written to records.csv, in column order: (name, cell type,
@@ -70,21 +70,18 @@ class ExperimentConfig:
     """Batch parameters wrapping a base simulation config.
 
     The sim config's own seed field is ignored; each simulation gets a seed
-    derived from (root_seed, sim_id). mc_samples is validated and kept in
-    saved configs, but the two-source study does not read it: its
-    redundancies are exact.
+    derived from (root_seed, sim_id). from_dict accepts and ignores the
+    mc_samples key that older saved configs carry: the study's redundancies
+    are exact.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
     n_sims: int = 500
-    mc_samples: int = 10_000
     root_seed: int = 0
 
     def __post_init__(self):
-        if self.n_sims < 1:
-            raise ValueError("n_sims must be >= 1")
-        if self.mc_samples < 100:
-            raise ValueError("mc_samples must be >= 100")
+        _check_count("n_sims", self.n_sims, 1)
+        _check_count("root_seed", self.root_seed, 0)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -93,10 +90,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        kwargs = dict(data)
+        kwargs.pop("mc_samples", None)
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = dict(data)
         if "sim" in kwargs:
             kwargs["sim"] = SimConfig.from_dict(kwargs["sim"])
         return cls(**kwargs)

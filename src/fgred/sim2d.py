@@ -9,9 +9,8 @@ with range noise variance growing quadratically with true distance.
 """
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +26,14 @@ def _psd_sqrt(M: np.ndarray) -> np.ndarray:
     if w.min() < -1e-10 * max(1.0, abs(w).max()):
         raise ValueError(f"noise covariance has negative eigenvalue {w.min():.3e}")
     return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count or seed that is not an integer (bools included) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_poses < 2:
-            raise ValueError("n_poses must be >= 2")
+        _check_count("n_poses", self.n_poses, 2)
+        _check_count("seed", self.seed, 0)
         if self.box_half_width <= 0:
             raise ValueError("box_half_width must be positive")
         if self.range_var_coeff < 0 or self.bearing_var < 0:
@@ -110,32 +117,6 @@ class SimWorld:
         for s in range(N_LANDMARKS):
             out[s] = np.linalg.norm(xy - self.landmarks[s][None, :], axis=1)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "truth_poses": [[p.x, p.y, p.theta] for p in self.truth_poses],
-            "landmarks": self.landmarks.tolist(),
-            "odometry": [[p.x, p.y, p.theta] for p in self.odometry],
-            "rb_measurements": self.rb_measurements.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimWorld":
-        return cls(
-            config=SimConfig.from_dict(data["config"]),
-            truth_poses=tuple(Pose2(*p) for p in data["truth_poses"]),
-            landmarks=np.array(data["landmarks"], dtype=float),
-            odometry=tuple(Pose2(*p) for p in data["odometry"]),
-            rb_measurements=np.array(data["rb_measurements"], dtype=float),
-        )
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load_json(cls, path) -> "SimWorld":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def simulate_world(config: SimConfig) -> SimWorld:

@@ -474,9 +474,7 @@ def test_criterion_8_redundancy_tracks_landmark_distance(default_run):
 def test_criterion_9_worker_count_determinism(tmp_path):
     # single-CPU host: determinism across worker counts is what matters,
     # so the batch is kept small enough to run three times
-    config = ExperimentConfig(
-        sim=SimConfig(n_poses=6), n_sims=12, mc_samples=300, root_seed=3
-    )
+    config = ExperimentConfig(sim=SimConfig(n_poses=6), n_sims=12, root_seed=3)
     blobs = []
     for jobs in (1, 2, 8):
         records = run_experiment(config, jobs=jobs)

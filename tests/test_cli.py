@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import fgred.experiment as experiment
 from fgred.cli import (
@@ -15,10 +16,7 @@ from fgred.sim2d import SimConfig
 
 
 def tiny_config_file(tmp_path, **kw):
-    cfg = ExperimentConfig(
-        sim=SimConfig(n_poses=4), n_sims=kw.pop("n_sims", 3),
-        mc_samples=100, **kw,
-    )
+    cfg = ExperimentConfig(sim=SimConfig(n_poses=4), n_sims=kw.pop("n_sims", 3), **kw)
     p = tmp_path / "config.json"
     p.write_text(json.dumps(cfg.to_dict()))
     return p
@@ -38,18 +36,6 @@ def synthetic_csv(tmp_path, n=40):
         )
     write_records_csv(recs, tmp_path / "records.csv")
     return recs
-
-
-def test_simulate_writes_worlds_and_manifest(tmp_path):
-    cfg = tiny_config_file(tmp_path, n_sims=2)
-    out = tmp_path / "out"
-    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
-    assert rc == EXIT_OK
-    worlds = out / "worlds"
-    assert (worlds / "sim_0000.json").exists()
-    assert (worlds / "sim_0001.json").exists()
-    manifest = json.loads((worlds / "manifest.json").read_text())
-    assert manifest["n_sims"] == 2
 
 
 def test_analyze_small_batch(tmp_path, capsys):
@@ -86,12 +72,46 @@ def test_report_rebuilds_from_csv(tmp_path):
     assert (tmp_path / "redundancy-vs-distance.svg").exists()
 
 
+def test_report_after_small_analyze(tmp_path):
+    # analyze accepts a batch below the correlation minimum, so report must too
+    cfg = tiny_config_file(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    written = (out / "summary.json").read_bytes()
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.json").read_bytes() == written
+
+
+def test_report_takes_only_out(tmp_path):
+    for flag in ("--jobs", "--seed", "--config"):
+        with pytest.raises(SystemExit):
+            main(["report", "--out", str(tmp_path), flag, "2"])
+
+
 def test_bad_config_exits_1(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"n_sims": 5, "mystery": True}))
     assert main(["analyze", "--config", str(p)]) == EXIT_CONFIG
     p.write_text("{not json")
     assert main(["analyze", "--config", str(p)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"root_seed": 1.5}, []),
+        ({}, ["--seed", "-1"]),
+        ({"sim": {"n_poses": 4.0}}, []),
+        ({"n_sims": True}, []),
+    ],
+)
+def test_bad_count_or_seed_exits_1(tmp_path, capsys, config, argv):
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps({"n_sims": 1, **config}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(p), "--out", str(out), *argv]) == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -103,7 +123,7 @@ def test_unwritable_out_exits_2(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cfg = tiny_config_file(tmp_path, n_sims=1)
-    rc = main(["simulate", "--config", str(cfg), "--out", str(blocker)])
+    rc = main(["analyze", "--config", str(cfg), "--out", str(blocker)])
     assert rc == EXIT_IO
 
 

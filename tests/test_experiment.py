@@ -33,7 +33,7 @@ from reference import blas_thread_counts, expected_abs_quad, spearman_permutatio
 
 def small_config(**sim_kw):
     sim = SimConfig(n_poses=4, **sim_kw)
-    return ExperimentConfig(sim=sim, n_sims=6, mc_samples=200, root_seed=7)
+    return ExperimentConfig(sim=sim, n_sims=6, root_seed=7)
 
 
 def synthetic_records(n=40, seed=0, slope=-1.0):
@@ -150,7 +150,7 @@ def test_noiseless_sim_record():
     cfg = ExperimentConfig(
         sim=SimConfig(n_poses=4, sigma_step=zero3, sigma_odom=zero3,
                       range_var_coeff=0.0, bearing_var=0.0),
-        n_sims=1, mc_samples=200,
+        n_sims=1,
     )
     rec = run_single(cfg, 0)
     assert not rec.failed
@@ -298,7 +298,7 @@ def test_qualities_decrease_when_box_doubled():
     n = 100
     qs = {}
     for C in (10.0, 20.0):
-        cfg = ExperimentConfig(sim=SimConfig(box_half_width=C), n_sims=1, mc_samples=100)
+        cfg = ExperimentConfig(sim=SimConfig(box_half_width=C), n_sims=1)
         wb, wass = [], []
         for i in range(n):
             rec = run_single(cfg, i)
@@ -332,9 +332,11 @@ def test_emit_outputs_files(tmp_path):
 def test_experiment_config_round_trip():
     cfg = small_config(bearing_var=0.123)
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # configs saved before mc_samples was removed still load, to the same config
+    assert ExperimentConfig.from_dict({**cfg.to_dict(), "mc_samples": 200}) == cfg
+    assert "mc_samples" not in cfg.to_dict()
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({**cfg.to_dict(), "mystery": 2})
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_sims=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(mc_samples=10)
+    for bad in ({"n_sims": 0}, {"n_sims": True}, {"n_sims": 2.0}, {"root_seed": 1.5}, {"root_seed": -1}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)

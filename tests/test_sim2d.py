@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgred.se2 import wrap_angle
-from fgred.sim2d import SimConfig, SimWorld, simulate_world
+from fgred.sim2d import SimConfig, simulate_world
 from reference import se2_relative
 
 
@@ -105,6 +105,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_poses=1)
     with pytest.raises(ValueError):
+        SimConfig(n_poses=4.0)
+    with pytest.raises(ValueError):
+        SimConfig(n_poses=True)
+    with pytest.raises(ValueError):
+        SimConfig(seed=-1)
+    with pytest.raises(ValueError):
         SimConfig(box_half_width=0.0)
     with pytest.raises(ValueError):
         SimConfig(range_var_coeff=-1.0)
@@ -117,17 +123,3 @@ def test_config_round_trip():
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         SimConfig.from_dict({**cfg.to_dict(), "bogus": 1})
-
-
-def test_world_json_round_trip(tmp_path):
-    w = simulate_world(SimConfig(seed=11, n_poses=4))
-    p = tmp_path / "world.json"
-    w.save_json(p)
-    w2 = SimWorld.load_json(p)
-    assert w2.config == w.config
-    assert np.array_equal(w2.landmarks, w.landmarks)
-    assert np.array_equal(w2.rb_measurements, w.rb_measurements)
-    assert all(
-        a.as_array().tolist() == b.as_array().tolist()
-        for a, b in zip(w.truth_poses, w2.truth_poses)
-    )

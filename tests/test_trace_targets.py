@@ -1,13 +1,15 @@
 """The benchmark's traced run (perfbench/tracing.py) wraps fgred's public
 names from outside; a rename or signature change there breaks `--trace 1`.
-Its untraced checks read solver results directly, so those names are
-guarded here too."""
+Its untraced checks read solver results directly, and its study workloads
+write configs that fgred must load, so those are guarded here too."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def trace_targets():
@@ -67,3 +69,24 @@ def test_solution_fields_read_by_checks():
             factor = graph.factors[j]
             r = factor.residual(result.values)
             assert np.asarray(factor.gamma).shape == (r.shape[0], r.shape[0])
+
+
+def test_study_configs_load(tmp_path, monkeypatch):
+    # Study.prepare writes the config that the setup interpreter and every
+    # `fgred analyze` round load; _recheck_sims adds a root seed to it.
+    from fgred.experiment import ExperimentConfig
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    studies = [make() for make in workloads.WORKLOADS.values()]
+    studies = [w for w in studies if isinstance(w, workloads.Study)]
+    assert studies
+    for i, study in enumerate(studies):
+        out = tmp_path / str(i)
+        out.mkdir()
+        study.prepare(1, out)
+        config = ExperimentConfig.from_dict(json.loads(study.config_path.read_text()))
+        assert config.n_sims == workloads.STUDY_BLOCK
+        assert ExperimentConfig.from_dict({**study.config, "root_seed": 5}).root_seed == 5
