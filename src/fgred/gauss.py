@@ -2,9 +2,14 @@
 
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
 funnels its linear algebra through this module so that symmetry and positive
-definiteness are checked in one place. `_one_blas_thread` limits that linear
-algebra to one BLAS thread for the length of one simulation of the study, and
-of one public Monte Carlo redundancy or quality call.
+definiteness are checked in one place. It is the one owner of the LAPACK
+routines it binds once at import (`potrf`, `potrs`, `trtrs`): they are the
+routines the `scipy.linalg` wrappers call, with the same arguments, so the
+results are bit for bit the wrappers', without their per-call validation
+and dispatch, which at the dimensions here costs more than the arithmetic.
+`_one_blas_thread` limits that linear algebra to one BLAS thread for the
+length of one simulation of the study, and of one public Monte Carlo
+redundancy or quality call.
 """
 from __future__ import annotations
 
@@ -24,6 +29,14 @@ logger = logging.getLogger(__name__)
 # indefinite, and the relative tolerance for symmetry validation.
 PIVOT_TOL = 1e-10
 SYM_RTOL = 1e-10
+
+# Doubling any float below this is exact, so for a bitwise symmetric M with
+# entries below it, 0.5 * (M + M.T) has M's bits.
+_EXACT_DOUBLING = 2.0**1023
+
+_potrf, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "trtrs"), dtype=np.float64
+)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -48,12 +61,17 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that M is square and symmetric, return the symmetrized copy.
 
     Symmetry is required within SYM_RTOL relative to the largest entry; the
-    returned array is 0.5 * (M + M.T) so later Cholesky calls see an exactly
-    symmetric matrix.
+    returned array is a new 0.5 * (M + M.T) so later Cholesky calls see an
+    exactly symmetric matrix. A bitwise symmetric M (J.T @ J, sums and Schur
+    complements of symmetric matrices) skips the skew test and is copied,
+    which gives the same bits.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    bits = M.view(np.int64)
+    if (bits == bits.T).all() and np.abs(M).max(initial=0.0) < _EXACT_DOUBLING:
+        return M.copy()
     skew, scale = _skew_and_scale(M) if M.size else (0.0, 1.0)
     if skew > SYM_RTOL * scale:
         raise ValueError(
@@ -94,10 +112,9 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     """cholesky_pd of a matrix that check_symmetric has already returned."""
-    try:
-        L = scipy.linalg.cholesky(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(name, _first_bad_minor(M)) from None
+    L, info = _potrf(M, lower=1)
+    if info:
+        raise NotPositiveDefiniteError(name, _first_bad_minor(M))
     piv = float(np.diagonal(L).min())
     if piv <= PIVOT_TOL:
         k = int(np.argmin(np.diagonal(L))) + 1
@@ -216,7 +233,7 @@ _one_blas_thread = _OneBlasThread()
 def solve_pd(M: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve M x = b for symmetric PD M."""
     L = cholesky_pd(M, name=name)
-    return scipy.linalg.cho_solve((L, True), b, check_finite=False)
+    return _potrs(L, b, lower=1)[0]
 
 
 def schur_complement(M: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -228,12 +245,14 @@ def schur_complement(M: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """
     M = check_symmetric(M, name="information matrix")
     keep = np.asarray(keep, dtype=int)
-    drop = np.setdiff1d(np.arange(M.shape[0]), keep)
+    dropped = np.ones(M.shape[0], dtype=bool)
+    dropped[keep] = False
+    drop = np.flatnonzero(dropped)
     if drop.size == 0:
         return M.copy()
-    A = M[np.ix_(keep, keep)]
-    B = M[np.ix_(keep, drop)]
-    D = M[np.ix_(drop, drop)]
+    A = M[keep[:, None], keep]
+    B = M[keep[:, None], drop]
+    D = M[drop[:, None], drop]
     out = A - B @ solve_pd(D, B.T, name="marginalized block")
     return 0.5 * (out + out.T)
 
@@ -279,9 +298,7 @@ class GaussianBelief:
         """Materialized covariance (inverse information), solved once, read-only."""
         cov = self.__dict__.get("_cov")
         if cov is None:
-            inv = scipy.linalg.cho_solve(
-                (self._chol, True), np.eye(self.dim), check_finite=False
-            )
+            inv = _potrs(self._chol, np.eye(self.dim, order="F"), lower=1, overwrite_b=1)[0]
             cov = 0.5 * (inv + inv.T)
             cov.setflags(write=False)
             object.__setattr__(self, "_cov", cov)
@@ -292,8 +309,8 @@ class GaussianBelief:
 
         For x = mean + L^-T z, (x - mean)^T W (x - mean) = z^T whiten(W) z.
         """
-        half = scipy.linalg.solve_triangular(self._chol, W, lower=True, check_finite=False)
-        B = scipy.linalg.solve_triangular(self._chol, half.T, lower=True, check_finite=False)
+        half = _trtrs(self._chol, W, lower=1)[0]
+        B = _trtrs(self._chol, half.T, lower=1)[0]
         return 0.5 * (B + B.T)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -305,7 +322,5 @@ class GaussianBelief:
         if count < 1:
             raise ValueError("count must be >= 1")
         eps = rng.standard_normal((self.dim, count))
-        dev = scipy.linalg.solve_triangular(
-            self._chol, eps, lower=True, trans="T", check_finite=False
-        )
+        dev = _trtrs(self._chol, eps, lower=1, trans=1)[0]
         return self.mean[None, :] + dev.T

@@ -4,15 +4,20 @@ Variables are keyed ("x", i) for poses (dim 3) and ("l", s) for landmarks
 (dim 2). Each factor type has one batched kernel: given the stacked values
 of m factors' variables and their stacked measurements, it returns the
 residuals r(v) = h(v) - z (m x k, angles wrapped) and the Jacobians H of h
-(m x k x d). A factor's precision Gamma = L L^T is checked and factored
-once, when the NonlinearGraph is built; L^T is the factor's whitener.
+(m x k x d). Each call fills one Jacobian array it allocates; the odometry
+and range-bearing kernels store it k x d x m, so that an entry's m values
+are one contiguous row, and return its m x k x d view. A factor's
+precision Gamma = L L^T is checked and factored once, when the
+NonlinearGraph is built; L^T is the factor's whitener.
 
 `linearize` is the one linearization path: the whitened Jacobian J (rows
 L^T H) and residual L^T r of a factor subset, one kernel call per factor
-type through an index plan built once per subset and state. Gauss-Newton
-keeps the state as one flat vector, solves J^T J dx = -J^T r and retracts
-additively (pose angles re-wrapped). The information forms, the base prior
-and each source increment, are J^T J = sum_j H_j^T Gamma_j H_j of the same J.
+type through an index plan built once per subset and state, which writes
+each type's whitened blocks into J through precomputed flat indices.
+Gauss-Newton keeps the state as one flat vector, solves J^T J dx = -J^T r
+and retracts additively (pose angles re-wrapped). The information forms,
+the base prior and each source increment, are J^T J = sum_j H_j^T Gamma_j
+H_j of the same J.
 """
 from __future__ import annotations
 
@@ -67,7 +72,9 @@ class PriorFactor(_Factor):
         """Residuals (m, 3) and Jacobians (m, 3, 3); row i of v is a pose."""
         r = v - z
         r[:, 2] = wrap_angle(r[:, 2])
-        return r, np.repeat(np.eye(3)[None], len(v), axis=0)
+        jac = np.zeros((len(v), 9))
+        jac[:, ::4] = 1.0
+        return r, jac.reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +93,23 @@ class OdometryFactor(_Factor):
     @staticmethod
     def kernel(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (m, 3) and Jacobians (m, 3, 6); row i of v is (X_a, X_b)."""
-        x1, y1, t1, x2, y2, t2 = v.T
-        c, s = np.cos(t1), np.sin(t1)
-        dx, dy = x2 - x1, y2 - y1
+        t1, t2 = v[:, 2], v[:, 5]
+        dx, dy = v[:, 3] - v[:, 0], v[:, 4] - v[:, 1]
+        # rows of H: (-c, -s, h_y, c, s, 0), (s, -c, -h_x, -s, c, 0), (0, 0, -1, 0, 0, 1)
+        jac = np.zeros((3, 6, len(v)))
+        c = jac[0, 3] = jac[1, 4] = np.cos(t1)
+        s = jac[0, 4] = np.sin(t1)
+        minus_s = jac[1, 3] = -s
+        np.negative(jac[:2, 3:5], out=jac[:2, :2])
         h_x = c * dx + s * dy
-        h_y = -s * dx + c * dy
-        r = np.stack([h_x, h_y, wrap_angle(t2 - t1)], axis=1) - z
+        h_y = jac[0, 2] = minus_s * dx + c * dy
+        jac[1, 2] = -h_x
+        jac[2, 2], jac[2, 5] = -1.0, 1.0
+        r = np.empty((len(v), 3))
+        r[:, 0], r[:, 1], r[:, 2] = h_x, h_y, wrap_angle(t2 - t1)
+        r -= z
         r[:, 2] = wrap_angle(r[:, 2])
-        zero, one = np.zeros_like(c), np.ones_like(c)
-        return r, np.array([
-            [-c, -s, h_y, c, s, zero],
-            [s, -c, -h_x, -s, c, zero],
-            [zero, zero, -one, zero, zero, one],
-        ]).transpose(2, 0, 1)
+        return r, jac.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +128,21 @@ class RangeBearingFactor(_Factor):
     @staticmethod
     def kernel(v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals (m, 2) and Jacobians (m, 2, 5); row i of v is (X, l)."""
-        x, y, t, lx, ly = v.T
-        dx, dy = lx - x, ly - y
+        dx, dy = v[:, 3] - v[:, 0], v[:, 4] - v[:, 1]
         q = dx * dx + dy * dy
         d = np.sqrt(q)
         if (d < 1e-12).any():
             raise ValueError("degenerate range-bearing geometry: zero distance")
-        r = np.stack([d - z[:, 0], wrap_angle(np.arctan2(dy, dx) - t - z[:, 1])], axis=1)
-        zero, one = np.zeros_like(d), np.ones_like(d)
-        return r, np.array([
-            [-dx / d, -dy / d, zero, dx / d, dy / d],
-            [dy / q, -dx / q, -one, -dy / q, dx / q],
-        ]).transpose(2, 0, 1)
+        r = np.empty((len(v), 2))
+        r[:, 0] = d - z[:, 0]
+        r[:, 1] = wrap_angle(np.arctan2(dy, dx) - v[:, 2] - z[:, 1])
+        # rows of H: (-dx/d, -dy/d, 0, dx/d, dy/d), (dy/q, -dx/q, -1, -dy/q, dx/q)
+        jac = np.zeros((2, 5, len(v)))
+        jac[0, 3], jac[0, 4], jac[1, 4] = dx / d, dy / d, dx / q
+        jac[1, 3] = -dy / q
+        np.negative(jac[:, 3:], out=jac[:, :2])
+        jac[1, 2] = -1.0
+        return r, jac.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,8 @@ class _Plan:
 
     offsets[v] is variable v's first column. Factors are grouped by type;
     a group holds its factors' rows of J (in subset order), the columns of
-    their variables, and their stacked whiteners and measurements.
+    their variables, the flat indices of their blocks in J, and their
+    stacked whiteners and measurements.
     """
 
     def __init__(self, graph: NonlinearGraph, subset: Iterable[int], state: Sequence[VarKey]):
@@ -192,27 +207,28 @@ class _Plan:
         groups, self.n_rows = {}, 0
         for j in subset:
             f, Lt = graph.factors[j], graph.whiteners[j]
-            for var in f.vars:
-                if var not in self.offsets:
-                    raise ValueError(f"factor touches {var}, outside the state")
-            cols = [self.offsets[v] + i for v in f.vars for i in range(graph.dims[v])]
-            rows = range(self.n_rows, self.n_rows + len(Lt))
-            groups.setdefault(f.kernel, []).append((rows, cols, Lt, f.measurement))
+            try:
+                cols = [self.offsets[v] + i for v in f.vars for i in range(graph.dims[v])]
+            except KeyError as missing:
+                raise ValueError(f"factor touches {missing.args[0]}, outside the state") from None
+            groups.setdefault(f.kernel, []).append((self.n_rows, cols, Lt, f.measurement))
             self.n_rows += len(Lt)
-        self.groups = [
-            (kernel, *(np.array(part) for part in zip(*items)))
-            for kernel, items in groups.items()
-        ]
+        self.groups = []
+        for kernel, items in groups.items():
+            first_row, cols, whiteners, z = (np.array(part) for part in zip(*items))
+            rows = first_row[:, None] + np.arange(whiteners.shape[1])
+            flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
+            self.groups.append((kernel, rows, cols, flat, whiteners, z))
 
     def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened J and r at the flat state x: one kernel call per type."""
-        J = np.zeros((self.n_rows, self.n_cols))
+        J = np.zeros(self.n_rows * self.n_cols)
         r = np.zeros(self.n_rows)
-        for kernel, rows, cols, whiteners, z in self.groups:
+        for kernel, rows, cols, flat, whiteners, z in self.groups:
             res, jac = kernel(x[cols], z)
             r[rows] = (whiteners @ res[:, :, None])[:, :, 0]
-            J[rows[:, :, None], cols[:, None, :]] = whiteners @ jac
-        return J, r
+            J[flat] = whiteners @ jac
+        return J.reshape(self.n_rows, self.n_cols), r
 
 
 def linearize(
@@ -258,8 +274,7 @@ def solve_gauss_newton(
     x = _stack(values, solve_vars)
 
     def result(converged: bool, n_iters: int, max_update: float) -> GaussNewtonResult:
-        splits = [plan.offsets[v] for v in solve_vars[1:]]
-        values.update(zip(solve_vars, np.split(x, splits)))
+        values.update((v, x[plan.offsets[v] : plan.offsets[v] + graph.dims[v]]) for v in solve_vars)
         return GaussNewtonResult(values, converged, n_iters, max_update)
 
     max_update = np.inf

@@ -7,12 +7,13 @@ import numpy as np
 
 
 def wrap_angle(a):
-    """Wrap an angle to (-pi, pi]; an array is wrapped elementwise."""
-    if not isinstance(a, np.ndarray):
-        a = float(a)
-    w = (a + np.pi) % (2.0 * np.pi) - np.pi
-    if isinstance(w, float):
+    """Wrap an angle to (-pi, pi]; an array is wrapped elementwise into a new array."""
+    if not isinstance(a, np.ndarray) or a.ndim == 0:
+        w = (float(a) + np.pi) % (2.0 * np.pi) - np.pi
         return np.pi if w == -np.pi else w
+    w = a + np.pi
+    w %= 2.0 * np.pi
+    w -= np.pi
     w[w == -np.pi] = np.pi
     return w
 

@@ -36,6 +36,17 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_finite(name: str, value, shape: tuple, what: str) -> None:
+    """Reject anything but finite real numbers (no bools or strings) of the given shape."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters.
@@ -58,6 +69,11 @@ class SimConfig:
     def __post_init__(self):
         _check_count("n_poses", self.n_poses, 2)
         _check_count("seed", self.seed, 0)
+        for name in ("box_half_width", "range_var_coeff", "bearing_var"):
+            _check_finite(name, getattr(self, name), (), "a finite number")
+        _check_finite("step_mean", self.step_mean, (3,), "3 finite numbers")
+        for name in ("sigma_step", "sigma_odom"):
+            _check_finite(name, getattr(self, name), (3, 3), "a 3 x 3 matrix of finite numbers")
         if self.box_half_width <= 0:
             raise ValueError("box_half_width must be positive")
         if self.range_var_coeff < 0 or self.bearing_var < 0:

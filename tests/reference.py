@@ -11,7 +11,8 @@ standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
 The factor bodies, linearization and Gauss-Newton solver compute one factor
 at a time what fgred.nonlinear computes with one batched kernel per factor
-type, and the tests ask for the same bits. The permutation test draws one
+type, and the tests ask for the same bits; near_pi_angles draws the angles
+at the wrap boundary they are asked on. The permutation test draws one
 shuffle at a time and compares standardized rho in floats.
 blas_thread_counts reads each OpenBLAS copy's thread count. None of this is
 on a library path, so it lives here rather than in fgred.
@@ -249,6 +250,15 @@ def wrap_scalar(a: float) -> float:
     if w == -np.pi:
         w = np.pi
     return float(w)
+
+
+def near_pi_angles(rng, m):
+    """Angles in [-pi, pi], half of them within 1e-9 of +-pi and some exactly there."""
+    a = rng.uniform(-np.pi, np.pi, m)
+    edge = rng.random(m) < 0.5
+    a[edge] = rng.choice([-np.pi, np.pi], edge.sum()) + rng.uniform(-1e-9, 1e-9, edge.sum())
+    a[:: m // 8] = rng.choice([-np.pi, np.pi], len(a[:: m // 8]))
+    return a
 
 
 def factor_residual(f, values) -> np.ndarray:

@@ -103,6 +103,13 @@ def test_bad_config_exits_1(tmp_path):
         ({}, ["--seed", "-1"]),
         ({"sim": {"n_poses": 4.0}}, []),
         ({"n_sims": True}, []),
+        # shapes and non-finite numbers; json writes NaN and Infinity and reads them back
+        ({"sim": {"step_mean": [1.0, 0.0]}}, []),
+        ({"sim": {"sigma_odom": [[0.04, 0.0], [0.0, 0.04]]}}, []),
+        ({"sim": {"sigma_step": [[0.04, 0.0, 0.0], [0.0, 0.04, 0.0]]}}, []),
+        ({"sim": {"box_half_width": float("nan")}}, []),
+        ({"sim": {"bearing_var": float("inf")}}, []),
+        ({"sim": {"range_var_coeff": float("nan")}}, []),
     ],
 )
 def test_bad_count_or_seed_exits_1(tmp_path, capsys, config, argv):

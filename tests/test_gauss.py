@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fgred.gauss as gauss
 from fgred.gauss import (
@@ -40,6 +41,11 @@ def brute_det(M):
     return total
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_cholesky_matches_numpy():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -56,6 +62,27 @@ def test_cholesky_rejects_indefinite_and_names_minor():
         cholesky_pd(M, name="test matrix")
     assert "test matrix" in str(exc.value)
     assert exc.value.minor == 2
+    # LAPACK's failure at any order names the first bad leading minor, through
+    # solve_pd as well, and a pivot at or below PIVOT_TOL is named with it
+    rng = np.random.default_rng(11)
+    for n, bad in [(3, 1), (12, 7), (35, 20), (95, 95)]:
+        A = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+        M = A @ A.T
+        M[bad - 1, bad - 1] -= A[bad - 1, bad - 1] ** 2 + 0.5  # pivot bad fails
+        with pytest.raises(
+            NotPositiveDefiniteError,
+            match=f"^m is not positive definite: leading minor of order {bad} is not positive$",
+        ) as exc:
+            solve_pd(M, np.ones(n), name="m")
+        assert (exc.value.minor, exc.value.pivot) == (bad, None)
+    M = np.diag([1.0, 4.0, 1e-22, 9.0])
+    with pytest.raises(
+        NotPositiveDefiniteError,
+        match=r"^m is not positive definite: leading minor of order 3 is not positive "
+        r"\(pivot 1.000e-11\)$",
+    ) as exc:
+        cholesky_pd(M, name="m")
+    assert exc.value.minor == 3 and exc.value.pivot == pytest.approx(1e-11)
 
 
 def test_cholesky_rejects_semidefinite():
@@ -89,6 +116,66 @@ def test_check_symmetric_symmetrizes_and_rejects():
     assert np.array_equal(S, S.T)
     with pytest.raises(ValueError):
         check_symmetric(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    # a new array with the bits of 0.5 * (M + M.T), whichever path gives it
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((6, 6))
+    sym = A @ A.T
+    assert same_bits(sym, sym.T)  # bitwise symmetric, like J.T @ J
+    within = sym.copy()
+    within[0, 1] += 1e-14  # asymmetric within SYM_RTOL
+    zeros = sym.copy()
+    zeros[1, 2] = zeros[2, 1] = zeros[5, 5] = -0.0  # symmetric -0.0 entries
+    mixed = zeros.copy()
+    mixed[3, 4], mixed[4, 3] = -0.0, 0.0  # equal, but not bitwise
+    huge = np.diag([2.0**1023, 1.0])  # doubling overflows
+    for M in (sym, np.asfortranarray(sym), within, zeros, mixed, huge, np.zeros((0, 0))):
+        before = M.copy()
+        with np.errstate(over="ignore"):
+            S = check_symmetric(M)
+            want = 0.5 * (M + M.T)
+        assert same_bits(S, want) and S.flags.c_contiguous == want.flags.c_contiguous
+        assert not np.shares_memory(S, M)
+        assert M.flags.writeable and same_bits(M, before)
+    # a belief freezes its own copy of the information, never the caller's
+    info = sym + 6.0 * np.eye(6)
+    belief = GaussianBelief(mean=np.zeros(6), info=info)
+    assert info.flags.writeable and not belief.info.flags.writeable
+    info[0, 0] = 100.0
+    assert belief.info[0, 0] != 100.0
+    skewed = sym.copy()
+    skewed[0, 1] += 1e-6 * np.abs(sym).max()
+    match = r"^m is not symmetric: max \|M - M.T\| = .* exceeds 1.0e-10 \* "
+    with pytest.raises(ValueError, match=match):
+        check_symmetric(skewed, name="m")
+    with pytest.raises(ValueError, match=r"^m must be square, got shape \(2, 3\)$"):
+        check_symmetric(np.zeros((2, 3)), name="m")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 35, 95])
+def test_lapack_path_matches_scipy_wrappers(n, order):
+    # gauss calls potrf, potrs and trtrs directly, with the arguments the
+    # scipy.linalg wrappers pass them, so every result keeps its bits
+    rng = np.random.default_rng(n)
+    sym = random_spd(rng, n)
+    skew = rng.standard_normal((n, n)) * 1e-12 * np.abs(sym).max()
+    for M in (np.asarray(sym, order=order), np.asarray(sym + np.triu(skew, 1), order=order)):
+        S = 0.5 * (M + M.T)  # what check_symmetric hands the factorization
+        L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
+        assert same_bits(cholesky_pd(M), L)
+        for b in (rng.standard_normal(n), np.asarray(rng.standard_normal((n, 4)), order=order)):
+            assert same_bits(solve_pd(M, b), scipy.linalg.cho_solve((L, True), b, check_finite=False))
+        belief = GaussianBelief(mean=rng.standard_normal(n), info=M)
+        inv = scipy.linalg.cho_solve((L, True), np.eye(n), check_finite=False)
+        assert same_bits(belief.cov(), 0.5 * (inv + inv.T))
+        W = rng.standard_normal((n, n))
+        W = np.asarray(W + W.T, order=order)
+        half = scipy.linalg.solve_triangular(L, W, lower=True, check_finite=False)
+        B = scipy.linalg.solve_triangular(L, half.T, lower=True, check_finite=False)
+        assert same_bits(belief.whiten(W), 0.5 * (B + B.T))
+        eps = np.random.default_rng(1).standard_normal((n, 3))
+        dev = scipy.linalg.solve_triangular(L, eps, lower=True, trans="T", check_finite=False)
+        assert same_bits(belief.sample(np.random.default_rng(1), 3), belief.mean[None, :] + dev.T)
 
 
 def test_schur_complement_against_inverse_subblock():

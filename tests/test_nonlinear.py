@@ -22,6 +22,7 @@ from reference import (
     factor_residual,
     kernel_jacobians,
     linearize_loop,
+    near_pi_angles,
     pose_rotation,
     solve_gauss_newton_loop,
 )
@@ -103,15 +104,6 @@ def test_zero_range_degenerate():
         linearize(g, (0,), values, tuple(values))
 
 
-def near_pi_angles(rng, m):
-    """Angles in [-pi, pi], half of them within 1e-9 of +-pi and some exactly there."""
-    a = rng.uniform(-np.pi, np.pi, m)
-    edge = rng.random(m) < 0.5
-    a[edge] = rng.choice([-np.pi, np.pi], edge.sum()) + rng.uniform(-1e-9, 1e-9, edge.sum())
-    a[:: m // 8] = rng.choice([-np.pi, np.pi], len(a[:: m // 8]))
-    return a
-
-
 def test_kernels_match_reference_bodies():
     # the batched kernels against the scalar bodies, bit for bit, with
     # angles at the wrap boundary and more factors than one SIMD register
@@ -131,11 +123,18 @@ def test_kernels_match_reference_bodies():
     ]
     for group in groups:
         v = np.array([np.concatenate([values[var] for var in f.vars]) for f in group])
-        r, jac = group[0].kernel(v, np.array([f.measurement for f in group]))
+        z = np.array([f.measurement for f in group])
+        r, jac = group[0].kernel(v, z)
         assert np.array_equal(r, [factor_residual(f, values) for f in group])
         assert np.array_equal(jac, [np.hstack(factor_jacobians(f, values)) for f in group])
         for f in group[:20]:
             assert np.array_equal(f.residual(values), factor_residual(f, values))
+        # one factor per call (m = 1), as the single anchor prior is linearized
+        for i, f in enumerate(group[:20]):
+            r, jac = f.kernel(v[i : i + 1], z[i : i + 1])
+            assert r.shape == (1, len(z[i])) and jac.shape == (1, len(z[i]), v.shape[1])
+            assert np.array_equal(r[0], factor_residual(f, values))
+            assert np.array_equal(jac[0], np.hstack(factor_jacobians(f, values)))
 
 
 def assert_same_solve(graph, subset, init, **kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgred.se2 import Pose2, se2_compose, se2_inverse, wrap_angle
-from reference import pose_rotation, pose_translation, se2_relative
+from reference import near_pi_angles, pose_rotation, pose_translation, se2_relative, wrap_scalar
 
 
 def random_pose(rng):
@@ -30,6 +30,31 @@ def test_wrap_angle_boundary():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(0.0) == 0.0
+
+
+def test_wrap_angle_array_matches_float_path():
+    rng = np.random.default_rng(5)
+    odd = np.arange(-41, 42, 2) * np.pi  # odd multiples of pi
+    a = np.concatenate([
+        near_pi_angles(rng, 400),
+        odd,
+        np.nextafter(odd, np.inf),
+        np.nextafter(odd, -np.inf),
+        [-0.0, 0.0, 2 * np.pi, -2 * np.pi, 5e-324, -5e-324],
+        rng.uniform(-50, 50, 200),
+    ])
+    before = a.copy()
+    w = wrap_angle(a)
+    assert a.tobytes() == before.tobytes()  # the input is left unchanged
+    want = np.array([wrap_angle(float(x)) for x in a])
+    assert w.dtype == want.dtype and w.tobytes() == want.tobytes()
+    assert w.tobytes() == np.array([wrap_scalar(x) for x in a]).tobytes()
+    assert ((w > -np.pi) & (w <= np.pi)).all()
+    # a strided view and a 2-D array are wrapped elementwise, and a 0-d
+    # array takes the float path
+    assert wrap_angle(a[::3]).tobytes() == want[::3].tobytes()
+    assert wrap_angle(a[:400].reshape(20, 20)).tobytes() == want[:400].tobytes()
+    assert wrap_angle(np.array(-np.pi)) == np.pi and isinstance(wrap_angle(np.array(1.0)), float)
 
 
 def test_compose_example():

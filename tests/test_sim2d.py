@@ -116,6 +116,33 @@ def test_config_validation():
         SimConfig(range_var_coeff=-1.0)
     with pytest.raises(ValueError):
         SimConfig(sigma_odom=((1.0, 0, 0), (0, -1.0, 0), (0, 0, 1.0)))
+    # wrong shapes and non-finite numbers are rejected with the field's name
+    zero3 = ((0.0,) * 3,) * 3
+    bad = [
+        ("step_mean", (1.0, 0.0)),
+        ("step_mean", (1.0, 0.0, 0.1, 0.0)),
+        ("step_mean", (1.0, 0.0, float("nan"))),
+        ("step_mean", 1.0),
+        ("sigma_step", ((0.04, 0.0), (0.0, 0.04))),
+        ("sigma_step", ((0.04, 0.0, 0.0), (0.0, 0.04))),
+        ("sigma_odom", ((0.04, 0.0), (0.0, 0.04))),
+        ("sigma_odom", (0.04, 0.04, 0.0004)),
+        ("sigma_odom", zero3[:2] + ((0.0, 0.0, float("inf")),)),
+        ("box_half_width", float("nan")),
+        ("box_half_width", float("inf")),
+        ("range_var_coeff", float("nan")),
+        ("range_var_coeff", float("inf")),
+        ("bearing_var", float("inf")),
+        ("bearing_var", float("nan")),
+        ("bearing_var", None),
+        ("bearing_var", "0.25"),
+        ("box_half_width", True),
+        ("step_mean", ("1", "0", "0.1")),
+    ]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SimConfig(**{name: value})
+    SimConfig(sigma_step=zero3, sigma_odom=zero3, step_mean=[1, 0, 0], bearing_var=0)
 
 
 def test_config_round_trip():
