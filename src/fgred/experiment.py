@@ -69,10 +69,10 @@ MIN_VALID_FOR_CORRELATION = 30
 class ExperimentConfig:
     """Batch parameters wrapping a base simulation config.
 
-    The sim config's own seed field is ignored; each simulation gets a seed
-    derived from (root_seed, sim_id). from_dict accepts and ignores the
-    mc_samples key that older saved configs carry: the study's redundancies
-    are exact.
+    Each simulation gets a seed derived from (root_seed, sim_id), so the sim
+    config's own seed must stay 0 (saved configs carry it). from_dict
+    accepts and ignores the mc_samples key that older saved configs carry:
+    the study's redundancies are exact.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_count("n_sims", self.n_sims, 1)
         _check_count("root_seed", self.root_seed, 0)
+        if self.sim.seed != 0:
+            raise ValueError(f"sim.seed must be 0, got {self.sim.seed}: seeds derive from root_seed")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

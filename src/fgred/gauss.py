@@ -1,12 +1,15 @@
 """Dense symmetric-matrix helpers and information-form Gaussian beliefs.
 
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
-funnels its linear algebra through this module so that symmetry and positive
-definiteness are checked in one place. It is the one owner of the LAPACK
-routines it binds once at import (`potrf`, `potrs`, `trtrs`): they are the
-routines the `scipy.linalg` wrappers call, with the same arguments, so the
-results are bit for bit the wrappers', without their per-call validation
-and dispatch, which at the dimensions here costs more than the arithmetic.
+funnels its linear algebra through this module. Every factorization, of one
+matrix or of a stack, passes one symmetry test (`_symmetrized`), which also
+rejects NaN and inf, and one pivot rule (`_good_pivots`): the error names
+the first leading minor that LAPACK stops at or whose pivot is at or below
+PIVOT_TOL. The module is the one owner of the LAPACK routines it binds
+once at import (`potrf`, `potrs`, `trtrs`): they are the routines the
+`scipy.linalg` wrappers call, with the same arguments, so the results are
+bit for bit the wrappers', without their per-call validation and dispatch,
+which at the dimensions here costs more than the arithmetic.
 `_one_blas_thread` limits that linear algebra to one BLAS thread for the
 length of one simulation of the study, and of one public Monte Carlo
 redundancy or quality call.
@@ -58,47 +61,45 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that M is square and symmetric, return the symmetrized copy.
-
-    Symmetry is required within SYM_RTOL relative to the largest entry; the
-    returned array is a new 0.5 * (M + M.T) so later Cholesky calls see an
-    exactly symmetric matrix. A bitwise symmetric M (J.T @ J, sums and Schur
-    complements of symmetric matrices) skips the skew test and is copied,
-    which gives the same bits.
-    """
+    """Check that M is square, finite and symmetric; return a new 0.5 * (M + M.T)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
+    return _symmetrized(M, [name])
+
+
+def _symmetrized(M: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """0.5 * (M + M^T) of each matrix of a stack M (..., n, n), checked.
+
+    A bitwise symmetric stack (J.T @ J, sums and Schur complements of
+    symmetric matrices) with every |entry| below _EXACT_DOUBLING is copied,
+    which gives the same bits. Any other stack, such as one holding NaN or
+    inf, must be finite, and each matrix symmetric within SYM_RTOL relative
+    to max(1, its largest |entry|); the error names the first failing matrix
+    by names, in C order.
+    """
     bits = M.view(np.int64)
-    if (bits == bits.T).all() and np.abs(M).max(initial=0.0) < _EXACT_DOUBLING:
+    if (bits == bits.swapaxes(-1, -2)).all() and np.abs(M).max(initial=0.0) < _EXACT_DOUBLING:
         return M.copy()
-    skew, scale = _skew_and_scale(M) if M.size else (0.0, 1.0)
-    if skew > SYM_RTOL * scale:
+    Mt = M.swapaxes(-1, -2)
+    finite = np.isfinite(M).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        raise ValueError(f"{names[int(np.argmin(finite))]} is not finite")
+    skew = np.abs(M - Mt).max(axis=(-2, -1)).reshape(-1)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1))).reshape(-1)
+    asymmetric = skew > SYM_RTOL * scale
+    if asymmetric.any():
+        i = int(np.argmax(asymmetric))
         raise ValueError(
-            f"{name} is not symmetric: max |M - M.T| = {skew:.3e} "
-            f"exceeds {SYM_RTOL:.1e} * {scale:.3e}"
+            f"{names[i]} is not symmetric: max |M - M.T| = {skew[i]:.3e} "
+            f"exceeds {SYM_RTOL:.1e} * {scale[i]:.3e}"
         )
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + Mt)
 
 
-def _skew_and_scale(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max |M - M.T| and max(1, max |M|) of each matrix of a (..., n, n) stack."""
-    return (
-        np.abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1)),
-        np.maximum(1.0, np.abs(M).max(axis=(-2, -1))),
-    )
-
-
-def _first_bad_minor(M: np.ndarray) -> int:
-    """Order of the first leading principal minor that is not positive."""
-    for k in range(1, M.shape[0] + 1):
-        try:
-            L = np.linalg.cholesky(M[:k, :k])
-        except np.linalg.LinAlgError:
-            return k
-        if np.diagonal(L).min() <= PIVOT_TOL:
-            return k
-    return M.shape[0]
+def _good_pivots(L: np.ndarray) -> np.ndarray:
+    """Whether each pivot of a lower factor, or of a stack of them, exceeds PIVOT_TOL."""
+    return L.diagonal(0, -2, -1) > PIVOT_TOL
 
 
 def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -111,53 +112,44 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """cholesky_pd of a matrix that check_symmetric has already returned."""
+    """cholesky_pd of a matrix that `_symmetrized` has returned.
+
+    The minor named is potrf's `info`, or an earlier one whose pivot fails
+    `_good_pivots`; the pivot is given only when potrf ran to the end.
+    """
     L, info = _potrf(M, lower=1)
-    if info:
-        raise NotPositiveDefiniteError(name, _first_bad_minor(M))
-    piv = float(np.diagonal(L).min())
-    if piv <= PIVOT_TOL:
-        k = int(np.argmin(np.diagonal(L))) + 1
-        raise NotPositiveDefiniteError(name, k, pivot=piv)
+    good = _good_pivots(L)
+    if info or not good.all():
+        bad = np.flatnonzero(~good[: info - 1 if info else None])
+        k = int(bad[0]) + 1 if bad.size else info
+        raise NotPositiveDefiniteError(name, k, None if info else float(L[k - 1, k - 1]))
     return L
 
 
 def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.ndarray]:
     """`cholesky_pd` of each matrix, one stacked factorization per shape.
 
-    A stack gets `cholesky_pd`'s symmetry check, symmetrization and pivot
-    check; its factors equal `cholesky_pd`'s to rounding, and bit for bit
-    for the 2 x 2 and 3 x 3 precisions of the SLAM factors. If any matrix
-    of a stack fails, the stack is factored one matrix at a time by
-    `cholesky_pd`, so the error names the matrix.
+    A stack gets `cholesky_pd`'s symmetry test and pivot rule; its factors
+    equal `cholesky_pd`'s to rounding, and bit for bit for the 2 x 2 and
+    3 x 3 precisions of the SLAM factors. If the stack fails to factor, it
+    is factored one matrix at a time, so the error names the matrix.
     """
     by_shape = {}
     for i, M in enumerate(Ms):
         by_shape.setdefault(np.shape(M), []).append(i)
-    out = [None] * len(Ms)
-    for idx in by_shape.values():
-        Ls = _stacked_cholesky(np.array([Ms[i] for i in idx], dtype=float))
-        if Ls is None:
-            Ls = [cholesky_pd(Ms[i], name=names[i]) for i in idx]
-        for i, L in zip(idx, Ls):
-            out[i] = L
-    return out
-
-
-def _stacked_cholesky(G: np.ndarray) -> np.ndarray | None:
-    """Lower factors of stacked matrices G (k, n, n), or None if one fails."""
-    if G.ndim != 3 or G.shape[1] != G.shape[2] or G.shape[1] == 0:
-        return None
-    skew, scale = _skew_and_scale(G)
-    if not (skew <= SYM_RTOL * scale).all():
-        return None
-    try:
-        L = np.linalg.cholesky(0.5 * (G + G.transpose(0, 2, 1)))
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.diagonal(L, axis1=1, axis2=2) > PIVOT_TOL).all():
-        return None
-    return L
+    out = {}
+    for shape, idx in by_shape.items():
+        if len(shape) != 2 or shape[0] != shape[1]:
+            check_symmetric(Ms[idx[0]], name=names[idx[0]])  # raises: not square
+        G = _symmetrized(np.array([Ms[i] for i in idx], dtype=float), [names[i] for i in idx])
+        try:
+            Ls = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            Ls = None
+        if Ls is None or not _good_pivots(Ls).all():
+            Ls = [_cholesky_symmetric(M, names[i]) for i, M in zip(idx, G)]
+        out.update(zip(idx, Ls))
+    return [out[i] for i in range(len(Ms))]
 
 
 @functools.cache
@@ -268,6 +260,8 @@ class GaussianBelief:
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim != 1:
             raise ValueError(f"mean must be 1-D, got shape {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean is not finite")
         info = check_symmetric(self.info, name="info")
         if info.shape[0] != mean.shape[0]:
             raise ValueError(

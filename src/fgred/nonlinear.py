@@ -28,7 +28,7 @@ import numpy as np
 
 from .gauss import GaussianBelief, NotPositiveDefiniteError, cholesky_pd_many, schur_complement, solve_pd
 from .se2 import Pose2, se2_compose, wrap_angle
-from .sim2d import N_LANDMARKS, SimConfig, SimWorld
+from .sim2d import N_LANDMARKS, SimWorld
 
 VarKey = tuple[str, int]
 
@@ -38,6 +38,9 @@ VAR_FLOOR = 1e-12
 
 # Weak anchor prior keeping the gauge fixed without dominating the estimate.
 ANCHOR_SIGMA = 0.3
+
+# Gauss-Newton has converged once no state component moves by this much.
+GN_STEP_TOL = 1e-8
 
 Values = Mapping[VarKey, np.ndarray]
 
@@ -253,7 +256,6 @@ def solve_gauss_newton(
     subset: Iterable[int],
     init: Values,
     max_iters: int = 50,
-    tol: float = 1e-8,
 ) -> GaussNewtonResult:
     """Gauss-Newton over the variables touched by `subset`.
 
@@ -287,7 +289,7 @@ def solve_gauss_newton(
         x += delta
         x[theta] = wrap_angle(x[theta])
         max_update = float(np.abs(delta).max()) if delta.size else 0.0
-        if max_update < tol:
+        if max_update < GN_STEP_TOL:
             return result(True, it, max_update)
     return result(False, max_iters, max_update)
 
@@ -330,7 +332,7 @@ def _floored_precision(cov: np.ndarray) -> np.ndarray:
     return V @ np.diag(1.0 / w) @ V.T
 
 
-def build_nonlinear_graph(world: SimWorld, config: SimConfig | None = None) -> NonlinearGraph:
+def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
     """SLAM graph for a simulated world.
 
     Base factors: a weak anchor prior on X_0 (measurement = true initial
@@ -339,7 +341,7 @@ def build_nonlinear_graph(world: SimWorld, config: SimConfig | None = None) -> N
     grouped into one source per landmark. Range precisions use the measured
     range (the quantity the robot has), floored away from zero.
     """
-    config = config or world.config
+    config = world.config
     n = config.n_poses
     variables = tuple(("x", i) for i in range(n + 1)) + tuple(
         ("l", s) for s in range(N_LANDMARKS)

@@ -14,13 +14,13 @@ _WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 42, 58
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1/2/5 step."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] with a 1/2/5 step, about five."""
     if not np.isfinite(lo) or not np.isfinite(hi):
         return []
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag

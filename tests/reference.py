@@ -1,9 +1,11 @@
 """Reference formulas that only the tests use.
 
-The conditional posterior moments are the closed forms the metric
-derivations start from; the tests check them against Monte Carlo draws of
-measurements. posterior_belief and sample_measurements give a supplemented
-graph's exact posterior and a measurement draw. The 1-D quadrature
+first_bad_minor refactors every leading minor, the oracle for the minor
+that gauss names from one LAPACK factorization. The conditional posterior
+moments are the closed forms the metric derivations start from; the tests
+check them against Monte Carlo draws of measurements. posterior_belief
+and sample_measurements give a supplemented graph's exact posterior and a
+measurement draw. The 1-D quadrature
 redundancy is the oracle for the Monte Carlo and exact two-source
 redundancies, and the x-space Monte Carlo, which draws states with
 GaussianBelief.sample, is the reference for the library's draws of
@@ -27,6 +29,7 @@ from scipy import integrate
 from fgred.alignment import aligned_sq_errors
 from fgred.factor_graph import SupplementedGraph
 from fgred.gauss import (
+    PIVOT_TOL,
     GaussianBelief,
     NotPositiveDefiniteError,
     check_symmetric,
@@ -48,6 +51,23 @@ def invert_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     L = cholesky_pd(M, name=name)
     inv = scipy.linalg.cho_solve((L, True), np.eye(M.shape[0]), check_finite=False)
     return 0.5 * (inv + inv.T)
+
+
+def first_bad_minor(M: np.ndarray) -> int:
+    """Order of the first leading principal minor that is not positive.
+
+    Factors every leading minor on its own with numpy's LAPACK; a minor
+    fails when the factorization does or a pivot is at or below PIVOT_TOL.
+    For a matrix whose minors all pass it returns the order of M.
+    """
+    for k in range(1, M.shape[0] + 1):
+        try:
+            L = np.linalg.cholesky(M[:k, :k])
+        except np.linalg.LinAlgError:
+            return k
+        if np.diagonal(L).min() <= PIVOT_TOL:
+            return k
+    return M.shape[0]
 
 
 def conditional_mean_posterior(

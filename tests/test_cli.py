@@ -110,6 +110,8 @@ def test_bad_config_exits_1(tmp_path):
         ({"sim": {"box_half_width": float("nan")}}, []),
         ({"sim": {"bearing_var": float("inf")}}, []),
         ({"sim": {"range_var_coeff": float("nan")}}, []),
+        # per-simulation seeds derive from root_seed; a sim seed would go unused
+        ({"sim": {"seed": 7}}, []),
     ],
 )
 def test_bad_count_or_seed_exits_1(tmp_path, capsys, config, argv):

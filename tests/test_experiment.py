@@ -340,3 +340,9 @@ def test_experiment_config_round_trip():
     for bad in ({"n_sims": 0}, {"n_sims": True}, {"n_sims": 2.0}, {"root_seed": 1.5}, {"root_seed": -1}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    # saved configs carry the sim seed 0; any other would be silently unused
+    assert cfg.to_dict()["sim"]["seed"] == 0
+    with pytest.raises(ValueError, match=r"^sim.seed must be 0, got 7: seeds derive from root_seed$"):
+        ExperimentConfig.from_dict({**cfg.to_dict(), "sim": {**cfg.sim.to_dict(), "seed": 7}})
+    with pytest.raises(ValueError, match="sim.seed must be 0"):
+        ExperimentConfig(sim=SimConfig(seed=1))

@@ -16,10 +16,12 @@ from fgred.gauss import (
     schur_complement,
     solve_pd,
 )
+from fgred.metrics import QualityKind, quality_info
 from reference import (
     blas_thread_counts,
     conditional_mean_posterior,
     expected_recentred_quadratic,
+    first_bad_minor,
     invert_pd,
 )
 
@@ -83,6 +85,66 @@ def test_cholesky_rejects_indefinite_and_names_minor():
     ) as exc:
         cholesky_pd(M, name="m")
     assert exc.value.minor == 3 and exc.value.pivot == pytest.approx(1e-11)
+
+
+def test_failing_minor_matches_oracle():
+    # the minor named from one factorization is the one that refactoring
+    # every leading minor finds, whether potrf stops there (a negative
+    # pivot) or runs on past a pivot at or below PIVOT_TOL
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n = int(rng.integers(2, 96))
+        A = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+        M = A @ A.T
+        negative, tiny = (int(k) for k in rng.integers(1, n + 1, size=2))
+        if trial % 3 != 0:  # pivot `tiny` is 1e-11: its row and column are cut off
+            M[tiny - 1, :] = M[:, tiny - 1] = 0.0
+            M[tiny - 1, tiny - 1] = 1e-22
+        if trial % 3 != 1:  # the squared pivot `negative` is at most -0.5
+            M[negative - 1, negative - 1] = -0.5
+        want = first_bad_minor(M)
+        assert want == min(negative if trial % 3 != 1 else n, tiny if trial % 3 != 0 else n)
+        for factor in (lambda: cholesky_pd(M, name="m"), lambda: solve_pd(M, np.ones(n), name="m")):
+            with pytest.raises(NotPositiveDefiniteError, match=f"leading minor of order {want} ") as exc:
+                factor()
+            assert exc.value.minor == want
+            assert exc.value.pivot == (pytest.approx(1e-11) if trial % 3 == 1 else None)
+    # potrf stops at minor 3; the 1e-11 pivot before it names minor 2, and
+    # as before no pivot is given when the factorization stopped
+    M = np.diag([1.0, 1e-22, -1.0, 2.0])
+    assert first_bad_minor(M) == 2
+    with pytest.raises(
+        NotPositiveDefiniteError,
+        match=r"^m is not positive definite: leading minor of order 2 is not positive$",
+    ) as exc:
+        cholesky_pd(M, name="m")
+    assert (exc.value.minor, exc.value.pivot) == (2, None)
+
+
+def test_non_finite_input_rejected():
+    nan, inf = np.nan, np.inf
+    for M in ([[1.0, nan], [0.0, 1.0]], [[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]],
+              [[1.0, -inf], [-inf, 1.0]], [[nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^m is not finite$"):
+            check_symmetric(M, name="m")
+        with pytest.raises(ValueError, match="^m is not finite$"):
+            cholesky_pd(M, name="m")
+        with pytest.raises(ValueError, match="^m is not finite$"):
+            solve_pd(M, np.ones(2), name="m")
+        with pytest.raises(ValueError, match="^info is not finite$"):
+            GaussianBelief(mean=np.zeros(2), info=M)
+        with pytest.raises(ValueError, match="^information matrix is not finite$"):
+            schur_complement(M, np.array([0]))
+        prior = GaussianBelief(mean=np.zeros(2), info=np.eye(2))
+        for kind in QualityKind:
+            with pytest.raises(ValueError, match="^delta is not finite$"):
+                quality_info(prior, np.asarray(M), kind)
+    for mean in ([nan, 0.0], [0.0, -inf]):
+        with pytest.raises(ValueError, match="^mean is not finite$"):
+            GaussianBelief(mean=mean, info=np.eye(2))
+    # finite entries that overflow M - M.T are asymmetric, not non-finite
+    with pytest.raises(ValueError, match="^m is not symmetric"), np.errstate(over="ignore"):
+        check_symmetric([[1.0, 1e308], [-1e308, 1.0]], name="m")
 
 
 def test_cholesky_rejects_semidefinite():
@@ -303,6 +365,16 @@ def test_cholesky_pd_many_matches_cholesky_pd():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="m2 is not symmetric"):
         cholesky_pd_many([np.eye(2), 2 * np.eye(2), skew], names[:3])
+    # non-finite entries are named by matrix, symmetric or not, in any stack
+    for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                [[1.0, 0.0], [np.nan, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]):
+        for at in range(3):
+            stack = [np.eye(2), 2 * np.eye(2), np.eye(3)]
+            stack.insert(at, np.array(bad))
+            with pytest.raises(ValueError, match=f"^m{at} is not finite$"):
+                cholesky_pd_many(stack, names[:4])
+    with pytest.raises(ValueError, match=r"^m1 must be square, got shape \(2, 3\)$"):
+        cholesky_pd_many([np.eye(2), np.ones((2, 3))], names[:2])
 
 
 def test_one_blas_thread_restores_counts(openblas_at_two_threads):

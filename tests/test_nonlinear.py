@@ -436,15 +436,17 @@ def test_whiteners_equal_per_factor_cholesky():
     assert len({id(g.whiteners[j]) for j in range(1, 31)}) == 1
 
     rb = sorted(g.sources[1])[4]
-    for err, gamma in [
-        (NotPositiveDefiniteError, np.diag([1.0, -1.0])),
-        (NotPositiveDefiniteError, np.diag([1e-22, 1.0])),  # pivot 1e-11
-        (ValueError, np.array([[1.0, 0.5], [0.0, 1.0]])),
+    for err, gamma, why in [
+        (NotPositiveDefiniteError, np.diag([1.0, -1.0]), "positive definite"),
+        (NotPositiveDefiniteError, np.diag([1e-22, 1.0]), "positive definite"),  # pivot 1e-11
+        (ValueError, np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+        (ValueError, np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite$"),
+        (ValueError, np.diag([np.inf, 1.0]), "finite$"),
     ]:
         factors = list(g.factors)
         f = factors[rb]
         factors[rb] = RangeBearingFactor(f.pose_var, f.landmark_var, f.measurement, gamma)
-        with pytest.raises(err, match=f"gamma of factor {rb} is not"):
+        with pytest.raises(err, match=f"^gamma of factor {rb} is not {why}"):
             NonlinearGraph(
                 variables=g.variables, dims=g.dims, factors=tuple(factors),
                 base=g.base, sources=g.sources,
