@@ -42,7 +42,13 @@ from fgred.metrics import (
     wass_coefficients_info,
     wb_coefficients_info,
 )
-from fgred.nonlinear import GaussNewtonResult, OdometryFactor, PriorFactor, RangeBearingFactor
+from fgred.nonlinear import (
+    GN_STEP_TOL,
+    GaussNewtonResult,
+    OdometryFactor,
+    PriorFactor,
+    RangeBearingFactor,
+)
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
 
@@ -351,7 +357,7 @@ def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray
     return np.vstack(J_rows), np.concatenate(r_rows)
 
 
-def solve_gauss_newton_loop(graph, subset, init, max_iters=50, tol=1e-8) -> GaussNewtonResult:
+def solve_gauss_newton_loop(graph, subset, init, max_iters=50) -> GaussNewtonResult:
     """fgred.nonlinear.solve_gauss_newton over a dict of per-variable values."""
     subset = tuple(sorted({int(j) for j in subset}))
     solve_vars = graph.touched_vars(subset)
@@ -372,7 +378,7 @@ def solve_gauss_newton_loop(graph, subset, init, max_iters=50, tol=1e-8) -> Gaus
                 values[var][2] = wrap_scalar(values[var][2])
             start += d
         max_update = float(np.abs(delta).max()) if delta.size else 0.0
-        if max_update < tol:
+        if max_update < GN_STEP_TOL:
             return GaussNewtonResult(values, True, it, max_update)
     return GaussNewtonResult(values, False, max_iters, max_update)
 
