@@ -123,6 +123,7 @@ def test_failing_minor_matches_oracle():
 
 def test_non_finite_input_rejected():
     nan, inf = np.nan, np.inf
+    prior = GaussianBelief(mean=np.zeros(2), info=np.eye(2))
     for M in ([[1.0, nan], [0.0, 1.0]], [[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]],
               [[1.0, -inf], [-inf, 1.0]], [[nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError, match="^m is not finite$"):
@@ -135,7 +136,6 @@ def test_non_finite_input_rejected():
             GaussianBelief(mean=np.zeros(2), info=M)
         with pytest.raises(ValueError, match="^information matrix is not finite$"):
             schur_complement(M, np.array([0]))
-        prior = GaussianBelief(mean=np.zeros(2), info=np.eye(2))
         for kind in QualityKind:
             with pytest.raises(ValueError, match="^delta is not finite$"):
                 quality_info(prior, np.asarray(M), kind)
