@@ -2,9 +2,12 @@
 
 Subcommands:
   analyze    run the full study: solve, measure redundancy, correlate, plot
-             (--config, --seed, --out, --jobs)
+             (--config, --seed, --out, --jobs, --log-level)
   report     rebuild summary.json and figures from an existing records.csv
-             (--out)
+             (--out, --log-level)
+
+Log lines go to stderr. At the default level, WARNING, each failed
+simulation is logged with its reason; DEBUG adds the library's debug lines.
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 3 more than 20% of simulations failed.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +31,7 @@ from .experiment import (
 )
 
 FAILED_FRACTION_LIMIT = 0.2
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,12 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
     for p in (analyze, report):
         p.add_argument("--out", type=str, default="out", help="output directory")
+        p.add_argument(
+            "--log-level", default="WARNING", choices=LOG_LEVELS, help="least severe level logged"
+        )
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("fgred").setLevel(args.log_level)
     try:
         return args.func(args)
     except _IOFail as exc:

@@ -7,13 +7,25 @@ the pose-marginal information forms, exactly for the two landmark sources
 (metrics.redundancy_pair_info). Worst-case trajectory error and
 trajectory-to-landmark distances are recorded alongside.
 
+Simulations run in fixed blocks of consecutive sim ids (`run_block`),
+sized by `worlds_per_block` so the block's stacked J and J^T J stay within
+_BLOCK_BYTES. The worlds of a block share one set of index plans
+(nonlinear.slam_plans): their base problems are solved as one Gauss-Newton
+block, then their source problems as another (`solve_worlds`), so each
+iteration makes one kernel call per factor type for the whole block. If a
+block's solves raise, its worlds are solved one at a time, so only the
+world at fault fails. `run_single` and `solve_world` are the one-world
+cases of the same code.
+
 Per-simulation seeds are derived from the root seed and the simulation id
-only, so results are independent of worker count and scheduling.
+only, and a world's numbers are the same bits in any block, so results are
+independent of block size, worker count and scheduling.
 """
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -27,14 +39,18 @@ from .alignment import wc_ate
 from .gauss import GaussianBelief, _one_blas_thread
 from .metrics import QualityKind, _coefficients, _pair_redundancy
 from .nonlinear import (
+    GaussNewtonProblem,
     build_nonlinear_graph,
     dead_reckoning_init,
     pose_information_system,
-    solve_gauss_newton,
+    slam_plans,
+    solve_gauss_newton_block,
     triangulate_landmark,
 )
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
+
+logger = logging.getLogger(__name__)
 
 # SimRecord fields written to records.csv, in column order: (name, cell type,
 # per landmark). A per-landmark field holds one value per landmark and
@@ -62,6 +78,9 @@ RECORD_COLUMNS = [
 _PERMUTATION_SEED = 715517
 # Shuffles drawn at once: a block of 1,000 rows is 4 MB at 500 records.
 _PERMUTATION_BLOCK = 1000
+# Bytes of stacked dense J and J^T J that one block of worlds may hold: 15
+# default worlds (67 kB each) or 2 thirty-pose worlds (515 kB each).
+_BLOCK_BYTES = 1 << 20
 MIN_VALID_FOR_CORRELATION = 30
 
 
@@ -157,35 +176,83 @@ class SlamSolution:
     deltas: dict
 
 
+def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
+    """Solve base + per-source SLAM of worlds of one SimConfig, in lockstep.
+
+    The worlds' graphs share one set of plans (nonlinear.slam_plans): all
+    base problems are one Gauss-Newton block, then all source problems
+    another. Each world's solution is the one it gets alone, bit for bit.
+    An exception in any world's solves is raised for the whole block.
+    """
+    if len({w.config.n_poses for w in worlds}) > 1:
+        raise ValueError("a block of worlds must share n_poses")
+    graphs = [build_nonlinear_graph(w) for w in worlds]
+    plans = slam_plans(graphs[0])
+    poses = plans.base.state
+    bases = solve_gauss_newton_block(plans.base, [
+        GaussNewtonProblem(g, sorted(g.base), poses, dead_reckoning_init(w))
+        for g, w in zip(graphs, worlds)
+    ])
+    problems = [
+        GaussNewtonProblem(
+            g, sorted(g.base | g.sources[s]), poses + (("l", s),),
+            {**b.values, ("l", s): triangulate_landmark(w, s, b.values)},
+        )
+        for w, g, b in zip(worlds, graphs, bases)
+        for s in range(N_LANDMARKS)
+    ]
+    sources = solve_gauss_newton_block(plans.source, problems)
+    solutions = []
+    for i, (g, b) in enumerate(zip(graphs, bases)):
+        results = dict(enumerate(sources[i * N_LANDMARKS : (i + 1) * N_LANDMARKS]))
+        landmarks = {s: res.values[("l", s)] for s, res in results.items()}
+        prior, deltas = pose_information_system(g, b.values, landmarks, plans)
+        solutions.append(SlamSolution(b, results, prior, deltas))
+    return solutions
+
+
 def solve_world(world: SimWorld) -> SlamSolution:
     """Solve base + per-source SLAM and build pose-marginal info forms."""
-    graph = build_nonlinear_graph(world)
-    base_res = solve_gauss_newton(graph, sorted(graph.base), dead_reckoning_init(world))
-    source_results = {}
-    for s in range(N_LANDMARKS):
-        init_s = {**base_res.values, ("l", s): triangulate_landmark(world, s, base_res.values)}
-        source_results[s] = solve_gauss_newton(graph, sorted(graph.base | graph.sources[s]), init_s)
-    landmarks = {s: res.values[("l", s)] for s, res in source_results.items()}
-    prior, deltas = pose_information_system(graph, base_res.values, landmarks)
-    return SlamSolution(base_res, source_results, prior, deltas)
+    return solve_worlds([world])[0]
 
 
 def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
-    """One full simulation -> record. Exceptions become a failed record.
+    """One full simulation -> record: the one-world block of `run_block`."""
+    return run_block(config, [sim_id])[0]
 
-    The simulation's linear algebra runs on one BLAS thread: its matrices
-    are too small to gain from more, and `run_experiment`'s workers are the
-    way to use more cores.
+
+def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
+    """Records of a block of simulations, solved together. Exceptions become failed records.
+
+    The block's linear algebra runs on one BLAS thread: its matrices are
+    too small to gain from more, and `run_experiment`'s workers are the way
+    to use more cores.
     """
     with _one_blas_thread:
-        return _simulate_record(config, sim_id)
+        return _block_records(config, sim_ids)
 
 
-def _simulate_record(config: ExperimentConfig, sim_id: int) -> SimRecord:
-    """The body of `run_single`, on the caller's BLAS threads."""
+def _block_records(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
+    """The body of `run_block`, on the caller's BLAS threads.
+
+    If the block's solves raise, each world is run again as a block of one,
+    so only the world at fault fails, with its own reason.
+    """
     try:
-        world = simulate_batch_world(config, sim_id)
-        sol = solve_world(world)
+        worlds = [simulate_batch_world(config, i) for i in sim_ids]
+        solutions = solve_worlds(worlds)
+    except Exception as exc:  # per-sim failures must never abort the batch
+        if len(sim_ids) == 1:
+            return [_failed_record(sim_ids[0], exc)]
+        logger.debug("sims %d-%d: block solve failed (%s), solving one world at a time",
+                     sim_ids[0], sim_ids[-1], exc)
+        return [rec for i in sim_ids for rec in _block_records(config, [i])]
+    return [_record(i, w, sol) for i, w, sol in zip(sim_ids, worlds, solutions)]
+
+
+def _record(sim_id: int, world: SimWorld, sol: SlamSolution) -> SimRecord:
+    """A solved world's record. Exceptions become a failed record."""
+    try:
         # Each kind's per-source SpecificQuality gives the pair redundancy and the qualities.
         redundancy, qualities = {}, {}
         for kind in QualityKind:
@@ -220,30 +287,53 @@ def _simulate_record(config: ExperimentConfig, sim_id: int) -> SimRecord:
             ),
         )
     except Exception as exc:  # per-sim failures must never abort the batch
-        return SimRecord(
-            sim_id=sim_id,
-            failed=True,
-            fail_reason=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_record(sim_id, exc)
 
 
-def _run_single_packed(args) -> SimRecord:
-    config, sim_id = args
-    return run_single(config, sim_id)
+def _failed_record(sim_id: int, exc: Exception) -> SimRecord:
+    return SimRecord(sim_id=sim_id, failed=True, fail_reason=f"{type(exc).__name__}: {exc}")
+
+
+def _world_bytes(sim: SimConfig) -> int:
+    """Bytes of one world's dense J and J^T J: its base and source solves."""
+    n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
+    n_s = n_x + 2  # a source solve's columns: the poses and one landmark
+    return 8 * (2 * n_x * n_x + N_LANDMARKS * (n_s + 2 * sim.n_poses + n_s) * n_s)
+
+
+def worlds_per_block(sim: SimConfig) -> int:
+    """Worlds solved together: as many as fit their stacked J and J^T J in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // _world_bytes(sim))
+
+
+def _run_block_packed(args) -> list[SimRecord]:
+    config, sim_ids = args
+    return run_block(config, sim_ids)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
-    """Run the whole batch; output is identical for any worker count."""
+    """Run the whole batch; output is identical for any worker count.
+
+    Sims run in fixed blocks of `worlds_per_block` consecutive ids, the
+    same blocks for every worker count; each failed sim is logged at
+    WARNING with its reason.
+    """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    size = worlds_per_block(config.sim)
+    blocks = [list(range(i, min(i + size, config.n_sims))) for i in range(0, config.n_sims, size)]
     if jobs == 1:
-        records = [run_single(config, i) for i in range(config.n_sims)]
+        records = [rec for ids in blocks for rec in run_block(config, ids)]
     else:
-        tasks = [(config, i) for i in range(config.n_sims)]
-        chunk = max(1, config.n_sims // (4 * jobs))
+        tasks = [(config, ids) for ids in blocks]
+        chunk = max(1, len(blocks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_single_packed, tasks, chunksize=chunk))
+            blocks_done = pool.map(_run_block_packed, tasks, chunksize=chunk)
+            records = [rec for recs in blocks_done for rec in recs]
     records.sort(key=lambda r: r.sim_id)
+    for rec in records:
+        if rec.failed:
+            logger.warning("sim %d failed: %s", rec.sim_id, rec.fail_reason)
     return records
 
 

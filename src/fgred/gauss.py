@@ -5,14 +5,17 @@ funnels its linear algebra through this module. Every factorization, of one
 matrix or of a stack, passes one symmetry test (`_symmetrized`), which also
 rejects NaN and inf, and one pivot rule (`_good_pivots`): the error names
 the first leading minor that LAPACK stops at or whose pivot is at or below
-PIVOT_TOL. The module is the one owner of the LAPACK routines it binds
-once at import (`potrf`, `potrs`, `trtrs`): they are the routines the
-`scipy.linalg` wrappers call, with the same arguments, so the results are
-bit for bit the wrappers', without their per-call validation and dispatch,
-which at the dimensions here costs more than the arithmetic.
-`_one_blas_thread` limits that linear algebra to one BLAS thread for the
-length of one simulation of the study, and of one public Monte Carlo
-redundancy or quality call.
+PIVOT_TOL. `solve_pd_stack` solves a stack of PD systems with one
+symmetry test for the stack and `solve_pd`'s factorization per member, and
+reports, instead of raising, a member that fails the pivot rule. The
+module is the one owner of the LAPACK routines it binds once at import
+(`potrf`, `potrs`, `trtrs`): they are the routines the `scipy.linalg`
+wrappers call, with the same arguments, so the results are bit for bit the
+wrappers', without their per-call validation and dispatch, which at the
+dimensions here costs more than the arithmetic. `_one_blas_thread` limits
+that linear algebra to one BLAS thread for the length of one block of the
+study's simulations, and of one public Monte Carlo redundancy or quality
+call.
 """
 from __future__ import annotations
 
@@ -79,7 +82,9 @@ def _symmetrized(M: np.ndarray, names: Sequence[str]) -> np.ndarray:
     by names, in C order.
     """
     bits = M.view(np.int64)
-    if (bits == bits.swapaxes(-1, -2)).all() and np.abs(M).max(initial=0.0) < _EXACT_DOUBLING:
+    # min and max, not max |M|, so a large stack makes no temporary copy
+    bounded = -_EXACT_DOUBLING < M.min(initial=0.0) and M.max(initial=0.0) < _EXACT_DOUBLING
+    if bounded and (bits == bits.swapaxes(-1, -2)).all():
         return M.copy()
     Mt = M.swapaxes(-1, -2)
     finite = np.isfinite(M).all(axis=(-2, -1)).reshape(-1)
@@ -226,6 +231,33 @@ def solve_pd(M: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve M x = b for symmetric PD M."""
     L = cholesky_pd(M, name=name)
     return _potrs(L, b, lower=1)[0]
+
+
+def solve_pd_stack(
+    M: np.ndarray, b: np.ndarray, name: str = "matrix"
+) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError]]:
+    """`solve_pd` of each member of a stack: M_i x_i = b_i for M (p, n, n), b (p, n).
+
+    One symmetry test covers the stack and raises, naming member i as
+    "<name> i", where `solve_pd` would; then each member is factored and
+    solved on its own, so each x_i has `solve_pd`'s bits. A member that
+    fails the pivot rule does not stop the others: it is returned in the
+    dict of failures, keyed by its index, and its row of x is NaN.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise ValueError(f"{name} must be a stack of square matrices, got shape {M.shape}")
+    names = [f"{name} {i}" for i in range(len(M))]
+    x = np.full(np.shape(b), np.nan)
+    failed = {}
+    for i, Mi in enumerate(_symmetrized(M, names)):
+        try:
+            L = _cholesky_symmetric(Mi, names[i])
+        except NotPositiveDefiniteError as exc:
+            failed[i] = exc
+            continue
+        x[i] = _potrs(L, b[i], lower=1)[0]
+    return x, failed
 
 
 def schur_complement(M: np.ndarray, keep: np.ndarray) -> np.ndarray:

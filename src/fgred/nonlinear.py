@@ -10,23 +10,30 @@ are one contiguous row, and return its m x k x d view. A factor's
 precision Gamma = L L^T is checked and factored once, when the
 NonlinearGraph is built; L^T is the factor's whitener.
 
-`linearize` is the one linearization path: the whitened Jacobian J (rows
-L^T H) and residual L^T r of a factor subset, one kernel call per factor
-type through an index plan built once per subset and state, which writes
-each type's whitened blocks into J through precomputed flat indices.
-Gauss-Newton keeps the state as one flat vector, solves J^T J dx = -J^T r
-and retracts additively (pose angles re-wrapped). The information forms,
-the base prior and each source increment, are J^T J = sum_j H_j^T Gamma_j
-H_j of the same J.
+Linearization has one path, an index plan (`_Plan`) over a factor subset
+and a state ordering. Problems with one factor layout share a plan: every
+base problem of a config, and every source problem (`slam_plans`). Each
+problem adds only its stacked whiteners, measurements and state, so a
+block of p problems is linearized with one kernel call per factor type,
+and each type's whitened blocks are written into the p stacked J through
+the plan's flat indices. `solve_gauss_newton_block` runs Gauss-Newton on
+such a block in lockstep: per iteration one batched J^T J and J^T r and
+one `gauss.solve_pd_stack`, with a problem leaving the block when it
+converges or its normal equations fail to factor. Each problem's steps are
+the ones it would take alone, bit for bit; `solve_gauss_newton` and
+`linearize` are the one-problem cases. The state is one flat vector per
+problem, retracted additively (pose angles re-wrapped). The information
+forms, the base prior and each source increment, are J^T J = sum_j H_j^T
+Gamma_j H_j of the same plans.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .gauss import GaussianBelief, NotPositiveDefiniteError, cholesky_pd_many, schur_complement, solve_pd
+from .gauss import GaussianBelief, cholesky_pd_many, schur_complement, solve_pd_stack
 from .se2 import Pose2, se2_compose, wrap_angle
 from .sim2d import N_LANDMARKS, SimWorld
 
@@ -193,45 +200,129 @@ class GaussNewtonResult:
     max_update: float
 
 
-class _Plan:
-    """Index plan for linearizing a factor subset over a state ordering.
+class GaussNewtonProblem(NamedTuple):
+    """The factors `subset` of `graph` over the variables `state`, from `init`.
 
-    offsets[v] is variable v's first column. Factors are grouped by type;
-    a group holds its factors' rows of J (in subset order), the columns of
-    their variables, the flat indices of their blocks in J, and their
-    stacked whiteners and measurements.
+    `state` lists the variables in column order. Problems that share a plan
+    have its factor layout and column widths; each names its own variables
+    (source s has its own landmark).
     """
 
-    def __init__(self, graph: NonlinearGraph, subset: Iterable[int], state: Sequence[VarKey]):
-        self.offsets, self.n_cols = {}, 0
-        for v in state:
-            self.offsets[v] = self.n_cols
+    graph: NonlinearGraph
+    subset: Sequence[int]
+    state: Sequence[VarKey]
+    init: Values
+
+
+class _Plan:
+    """Index structure of a factor subset over a state ordering.
+
+    Problems whose factors have one layout share a plan: every base problem
+    of a config, and every source problem (`slam_plans`). slices[i] holds
+    the columns of state[i], and theta the pose-angle columns. Factors are
+    grouped by type; a group holds the positions in the subset of its
+    factors (slots), their rows of J, the columns of their variables and the
+    flat indices of their blocks in J. The index structure is built with one
+    pass over the factors and a few array operations per type. A problem
+    adds only its stacked whiteners and measurements (`data`) and its state.
+    """
+
+    def __init__(self, graph: NonlinearGraph, subset: Sequence[int], state: Sequence[VarKey]):
+        self.state = tuple(state)
+        offsets, self.slices, self.n_cols = {}, [], 0
+        for v in self.state:
+            offsets[v] = self.n_cols
             self.n_cols += graph.dims[v]
-        groups, self.n_rows = {}, 0
-        for j in subset:
-            f, Lt = graph.factors[j], graph.whiteners[j]
+            self.slices.append(slice(offsets[v], self.n_cols))
+        self.theta = np.array([offsets[v] + 2 for v in self.state if v[0] == "x"], dtype=int)
+        # per type: [slots, first rows, variable offsets, rows per factor, variable widths]
+        by_kernel, self.n_rows = {}, 0
+        for slot, j in enumerate(subset):
+            f = graph.factors[j]
+            group = by_kernel.get(f.kernel)
+            if group is None:
+                height, widths = len(graph.whiteners[j]), [graph.dims[v] for v in f.vars]
+                group = by_kernel[f.kernel] = [[], [], [], height, widths]
+            group[0].append(slot)
+            group[1].append(self.n_rows)
             try:
-                cols = [self.offsets[v] + i for v in f.vars for i in range(graph.dims[v])]
+                group[2].extend([offsets[v] for v in f.vars])
             except KeyError as missing:
                 raise ValueError(f"factor touches {missing.args[0]}, outside the state") from None
-            groups.setdefault(f.kernel, []).append((self.n_rows, cols, Lt, f.measurement))
-            self.n_rows += len(Lt)
+            self.n_rows += group[3]
         self.groups = []
-        for kernel, items in groups.items():
-            first_row, cols, whiteners, z = (np.array(part) for part in zip(*items))
-            rows = first_row[:, None] + np.arange(whiteners.shape[1])
+        for kernel, (slots, first_rows, starts, height, widths) in by_kernel.items():
+            var_of_col = [a for a, w in enumerate(widths) for _ in range(w)]
+            within = [i for w in widths for i in range(w)]
+            cols = np.array(starts).reshape(len(slots), -1)[:, var_of_col] + within
+            rows = np.add.outer(first_rows, range(height))
             flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
-            self.groups.append((kernel, rows, cols, flat, whiteners, z))
+            self.groups.append((kernel, slots, rows.ravel(), cols, flat.ravel()))
 
-    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened J and r at the flat state x: one kernel call per type."""
-        J = np.zeros(self.n_rows * self.n_cols)
-        r = np.zeros(self.n_rows)
-        for kernel, rows, cols, flat, whiteners, z in self.groups:
-            res, jac = kernel(x[cols], z)
-            r[rows] = (whiteners @ res[:, :, None])[:, :, 0]
-            J[flat] = whiteners @ jac
-        return J.reshape(self.n_rows, self.n_cols), r
+    def data(self, problems: Sequence[tuple]) -> list:
+        """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
+
+        problems are p (graph, subset, ...) tuples; m is the group's factor
+        count and k its residual size.
+        """
+        out = []
+        for _, slots, _, _, _ in self.groups:
+            ids = [(g, [subset[i] for i in slots]) for g, subset, *_ in problems]
+            whiteners = np.array([g.whiteners[j] for g, js in ids for j in js])
+            z = np.array([g.factors[j].measurement for g, js in ids for j in js], dtype=float)
+            p, m = len(problems), len(slots)
+            out.append((whiteners.reshape(p, m, *whiteners.shape[1:]), z.reshape(p, m, -1)))
+        return out
+
+    def linearize(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened J (p, rows, cols) and r (p, rows) of p problems at states x (p, cols).
+
+        One kernel call per factor type covers every problem.
+        """
+        p = len(x)
+        J = np.zeros((p, self.n_rows * self.n_cols))
+        r = np.zeros((p, self.n_rows))
+        for (kernel, _, rows, cols, flat), (whiteners, z) in zip(self.groups, data):
+            whiteners = whiteners.reshape(-1, *whiteners.shape[2:])
+            res, jac = kernel(x[:, cols].reshape(-1, cols.shape[1]), z.reshape(-1, z.shape[2]))
+            r[:, rows] = (whiteners @ res[:, :, None]).reshape(p, -1)
+            J[:, flat] = (whiteners @ jac).reshape(p, -1)
+        return J.reshape(p, self.n_rows, self.n_cols), r
+
+    def normal_equations(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray]:
+        """J^T J (p, cols, cols) and -J^T r (p, cols) at states x; J is freed on return."""
+        J, r = self.linearize(x, data)
+        Jt = J.transpose(0, 2, 1)
+        return Jt @ J, -(Jt @ r[:, :, None])[:, :, 0]
+
+
+@dataclass(frozen=True)
+class SlamPlans:
+    """The shared plans of a study graph's problems (see `slam_plans`)."""
+
+    base: _Plan
+    source: _Plan
+    increment: _Plan
+
+
+def slam_plans(graph: NonlinearGraph) -> SlamPlans:
+    """Plans of the base solve, the source solves and the source increments.
+
+    Built from source 0; every source of a `build_nonlinear_graph` graph,
+    and every graph of one SimConfig, has the same layout, so the plans
+    serve all of them. `base` covers the base factors over the poses (each
+    base solve and the prior), `source` the base and one source's factors
+    over the poses and that source's landmark, and `increment` one source's
+    factors over the same state.
+    """
+    pose_vars = tuple(v for v in graph.variables if v[0] == "x")
+    source = sorted(graph.sources[0])
+    state = pose_vars + (("l", 0),)
+    return SlamPlans(
+        base=_Plan(graph, sorted(graph.base), pose_vars),
+        source=_Plan(graph, sorted(graph.base) + source, state),
+        increment=_Plan(graph, source, state),
+    )
 
 
 def linearize(
@@ -247,8 +338,10 @@ def linearize(
     J^T r is the gradient of half the squared whitened residual. Columns
     follow `state`, which must contain every variable the factors touch.
     """
+    subset = list(subset)
     plan = _Plan(graph, subset, state)
-    return plan.linearize(_stack(values, state))
+    J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
+    return J[0], r[0]
 
 
 def solve_gauss_newton(
@@ -261,43 +354,73 @@ def solve_gauss_newton(
 
     The subset must include the base factors so the normal equations are
     well posed. Non-convergence within max_iters is reported through the
-    flag, never raised; a singular step also just flags failure.
+    flag, never raised; a singular step also just flags failure. This is
+    the one-problem block of `solve_gauss_newton_block`.
     """
-    subset = tuple(sorted({int(j) for j in subset}))
+    subset = sorted({int(j) for j in subset})
     if not graph.base <= set(subset):
         raise ValueError("subset must include every base factor")
     solve_vars = graph.touched_vars(subset)
-    values = {k: np.array(v, dtype=float) for k, v in init.items()}
     for v in solve_vars:
-        if v not in values:
+        if v not in init:
             raise ValueError(f"initial values missing variable {v}")
-    plan = _Plan(graph, subset, solve_vars)
-    theta = np.array([plan.offsets[v] + 2 for v in solve_vars if v[0] == "x"], dtype=int)
-    x = _stack(values, solve_vars)
+    problem = GaussNewtonProblem(graph, subset, solve_vars, init)
+    return solve_gauss_newton_block(_Plan(graph, subset, solve_vars), [problem], max_iters)[0]
 
-    def result(converged: bool, n_iters: int, max_update: float) -> GaussNewtonResult:
-        values.update((v, x[plan.offsets[v] : plan.offsets[v] + graph.dims[v]]) for v in solve_vars)
-        return GaussNewtonResult(values, converged, n_iters, max_update)
 
-    max_update = np.inf
+def solve_gauss_newton_block(
+    plan: _Plan, problems: Sequence[GaussNewtonProblem], max_iters: int = 50
+) -> list[GaussNewtonResult]:
+    """Gauss-Newton on problems that share `plan`, in lockstep.
+
+    Each iteration linearizes every active problem with one kernel call
+    per factor type, forms each J^T J and J^T r in one batched product, and
+    solves the normal equations with `solve_pd_stack`. A problem leaves the
+    active set when no state component moves by GN_STEP_TOL or its normal
+    equations fail to factor; its state is then frozen. Every problem's
+    steps are the ones it would take alone, bit for bit.
+    """
+    n = len(problems)
+    data = plan.data(problems)
+    X = np.array([_stack(p.init, p.state) for p in problems]).reshape(n, plan.n_cols)
+    converged = np.zeros(n, dtype=bool)
+    n_iters = np.full(n, max_iters)
+    max_update = np.full(n, np.inf)
+    active, active_data = np.arange(n), data
     for it in range(1, max_iters + 1):
-        J, r = plan.linearize(x)
-        try:
-            delta = solve_pd(J.T @ J, -(J.T @ r), name="normal equations")
-        except NotPositiveDefiniteError:
-            return result(False, it, float("nan"))
+        if not active.size:
+            break
+        x = X[active]
+        delta, failed = solve_pd_stack(*plan.normal_equations(x, active_data), "normal equations")
+        if failed:
+            bad = np.array(sorted(failed))
+            n_iters[active[bad]], max_update[active[bad]] = it, np.nan
+            ok = np.ones(len(active), dtype=bool)
+            ok[bad] = False
+            active, x, delta = active[ok], x[ok], delta[ok]
         x += delta
-        x[theta] = wrap_angle(x[theta])
-        max_update = float(np.abs(delta).max()) if delta.size else 0.0
-        if max_update < GN_STEP_TOL:
-            return result(True, it, max_update)
-    return result(False, max_iters, max_update)
+        x[:, plan.theta] = wrap_angle(x[:, plan.theta])
+        X[active] = x
+        max_update[active] = np.abs(delta).max(axis=1, initial=0.0)
+        done = max_update[active] < GN_STEP_TOL
+        converged[active[done]], n_iters[active[done]] = True, it
+        if failed or done.any():
+            active = active[~done]
+            active_data = [(whiteners[active], z[active]) for whiteners, z in data]
+    results = []
+    outcomes = zip(converged.tolist(), n_iters.tolist(), max_update.tolist())
+    for problem, x, outcome in zip(problems, X, outcomes):
+        values = {k: np.array(v, dtype=float) for k, v in problem.init.items()}
+        values.update(zip(problem.state, (x[cols] for cols in plan.slices)))
+        results.append(GaussNewtonResult(values, *outcome))
+    return results
 
 
 def pose_information_system(
     graph: NonlinearGraph,
     base_values: Values,
     landmarks: Mapping[int, np.ndarray],
+    plans: SlamPlans | None = None,
 ) -> tuple[GaussianBelief, dict]:
     """Pose-marginal information forms for redundancy evaluation.
 
@@ -310,18 +433,23 @@ def pose_information_system(
     tree whose MAP fits every factor exactly, so the prior mean is the
     stacked base poses. Each source's range-bearing factors are linearized
     over (poses + its landmark), and Schur-marginalizing the landmark out
-    of J^T J leaves an increment Delta_s over the poses.
+    of J^T J leaves an increment Delta_s over the poses. `plans` are the
+    graph's `slam_plans`, built here when not given.
     """
-    pose_vars = tuple(v for v in graph.variables if v[0] == "x")
-    J, _ = linearize(graph, sorted(graph.base), base_values, pose_vars)
-    prior = GaussianBelief(mean=_stack(base_values, pose_vars), info=J.T @ J)
+    plans = plans or slam_plans(graph)
+    mean = _stack(base_values, plans.base.state)
+    base = plans.base.data([(graph, sorted(graph.base))])
+    info, _ = plans.base.normal_equations(mean[None], base)
+    prior = GaussianBelief(mean=mean, info=info[0])
 
-    deltas = {}
-    for s, landmark in landmarks.items():
-        point = {**base_values, ("l", s): landmark}
-        J, _ = linearize(graph, sorted(graph.sources[s]), point, pose_vars + (("l", s),))
-        deltas[s] = schur_complement(J.T @ J, np.arange(prior.dim))
-    return prior, deltas
+    sources = list(landmarks)
+    if not sources:
+        return prior, {}
+    x = np.array([np.concatenate([mean, landmarks[s]]) for s in sources], dtype=float)
+    subsets = [(graph, sorted(graph.sources[s])) for s in sources]
+    info, _ = plans.increment.normal_equations(x, plans.increment.data(subsets))
+    keep = np.arange(prior.dim)
+    return prior, {s: schur_complement(H, keep) for s, H in zip(sources, info)}
 
 
 def _floored_precision(cov: np.ndarray) -> np.ndarray:

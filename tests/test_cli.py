@@ -1,9 +1,11 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 import fgred.experiment as experiment
+import fgred.gauss as gauss
 from fgred.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -13,6 +15,15 @@ from fgred.cli import (
 )
 from fgred.experiment import ExperimentConfig, SimRecord, write_records_csv
 from fgred.sim2d import SimConfig
+
+
+@pytest.fixture(autouse=True)
+def restore_fgred_log_level():
+    # main sets the level of the "fgred" logger from --log-level
+    logger = logging.getLogger("fgred")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 def tiny_config_file(tmp_path, **kw):
@@ -141,10 +152,10 @@ def test_report_missing_records_exits_2(tmp_path):
 
 
 def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
-    def boom(world):
+    def boom(worlds):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(experiment, "solve_world", boom)
+    monkeypatch.setattr(experiment, "solve_worlds", boom)
     cfg = tiny_config_file(tmp_path)
     out = tmp_path / "out"
     rc = main(["analyze", "--config", str(cfg), "--out", str(out)])
@@ -152,3 +163,22 @@ def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
     # outputs are still written so the failure can be inspected
     assert (out / "records.csv").exists()
 
+
+
+def test_log_level_debug_turns_on_library_debug_lines(tmp_path, caplog):
+    cfg = tiny_config_file(tmp_path)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["analyze", "--config", str(cfg), "--out", str(quiet)]) == EXIT_OK
+    assert not [r for r in caplog.records if r.name.startswith("fgred")]
+    # the OpenBLAS lookup logs once per process: forget the cached one
+    gauss._openblas_setters.cache_clear()
+    argv = ["analyze", "--config", str(cfg), "--out", str(loud), "--log-level", "DEBUG"]
+    assert main(argv) == EXIT_OK
+    debug = {r.name for r in caplog.records if r.levelno == logging.DEBUG}
+    assert {"fgred.gauss", "fgred.metrics"} <= debug
+    for name in ("records.csv", "summary.json"):
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes()
+    assert main(["report", "--out", str(loud), "--log-level", "ERROR"]) == EXIT_OK
+    assert logging.getLogger("fgred").level == logging.ERROR
+    with pytest.raises(SystemExit):
+        main(["report", "--out", str(loud), "--log-level", "LOUD"])

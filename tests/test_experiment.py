@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import xml.etree.ElementTree as ET
 
@@ -17,6 +18,7 @@ from fgred.experiment import (
     run_single,
     simulate_batch_world,
     solve_world,
+    solve_worlds,
     write_records_csv,
 )
 from fgred.metrics import (
@@ -81,14 +83,14 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
         pytest.skip("no OpenBLAS copy with openblas_set_num_threads_local is loaded")
     cfg = small_config()
     before = blas_thread_counts(setters)
-    unscoped = experiment._simulate_record(cfg, 2)
+    unscoped = experiment._block_records(cfg, [2])[0]
     seen = []
 
-    def counting_solve(world):
+    def counting_solve(worlds):
         seen.append(blas_thread_counts(setters))
-        return solve_world(world)
+        return solve_worlds(worlds)
 
-    monkeypatch.setattr(experiment, "solve_world", counting_solve)
+    monkeypatch.setattr(experiment, "solve_worlds", counting_solve)
     assert run_single(cfg, 2) == unscoped
     assert seen == [[1] * len(setters)]
     assert blas_thread_counts(setters) == before
@@ -96,10 +98,10 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
     class Stop(BaseException):
         pass
 
-    def stop(config, sim_id):
+    def stop(config, sim_ids):
         raise Stop
 
-    monkeypatch.setattr(experiment, "_simulate_record", stop)
+    monkeypatch.setattr(experiment, "_block_records", stop)
     with pytest.raises(Stop):
         run_single(cfg, 2)
     assert blas_thread_counts(setters) == before
@@ -170,15 +172,85 @@ def test_run_experiment_deterministic_across_workers():
 
 
 def test_failed_sim_recorded_not_raised(monkeypatch):
-    def boom(world):
+    def boom(worlds):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(experiment, "solve_world", boom)
+    monkeypatch.setattr(experiment, "solve_worlds", boom)
     recs = run_experiment(small_config(), jobs=1)
     assert len(recs) == 6
     assert all(r.failed for r in recs)
     assert "synthetic failure" in recs[0].fail_reason
     assert not recs[0].is_usable()
+
+
+def solve_outcomes(sol):
+    """Bits of a world's solves (iterations, flag, last step, values) and info forms."""
+    results = [sol.base_result] + [sol.source_results[s] for s in sorted(sol.source_results)]
+    solves = [
+        (r.n_iters, r.converged, np.float64(r.max_update).tobytes(),
+         {k: np.asarray(v).tobytes() for k, v in r.values.items()})
+        for r in results
+    ]
+    deltas = [sol.deltas[s].tobytes() for s in sorted(sol.deltas)]
+    return solves, sol.prior.info.tobytes(), deltas
+
+
+def test_block_matches_one_world_runs(monkeypatch):
+    # blocks of three worlds: 0-2, 3-5, 6-7; sims 0 and 5 of root seed 5 hold
+    # a source solve that stops at the 50-iteration cap
+    cfg = ExperimentConfig(n_sims=8, root_seed=5)
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 3 * experiment._world_bytes(cfg.sim))
+    assert experiment.worlds_per_block(cfg.sim) == 3
+    records = run_experiment(cfg, jobs=1)
+    worlds = [simulate_batch_world(cfg, i) for i in range(cfg.n_sims)]
+    capped = []
+    for ids in (range(0, 3), range(3, 6), range(6, 8)):
+        for i, sol in zip(ids, solve_worlds([worlds[i] for i in ids])):
+            assert records[i].csv_row() == run_single(cfg, i).csv_row(), i
+            assert solve_outcomes(sol) == solve_outcomes(solve_world(worlds[i])), i
+            capped += [i for r in sol.source_results.values() if r.n_iters == 50 and not r.converged]
+    assert capped == [0, 5]
+
+
+def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(n_sims=20)
+    default = experiment._BLOCK_BYTES
+    assert experiment.worlds_per_block(cfg.sim) == 15
+    per_world = experiment._world_bytes(cfg.sim)
+    outputs = []
+    for budget in (per_world, 3 * per_world, default):
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", budget)
+        path = tmp_path / f"{budget}.csv"
+        write_records_csv(run_experiment(cfg, jobs=1), path)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_raising_world_fails_alone(monkeypatch, caplog):
+    # sim 4's landmark starts on pose 1, so its first source linearization
+    # meets the range-bearing kernel's zero-distance error; its block falls
+    # back to one-world solves and only sim 4 fails
+    cfg = ExperimentConfig(n_sims=6)
+    clean = run_experiment(cfg, jobs=1)
+    seed_4 = experiment.world_seed(cfg.root_seed, 4)
+    triangulate = experiment.triangulate_landmark
+
+    def onto_pose(world, s, pose_values):
+        if world.config.seed == seed_4:
+            return np.array(pose_values[("x", 1)][:2])
+        return triangulate(world, s, pose_values)
+
+    monkeypatch.setattr(experiment, "triangulate_landmark", onto_pose)
+    reason = "ValueError: degenerate range-bearing geometry: zero distance"
+    with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):
+        records = run_experiment(cfg, jobs=1)
+    assert records[4].failed and records[4].fail_reason == reason
+    assert run_single(cfg, 4).fail_reason == reason
+    for i in (0, 1, 2, 3, 5):
+        assert not records[i].failed and records[i].csv_row() == clean[i].csv_row(), i
+    logged = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert (logging.DEBUG, f"sims 0-5: block solve failed ({reason[12:]}), solving one world at a time") in logged
+    assert [m for level, m in logged if level == logging.WARNING] == [f"sim 4 failed: {reason}"]
 
 
 def test_records_csv_round_trip(tmp_path):

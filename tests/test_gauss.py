@@ -15,6 +15,7 @@ from fgred.gauss import (
     cholesky_pd_many,
     schur_complement,
     solve_pd,
+    solve_pd_stack,
 )
 from fgred.metrics import QualityKind, quality_info
 from reference import (
@@ -375,6 +376,59 @@ def test_cholesky_pd_many_matches_cholesky_pd():
                 cholesky_pd_many(stack, names[:4])
     with pytest.raises(ValueError, match=r"^m1 must be square, got shape \(2, 3\)$"):
         cholesky_pd_many([np.eye(2), np.ones((2, 3))], names[:2])
+
+
+def gauge_free_odometry_system():
+    """J^T J of one odometry factor between two free poses: PSD, rank 3 of 6."""
+    from fgred.nonlinear import NonlinearGraph, OdometryFactor, linearize
+
+    variables = (("x", 0), ("x", 1))
+    odometry = OdometryFactor(variables[0], variables[1], np.array([1.0, 0.0, 0.1]), np.eye(3))
+    g = NonlinearGraph(
+        variables=variables, dims={v: 3 for v in variables}, factors=(odometry,),
+        base=frozenset({0}), sources={},
+    )
+    J, _ = linearize(g, [0], {v: np.zeros(3) for v in variables}, variables)
+    return J.T @ J
+
+
+def test_solve_pd_stack_matches_solve_pd():
+    rng = np.random.default_rng(15)
+    for n in (35, 95):
+        Ms = np.array([random_spd(rng, n) for _ in range(4)])
+        b = rng.standard_normal((4, n))
+        # a within-tolerance asymmetric member sends the whole stack down
+        # the symmetrizing path, which keeps the bits of the others
+        for stack in (Ms, np.concatenate([Ms, (Ms[0] + 1e-13 * np.triu(Ms[0], 1))[None]])):
+            rhs = np.concatenate([b, b[:1]])[: len(stack)]
+            x, failed = solve_pd_stack(stack, rhs, name="m")
+            assert failed == {}
+            for i, M in enumerate(stack):
+                assert np.array_equal(x[i], solve_pd(M, rhs[i], name="m")), (n, i)
+    # a singular member is reported by index; the others still solve
+    H = gauge_free_odometry_system()
+    with pytest.raises(NotPositiveDefiniteError) as alone:
+        solve_pd(H, np.ones(6), name="normal equations 1")
+    stack = np.array([random_spd(rng, 6), H, random_spd(rng, 6)])
+    b = rng.standard_normal((3, 6))
+    x, failed = solve_pd_stack(stack, b, name="normal equations")
+    assert list(failed) == [1] and isinstance(failed[1], NotPositiveDefiniteError)
+    assert str(failed[1]) == str(alone.value)
+    assert np.isnan(x[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(x[i], solve_pd(stack[i], b[i]))
+    # a NaN or inf member raises what _symmetrized raises, naming it
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in range(3):
+            stack = np.array([random_spd(rng, 4) for _ in range(3)])
+            stack[at, 1, 2] = stack[at, 2, 1] = bad
+            with pytest.raises(ValueError, match=f"^m {at} is not finite$"):
+                solve_pd_stack(stack, np.ones((3, 4)), name="m")
+            stack[at, 2, 1] = 0.0
+            with pytest.raises(ValueError, match=f"^m {at} is not finite$"):
+                solve_pd_stack(stack, np.ones((3, 4)), name="m")
+    with pytest.raises(ValueError, match=r"^m must be a stack of square matrices, got shape \(2, 3\)$"):
+        solve_pd_stack(np.ones((2, 3)), np.ones(2), name="m")
 
 
 def test_one_blas_thread_restores_counts(openblas_at_two_threads):
