@@ -24,11 +24,12 @@ independent of block size, worker count and scheduling.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -86,12 +87,12 @@ MIN_VALID_FOR_CORRELATION = 30
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Batch parameters wrapping a base simulation config.
+    """Batch parameters wrapping the simulation config.
 
-    Each simulation gets a seed derived from (root_seed, sim_id), so the sim
-    config's own seed must stay 0 (saved configs carry it). from_dict
-    accepts and ignores the mc_samples key that older saved configs carry:
-    the study's redundancies are exact.
+    Simulation sim_id draws its world from the seed world_seed(root_seed,
+    sim_id). from_dict accepts two keys that older saved configs carry:
+    mc_samples, ignored because the study's redundancies are exact, and a
+    sim.seed of 0; any other sim.seed is rejected, as it would go unused.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
@@ -101,8 +102,6 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_count("n_sims", self.n_sims, 1)
         _check_count("root_seed", self.root_seed, 0)
-        if self.sim.seed != 0:
-            raise ValueError(f"sim.seed must be 0, got {self.sim.seed}: seeds derive from root_seed")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -117,7 +116,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         if "sim" in kwargs:
-            kwargs["sim"] = SimConfig.from_dict(kwargs["sim"])
+            if not isinstance(kwargs["sim"], dict):
+                raise ValueError(f"sim must be a JSON object, got {kwargs['sim']!r}")
+            sim = dict(kwargs["sim"])
+            seed = sim.pop("seed", 0)
+            _check_count("sim.seed", seed, 0)
+            if seed != 0:
+                raise ValueError(f"sim.seed must be 0, got {seed}: seeds derive from root_seed")
+            kwargs["sim"] = SimConfig.from_dict(sim)
         return cls(**kwargs)
 
 
@@ -163,7 +169,7 @@ def world_seed(root_seed: int, sim_id: int) -> int:
 
 def simulate_batch_world(config: ExperimentConfig, sim_id: int) -> SimWorld:
     """The world that run_single(config, sim_id) would analyze."""
-    return simulate_world(replace(config.sim, seed=world_seed(config.root_seed, sim_id)))
+    return simulate_world(config.sim, world_seed(config.root_seed, sim_id))
 
 
 @dataclass(frozen=True)
@@ -306,11 +312,6 @@ def worlds_per_block(sim: SimConfig) -> int:
     return max(1, _BLOCK_BYTES // _world_bytes(sim))
 
 
-def _run_block_packed(args) -> list[SimRecord]:
-    config, sim_ids = args
-    return run_block(config, sim_ids)
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     """Run the whole batch; output is identical for any worker count.
 
@@ -325,10 +326,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     if jobs == 1:
         records = [rec for ids in blocks for rec in run_block(config, ids)]
     else:
-        tasks = [(config, ids) for ids in blocks]
         chunk = max(1, len(blocks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks_done = pool.map(_run_block_packed, tasks, chunksize=chunk)
+            blocks_done = pool.map(run_block, itertools.repeat(config), blocks, chunksize=chunk)
             records = [rec for recs in blocks_done for rec in recs]
     records.sort(key=lambda r: r.sim_id)
     for rec in records:

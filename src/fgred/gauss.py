@@ -1,21 +1,22 @@
 """Dense symmetric-matrix helpers and information-form Gaussian beliefs.
 
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
-funnels its linear algebra through this module. Every factorization, of one
-matrix or of a stack, passes one symmetry test (`_symmetrized`), which also
-rejects NaN and inf, and one pivot rule (`_good_pivots`): the error names
-the first leading minor that LAPACK stops at or whose pivot is at or below
-PIVOT_TOL. `solve_pd_stack` solves a stack of PD systems with one
-symmetry test for the stack and `solve_pd`'s factorization per member, and
-reports, instead of raising, a member that fails the pivot rule. The
-module is the one owner of the LAPACK routines it binds once at import
-(`potrf`, `potrs`, `trtrs`): they are the routines the `scipy.linalg`
-wrappers call, with the same arguments, so the results are bit for bit the
-wrappers', without their per-call validation and dispatch, which at the
-dimensions here costs more than the arithmetic. `_one_blas_thread` limits
-that linear algebra to one BLAS thread for the length of one block of the
-study's simulations, and of one public Monte Carlo redundancy or quality
-call.
+funnels its linear algebra through this module. Every Cholesky
+factorization is of one matrix (`_cholesky_symmetric`), after one symmetry
+test (`_symmetrized`) of it or of its stack, which also rejects NaN and
+inf, and passes one pivot rule (`_good_pivots`): the error names the
+matrix and the first leading minor that LAPACK stops at or whose pivot is
+at or below PIVOT_TOL. `cholesky_pd_many` and `solve_pd_stack` check a
+stack with one symmetry test and factor each member on its own;
+`solve_pd_stack` reports, instead of raising, a member that fails the
+pivot rule. The module is the one owner of the LAPACK routines it binds
+once at import (`potrf`, `potrs`, `trtrs`): they are the routines the
+`scipy.linalg` wrappers call, with the same arguments, so the results are
+bit for bit the wrappers', without their per-call validation and dispatch,
+which at the dimensions here costs more than the arithmetic.
+`_one_blas_thread` limits that linear algebra to one BLAS thread for the
+length of one block of the study's simulations, and of one public Monte
+Carlo redundancy or quality call.
 """
 from __future__ import annotations
 
@@ -132,12 +133,11 @@ def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.ndarray]:
-    """`cholesky_pd` of each matrix, one stacked factorization per shape.
+    """`cholesky_pd` of each matrix, with one symmetry test per shape.
 
-    A stack gets `cholesky_pd`'s symmetry test and pivot rule; its factors
-    equal `cholesky_pd`'s to rounding, and bit for bit for the 2 x 2 and
-    3 x 3 precisions of the SLAM factors. If the stack fails to factor, it
-    is factored one matrix at a time, so the error names the matrix.
+    The matrices of one shape are stacked and checked by one `_symmetrized`
+    call; then each is factored on its own, as `solve_pd_stack` does, so
+    each factor has `cholesky_pd`'s bits and an error names its matrix.
     """
     by_shape = {}
     for i, M in enumerate(Ms):
@@ -147,13 +147,7 @@ def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.
         if len(shape) != 2 or shape[0] != shape[1]:
             check_symmetric(Ms[idx[0]], name=names[idx[0]])  # raises: not square
         G = _symmetrized(np.array([Ms[i] for i in idx], dtype=float), [names[i] for i in idx])
-        try:
-            Ls = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            Ls = None
-        if Ls is None or not _good_pivots(Ls).all():
-            Ls = [_cholesky_symmetric(M, names[i]) for i, M in zip(idx, G)]
-        out.update(zip(idx, Ls))
+        out.update((i, _cholesky_symmetric(M, names[i])) for i, M in zip(idx, G))
     return [out[i] for i in range(len(Ms))]
 
 

@@ -282,8 +282,11 @@ def _expected_abs(c: float, lam: np.ndarray) -> float:
     splits = np.maximum(np.ceil(turn[:last] / _IMHOF_MAX_TURN), 1).astype(int)
     if last == 0 or splits.sum() * _IMHOF_NODES * lam.size > _IMHOF_BUDGET:
         raise ValueError(f"E|D| out of reach: c = {c:.3e}, max |lam| = {np.abs(lam).max():.3e}")
-    pieces = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(u_edges, u_edges[1:], splits)]
-    edges = np.arctan(np.concatenate([*pieces, u_edges[last : last + 1]]) / s)
+    # np.linspace(a, b, k, endpoint=False) of every panel at once, in its own form j * step + a
+    j = np.arange(splits.sum()) - np.repeat(np.cumsum(splits) - splits, splits)
+    step = np.repeat(np.diff(u_edges[: last + 1]) / splits, splits)
+    pieces = j * step + np.repeat(u_edges[:last], splits)
+    edges = np.arctan(np.append(pieces, u_edges[last]) / s)
     nodes, weights = _legendre_01(_IMHOF_NODES)
     width = np.diff(edges)[:, None]
     t = (edges[:-1, None] + width * nodes).ravel()

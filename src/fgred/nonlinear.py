@@ -20,11 +20,11 @@ the plan's flat indices. `solve_gauss_newton_block` runs Gauss-Newton on
 such a block in lockstep: per iteration one batched J^T J and J^T r and
 one `gauss.solve_pd_stack`, with a problem leaving the block when it
 converges or its normal equations fail to factor. Each problem's steps are
-the ones it would take alone, bit for bit; `solve_gauss_newton` and
-`linearize` are the one-problem cases. The state is one flat vector per
-problem, retracted additively (pose angles re-wrapped). The information
-forms, the base prior and each source increment, are J^T J = sum_j H_j^T
-Gamma_j H_j of the same plans.
+the ones it would take alone, bit for bit; `solve_gauss_newton` is the
+one-problem case. The state is one flat vector per problem, retracted
+additively (pose angles re-wrapped). The information forms, the base prior
+and each source increment, are J^T J = sum_j H_j^T Gamma_j H_j of the same
+plans.
 """
 from __future__ import annotations
 
@@ -162,7 +162,7 @@ class NonlinearGraph:
     Construction checks every factor's `gamma` as symmetric PD and keeps
     L^T of its Cholesky factor as `whiteners[j]` for every later solve.
     Factors that share one `gamma` array (the odometry) share one factor;
-    the distinct gammas of one shape are factored in one stacked call.
+    the distinct gammas are factored by one `cholesky_pd_many` call.
     """
 
     variables: tuple[VarKey, ...]
@@ -325,25 +325,6 @@ def slam_plans(graph: NonlinearGraph) -> SlamPlans:
     )
 
 
-def linearize(
-    graph: NonlinearGraph,
-    subset: Iterable[int],
-    values: Values,
-    state: Sequence[VarKey],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened Jacobian J and residual r of `subset`'s factors at `values`.
-
-    Rows stack the factors in `subset` order, factor j contributing
-    L_j^T H_j and L_j^T r_j(values), so J^T J = sum_j H_j^T Gamma_j H_j and
-    J^T r is the gradient of half the squared whitened residual. Columns
-    follow `state`, which must contain every variable the factors touch.
-    """
-    subset = list(subset)
-    plan = _Plan(graph, subset, state)
-    J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
-    return J[0], r[0]
-
-
 def solve_gauss_newton(
     graph: NonlinearGraph,
     subset: Iterable[int],
@@ -477,7 +458,7 @@ def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
     dims = {v: (3 if v[0] == "x" else 2) for v in variables}
 
     factors = [PriorFactor(("x", 0), world.truth_poses[0].as_array(), np.eye(3) / ANCHOR_SIGMA**2)]
-    odom_gamma = _floored_precision(config.sigma_odom_arr())
+    odom_gamma = _floored_precision(config.sigma_odom)
     factors += [
         OdometryFactor(("x", i - 1), ("x", i), world.odometry[i - 1].as_array(), odom_gamma)
         for i in range(1, n + 1)

@@ -54,7 +54,9 @@ class SimConfig:
     n_poses is the number of random-walk steps n: the trajectory has
     n_poses + 1 pose variables X_0..X_n, with one odometry measurement per
     step and one range-bearing measurement per landmark per non-initial
-    pose. Noise covariances may be zero (noiseless worlds are legal).
+    pose. Noise covariances may be zero (noiseless worlds are legal). The
+    walk and odometry noise square roots of the PSD check are kept,
+    read-only, for every world drawn from the config.
     """
 
     n_poses: int = 10
@@ -64,11 +66,9 @@ class SimConfig:
     sigma_odom: tuple = ((0.04, 0.0, 0.0), (0.0, 0.04, 0.0), (0.0, 0.0, 0.0004))
     range_var_coeff: float = 4e-4
     bearing_var: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         _check_count("n_poses", self.n_poses, 2)
-        _check_count("seed", self.seed, 0)
         for name in ("box_half_width", "range_var_coeff", "bearing_var"):
             _check_finite(name, getattr(self, name), (), "a finite number")
         _check_finite("step_mean", self.step_mean, (3,), "3 finite numbers")
@@ -78,17 +78,10 @@ class SimConfig:
             raise ValueError("box_half_width must be positive")
         if self.range_var_coeff < 0 or self.bearing_var < 0:
             raise ValueError("noise variances must be >= 0")
-        _psd_sqrt(np.array(self.sigma_step))
-        _psd_sqrt(np.array(self.sigma_odom))
-
-    def step_mean_pose(self) -> Pose2:
-        return Pose2(*self.step_mean)
-
-    def sigma_step_arr(self) -> np.ndarray:
-        return np.array(self.sigma_step, dtype=float)
-
-    def sigma_odom_arr(self) -> np.ndarray:
-        return np.array(self.sigma_odom, dtype=float)
+        for name, sigma in (("_walk_sqrt", self.sigma_step), ("_odom_sqrt", self.sigma_odom)):
+            root = _psd_sqrt(np.array(sigma))
+            root.setflags(write=False)
+            object.__setattr__(self, name, root)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -116,11 +109,12 @@ class SimWorld:
     """One simulated world: ground truth plus every drawn measurement.
 
     rb_measurements[s, i - 1] is the (range, bearing) pair for landmark s
-    observed from pose X_i, i = 1..n_poses. Carries its config (with seed),
-    so a world can be regenerated bit-identically.
+    observed from pose X_i, i = 1..n_poses. Carries its config and seed, so
+    `simulate_world(world.config, world.seed)` regenerates it bit for bit.
     """
 
     config: SimConfig
+    seed: int
     truth_poses: tuple[Pose2, ...]
     landmarks: np.ndarray
     odometry: tuple[Pose2, ...]
@@ -135,14 +129,15 @@ class SimWorld:
         return out
 
 
-def simulate_world(config: SimConfig) -> SimWorld:
-    """Draw one world from the config's seed. Same seed, same world, bitwise.
+def simulate_world(config: SimConfig, seed: int) -> SimWorld:
+    """Draw one world of the config from a seed. Same seed, same world, bitwise.
 
     Draw order is fixed: landmarks, initial pose, then per step the walk
     increment, the odometry noise, and per landmark the range and bearing
     noises.
     """
-    rng = np.random.default_rng(config.seed)
+    _check_count("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     C = config.box_half_width
     n = config.n_poses
 
@@ -151,9 +146,8 @@ def simulate_world(config: SimConfig) -> SimWorld:
     theta0 = rng.uniform(-np.pi, np.pi)
     poses = [Pose2(x0[0], x0[1], theta0)]
 
-    step_mean = config.step_mean_pose()
-    walk_sqrt = _psd_sqrt(config.sigma_step_arr())
-    odom_sqrt = _psd_sqrt(config.sigma_odom_arr())
+    step_mean = Pose2(*config.step_mean)
+    walk_sqrt, odom_sqrt = config._walk_sqrt, config._odom_sqrt
     range_sd_coeff = np.sqrt(config.range_var_coeff)
     bearing_sd = np.sqrt(config.bearing_var)
 
@@ -186,6 +180,7 @@ def simulate_world(config: SimConfig) -> SimWorld:
 
     return SimWorld(
         config=config,
+        seed=seed,
         truth_poses=tuple(poses),
         landmarks=landmarks,
         odometry=tuple(odometry),

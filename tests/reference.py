@@ -11,11 +11,13 @@ redundancies, and the x-space Monte Carlo, which draws states with
 GaussianBelief.sample, is the reference for the library's draws of
 standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
-The factor bodies, linearization and Gauss-Newton solver compute one factor
-at a time what fgred.nonlinear computes with one batched kernel per factor
-type, and the tests ask for the same bits; near_pi_angles draws the angles
-at the wrap boundary they are asked on. The permutation test draws one
-shuffle at a time and compares standardized rho in floats.
+linearize is one problem's whitened J and r through fgred.nonlinear's
+index plan. The factor bodies, linearization and Gauss-Newton solver
+compute one factor at a time what fgred.nonlinear computes with one
+batched kernel per factor type, and the tests ask for the same bits;
+near_pi_angles draws the angles at the wrap boundary they are asked on.
+The permutation test draws one shuffle at a time and compares
+standardized rho in floats.
 blas_thread_counts reads each OpenBLAS copy's thread count. None of this is
 on a library path, so it lives here rather than in fgred.
 """
@@ -48,6 +50,8 @@ from fgred.nonlinear import (
     OdometryFactor,
     PriorFactor,
     RangeBearingFactor,
+    _Plan,
+    _stack,
 )
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
@@ -342,8 +346,22 @@ def kernel_jacobians(f, values) -> list[np.ndarray]:
     return np.split(jac[0], np.cumsum([len(values[var]) for var in f.vars])[:-1], axis=1)
 
 
+def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened Jacobian J and residual r of `subset`'s factors at `values`.
+
+    The one-problem case of the library's `_Plan`. Rows stack the factors
+    in `subset` order, factor j contributing L_j^T H_j and L_j^T
+    r_j(values), so J^T J = sum_j H_j^T Gamma_j H_j. Columns follow
+    `state`, which must contain every variable the factors touch.
+    """
+    subset = list(subset)
+    plan = _Plan(graph, subset, state)
+    J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
+    return J[0], r[0]
+
+
 def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
-    """fgred.nonlinear.linearize, one factor at a time."""
+    """`linearize`, one factor at a time."""
     offsets = np.cumsum([0] + [graph.dims[v] for v in state])
     col = {v: slice(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
     J_rows, r_rows = [], []

@@ -8,6 +8,7 @@ import pytest
 
 import fgred.experiment as experiment
 import fgred.gauss as gauss
+import fgred.sim2d as sim2d
 from fgred.experiment import (
     ExperimentConfig,
     SimRecord,
@@ -171,6 +172,28 @@ def test_run_experiment_deterministic_across_workers():
     assert rows1 == rows2
 
 
+def test_worlds_reuse_the_checked_sim_config(monkeypatch):
+    # a world is drawn from (config.sim, seed): no SimConfig is built per
+    # world and no noise square root is computed again
+    cfg = ExperimentConfig(n_sims=5)
+    calls = {"SimConfig": 0, "_psd_sqrt": 0}
+    post_init, psd_sqrt = sim2d.SimConfig.__post_init__, sim2d._psd_sqrt
+
+    def counted_post_init(self):
+        calls["SimConfig"] += 1
+        post_init(self)
+
+    def counted_psd_sqrt(M):
+        calls["_psd_sqrt"] += 1
+        return psd_sqrt(M)
+
+    monkeypatch.setattr(sim2d.SimConfig, "__post_init__", counted_post_init)
+    monkeypatch.setattr(sim2d, "_psd_sqrt", counted_psd_sqrt)
+    records = run_experiment(cfg, jobs=1)
+    assert [r.sim_id for r in records] == list(range(5))
+    assert calls == {"SimConfig": 0, "_psd_sqrt": 0}
+
+
 def test_failed_sim_recorded_not_raised(monkeypatch):
     def boom(worlds):
         raise RuntimeError("synthetic failure")
@@ -236,7 +259,7 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     triangulate = experiment.triangulate_landmark
 
     def onto_pose(world, s, pose_values):
-        if world.config.seed == seed_4:
+        if world.seed == seed_4:
             return np.array(pose_values[("x", 1)][:2])
         return triangulate(world, s, pose_values)
 
@@ -412,9 +435,11 @@ def test_experiment_config_round_trip():
     for bad in ({"n_sims": 0}, {"n_sims": True}, {"n_sims": 2.0}, {"root_seed": 1.5}, {"root_seed": -1}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    # saved configs carry the sim seed 0; any other would be silently unused
-    assert cfg.to_dict()["sim"]["seed"] == 0
+    # configs saved with a sim seed of 0 still load, to the same config;
+    # any other seed would be silently unused
+    assert "seed" not in cfg.to_dict()["sim"]
+    assert ExperimentConfig.from_dict({**cfg.to_dict(), "sim": {**cfg.sim.to_dict(), "seed": 0}}) == cfg
     with pytest.raises(ValueError, match=r"^sim.seed must be 0, got 7: seeds derive from root_seed$"):
         ExperimentConfig.from_dict({**cfg.to_dict(), "sim": {**cfg.sim.to_dict(), "seed": 7}})
-    with pytest.raises(ValueError, match="sim.seed must be 0"):
-        ExperimentConfig(sim=SimConfig(seed=1))
+    with pytest.raises(ValueError, match=r"^sim must be a JSON object, got \[1, 2\]$"):
+        ExperimentConfig.from_dict({"sim": [1, 2]})

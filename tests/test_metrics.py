@@ -420,7 +420,7 @@ def test_quality_info_is_the_coefficients_quality():
     from fgred.sim2d import SimConfig, simulate_world
 
     g = two_source_graph(np.random.default_rng(31), n_vars=2, var_dim=2)
-    sol = solve_world(simulate_world(SimConfig(seed=3)))
+    sol = solve_world(simulate_world(SimConfig(), 3))
     cases = [
         (g.prior_belief(), [g.stack_subgraph(J) for J in ((1,), (2,), (1, 2))]),
         (sol.prior, [sol.deltas[s] for s in sorted(sol.deltas)]),

@@ -14,9 +14,9 @@ def zero_noise_config(**kw):
 
 
 def test_determinism_bitwise():
-    cfg = SimConfig(seed=42)
-    w1 = simulate_world(cfg)
-    w2 = simulate_world(cfg)
+    cfg = SimConfig()
+    w1 = simulate_world(cfg, 42)
+    w2 = simulate_world(cfg, 42)
     assert w1.landmarks.tobytes() == w2.landmarks.tobytes()
     assert w1.rb_measurements.tobytes() == w2.rb_measurements.tobytes()
     assert all(
@@ -27,13 +27,13 @@ def test_determinism_bitwise():
         a.as_array().tobytes() == b.as_array().tobytes()
         for a, b in zip(w1.odometry, w2.odometry)
     )
-    w3 = simulate_world(SimConfig(seed=43))
+    w3 = simulate_world(SimConfig(), 43)
     assert w3.landmarks.tobytes() != w1.landmarks.tobytes()
 
 
 def test_world_shapes():
-    cfg = SimConfig(n_poses=7, seed=1)
-    w = simulate_world(cfg)
+    cfg = SimConfig(n_poses=7)
+    w = simulate_world(cfg, 1)
     assert len(w.truth_poses) == 8
     assert len(w.odometry) == 7
     assert w.landmarks.shape == (2, 2)
@@ -42,7 +42,7 @@ def test_world_shapes():
 
 
 def test_noiseless_odometry_equals_relative_truth():
-    w = simulate_world(zero_noise_config(seed=3))
+    w = simulate_world(zero_noise_config(), 3)
     for i, odo in enumerate(w.odometry):
         rel = se2_relative(w.truth_poses[i], w.truth_poses[i + 1])
         assert abs(odo.x - rel.x) < 1e-12
@@ -51,7 +51,7 @@ def test_noiseless_odometry_equals_relative_truth():
 
 
 def test_noiseless_range_bearing_equals_true_polar():
-    w = simulate_world(zero_noise_config(seed=4))
+    w = simulate_world(zero_noise_config(), 4)
     for s in range(2):
         for i in range(w.config.n_poses):
             pose = w.truth_poses[i + 1]
@@ -65,10 +65,10 @@ def test_noiseless_range_bearing_equals_true_polar():
 
 def test_range_noise_scales_with_distance():
     # empirical sd of the range error grows linearly in true distance
-    cfg = SimConfig(seed=0, range_var_coeff=0.01)
+    cfg = SimConfig(range_var_coeff=0.01)
     errs, dists = [], []
     for seed in range(300):
-        w = simulate_world(SimConfig(seed=seed, range_var_coeff=0.01))
+        w = simulate_world(cfg, seed)
         for s in range(2):
             for i in range(w.config.n_poses):
                 pose = w.truth_poses[i + 1]
@@ -84,7 +84,7 @@ def test_range_noise_scales_with_distance():
 
 def test_landmark_and_start_bounds():
     for seed in range(50):
-        w = simulate_world(SimConfig(seed=seed, box_half_width=6.0))
+        w = simulate_world(SimConfig(box_half_width=6.0), seed)
         assert np.all(np.abs(w.landmarks) <= 6.0)
         p0 = w.truth_poses[0]
         assert abs(p0.x) <= 3.0 and abs(p0.y) <= 3.0
@@ -94,11 +94,24 @@ def test_landmark_uniformity():
     # coarse KS check per axis against U(-C, C)
     from scipy import stats
 
-    xs = np.concatenate([simulate_world(SimConfig(seed=s)).landmarks.ravel() for s in range(500)])
+    xs = np.concatenate([simulate_world(SimConfig(), s).landmarks.ravel() for s in range(500)])
     u = (xs + 10.0) / 20.0
     stat = stats.kstest(u, "uniform").statistic
     crit_99 = 1.63 / np.sqrt(len(u))
     assert stat < crit_99
+
+
+def test_seed_validation():
+    # a world's seed is checked as SimConfig checked its own seed field
+    cfg = SimConfig()
+    for seed, message in ((-1, "must be >= 0, got -1"), (1.5, "must be an integer, got 1.5"),
+                          (True, "must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^seed {message}$"):
+            simulate_world(cfg, seed)
+    w = simulate_world(cfg, 7)
+    assert w.seed == 7
+    again = simulate_world(w.config, w.seed)
+    assert again.rb_measurements.tobytes() == w.rb_measurements.tobytes()
 
 
 def test_config_validation():
@@ -108,8 +121,6 @@ def test_config_validation():
         SimConfig(n_poses=4.0)
     with pytest.raises(ValueError):
         SimConfig(n_poses=True)
-    with pytest.raises(ValueError):
-        SimConfig(seed=-1)
     with pytest.raises(ValueError):
         SimConfig(box_half_width=0.0)
     with pytest.raises(ValueError):
@@ -146,7 +157,7 @@ def test_config_validation():
 
 
 def test_config_round_trip():
-    cfg = SimConfig(n_poses=5, seed=9, bearing_var=0.1)
+    cfg = SimConfig(n_poses=5, bearing_var=0.1)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         SimConfig.from_dict({**cfg.to_dict(), "bogus": 1})

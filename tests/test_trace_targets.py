@@ -52,7 +52,7 @@ def test_solution_fields_read_by_checks():
     from fgred.nonlinear import build_nonlinear_graph
     from fgred.sim2d import SimConfig, simulate_world
 
-    world = simulate_world(SimConfig(seed=0, n_poses=4))
+    world = simulate_world(SimConfig(n_poses=4), 0)
     sol = solve_world(world)
     assert np.asarray(sol.prior.info).shape == (15, 15)
     assert all(np.asarray(sol.deltas[s]).shape == (15, 15) for s in sorted(sol.deltas))
