@@ -9,13 +9,11 @@ trajectory-to-landmark distances are recorded alongside.
 
 Simulations run in fixed blocks of consecutive sim ids (`run_block`),
 sized by `worlds_per_block` so the block's stacked J and J^T J stay within
-_BLOCK_BYTES. The worlds of a block share one set of index plans
-(nonlinear.slam_plans): their base problems are solved as one Gauss-Newton
-block, then their source problems as another (`solve_worlds`), so each
-iteration makes one kernel call per factor type for the whole block. If a
-block's solves raise, its worlds are solved one at a time, so only the
-world at fault fails. `run_single` and `solve_world` are the one-world
-cases of the same code.
+_BLOCK_BYTES. A block's worlds are solved and linearized together
+(nonlinear.solve_worlds), so each Gauss-Newton iteration makes one kernel
+call per factor type for the whole block. If a block's solves raise, its
+worlds are solved one at a time, so only the world at fault fails.
+`run_single` and `solve_world` are the one-world cases of the same code.
 
 Per-simulation seeds are derived from the root seed and the simulation id
 only, and a world's numbers are the same bits in any block, so results are
@@ -37,17 +35,9 @@ import numpy as np
 
 from . import __version__
 from .alignment import wc_ate
-from .gauss import GaussianBelief, _one_blas_thread
+from .gauss import _one_blas_thread
 from .metrics import QualityKind, _coefficients, _pair_redundancy
-from .nonlinear import (
-    GaussNewtonProblem,
-    build_nonlinear_graph,
-    dead_reckoning_init,
-    pose_information_system,
-    slam_plans,
-    solve_gauss_newton_block,
-    triangulate_landmark,
-)
+from .nonlinear import SlamSolution, solve_worlds
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
 
@@ -77,7 +67,8 @@ RECORD_COLUMNS = [
 # Fixed internal seed for permutation tests: p-values are part of the
 # deterministic output and must not depend on worker count or call order.
 _PERMUTATION_SEED = 715517
-# Shuffles drawn at once: a block of 1,000 rows is 4 MB at 500 records.
+# Shuffles drawn at once: at 500 records a block of 1,000 index rows is 4 MB,
+# and the two y series' shuffled ranks 8 MB.
 _PERMUTATION_BLOCK = 1000
 # Bytes of stacked dense J and J^T J that one block of worlds may hold: 15
 # default worlds (67 kB each) or 2 thirty-pose worlds (515 kB each).
@@ -110,6 +101,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         kwargs = dict(data)
         kwargs.pop("mc_samples", None)
         unknown = set(kwargs) - {f.name for f in fields(cls)}
@@ -170,51 +163,6 @@ def world_seed(root_seed: int, sim_id: int) -> int:
 def simulate_batch_world(config: ExperimentConfig, sim_id: int) -> SimWorld:
     """The world that run_single(config, sim_id) would analyze."""
     return simulate_world(config.sim, world_seed(config.root_seed, sim_id))
-
-
-@dataclass(frozen=True)
-class SlamSolution:
-    """Solved base and per-source problems for one world."""
-
-    base_result: object
-    source_results: dict
-    prior: GaussianBelief
-    deltas: dict
-
-
-def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
-    """Solve base + per-source SLAM of worlds of one SimConfig, in lockstep.
-
-    The worlds' graphs share one set of plans (nonlinear.slam_plans): all
-    base problems are one Gauss-Newton block, then all source problems
-    another. Each world's solution is the one it gets alone, bit for bit.
-    An exception in any world's solves is raised for the whole block.
-    """
-    if len({w.config.n_poses for w in worlds}) > 1:
-        raise ValueError("a block of worlds must share n_poses")
-    graphs = [build_nonlinear_graph(w) for w in worlds]
-    plans = slam_plans(graphs[0])
-    poses = plans.base.state
-    bases = solve_gauss_newton_block(plans.base, [
-        GaussNewtonProblem(g, sorted(g.base), poses, dead_reckoning_init(w))
-        for g, w in zip(graphs, worlds)
-    ])
-    problems = [
-        GaussNewtonProblem(
-            g, sorted(g.base | g.sources[s]), poses + (("l", s),),
-            {**b.values, ("l", s): triangulate_landmark(w, s, b.values)},
-        )
-        for w, g, b in zip(worlds, graphs, bases)
-        for s in range(N_LANDMARKS)
-    ]
-    sources = solve_gauss_newton_block(plans.source, problems)
-    solutions = []
-    for i, (g, b) in enumerate(zip(graphs, bases)):
-        results = dict(enumerate(sources[i * N_LANDMARKS : (i + 1) * N_LANDMARKS]))
-        landmarks = {s: res.values[("l", s)] for s, res in results.items()}
-        prior, deltas = pose_information_system(g, b.values, landmarks, plans)
-        solutions.append(SlamSolution(b, results, prior, deltas))
-    return solutions
 
 
 def solve_world(world: SimWorld) -> SlamSolution:
@@ -344,34 +292,43 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return (last - 0.5 * (counts - 1))[group]
 
 
-def _spearman_with_permutation(
-    x: np.ndarray, y: np.ndarray, n_shuffles: int = 10_000
-) -> dict:
-    """Spearman rho with a one-sided (negative) permutation p-value.
+def _spearman_grid(
+    xs: Sequence[np.ndarray], ys: Sequence[np.ndarray], n_shuffles: int = 10_000
+) -> list[list[dict]]:
+    """Spearman rho of each (xs[i], ys[j]) pair with a one-sided (negative) permutation p-value.
 
     A shuffle of y's ranks is a hit when its rank sum sum_i rank(x)_i
     rank(y)_perm(i) is at most the observed one; average ranks are
-    half-integers, so the sums are exact and ties count. Blocks of shuffles
-    draw what one rng.permutation per shuffle would.
+    half-integers, so the sums are exact and ties count. Every pair sees
+    the same shuffles: each block draws the index permutations that one
+    rng.permutation per shuffle would, and applies them to every y's ranks.
 
     Constant inputs make the correlation undefined: reported as NaN with the
     degenerate flag set, never silently dropped.
     """
-    if np.unique(x).size < 2 or np.unique(y).size < 2:
-        return {"rho": math.nan, "p_value": math.nan, "degenerate": True}
-    ax = _average_ranks(x)
-    ay = _average_ranks(y)
-    rx = (ax - ax.mean()) / ax.std()
-    ry = (ay - ay.mean()) / ay.std()
-    rho = float(rx @ ry / rx.shape[0])
-    observed = ax @ ay
+    n = len(xs[0])
+    # (n, x) and contiguous: a transposed view made the products 6x slower on two BLAS threads
+    ax = np.stack([_average_ranks(x) for x in xs], axis=1)
+    ay = np.array([_average_ranks(y) for y in ys])
+    observed = ay @ ax
     rng = np.random.default_rng(_PERMUTATION_SEED)
-    hits = 0
+    hits = np.zeros(observed.shape, dtype=int)
     for start in range(0, n_shuffles, _PERMUTATION_BLOCK):
-        block = np.tile(ay, (min(_PERMUTATION_BLOCK, n_shuffles - start), 1))
-        hits += int(np.count_nonzero(rng.permuted(block, axis=1) @ ax <= observed))
-    p = (1 + hits) / (1 + n_shuffles)
-    return {"rho": rho, "p_value": float(p), "degenerate": False}
+        block = np.tile(np.arange(n), (min(_PERMUTATION_BLOCK, n_shuffles - start), 1))
+        shuffled = np.take(ay, rng.permuted(block, axis=1), axis=1) @ ax  # (y, shuffle, x)
+        hits += np.count_nonzero(shuffled <= observed[:, None], axis=1)
+    z = [(a - a.mean()) / a.std() if a.min() < a.max() else None for a in (*ax.T, *ay)]
+    grid = []
+    for i, zx in enumerate(z[: len(xs)]):
+        row = []
+        for j, zy in enumerate(z[len(xs) :]):
+            if zx is None or zy is None:
+                row.append({"rho": math.nan, "p_value": math.nan, "degenerate": True})
+                continue
+            p = (1 + int(hits[j, i])) / (1 + n_shuffles)
+            row.append({"rho": float(zx @ zy / n), "p_value": p, "degenerate": False})
+        grid.append(row)
+    return grid
 
 
 def _quartile_medians(r_values: np.ndarray, scores: np.ndarray) -> list[float]:
@@ -385,9 +342,7 @@ def _quartile_medians(r_values: np.ndarray, scores: np.ndarray) -> list[float]:
     return out
 
 
-def correlation_report(
-    records: Sequence[SimRecord], n_shuffles: int = 10_000
-) -> dict:
+def correlation_report(records: Sequence[SimRecord]) -> dict:
     """Summary statistics for a batch of records.
 
     Needs at least MIN_VALID_FOR_CORRELATION usable records. WC-ATE is
@@ -407,17 +362,15 @@ def correlation_report(
 
     wc_std = wc.std()
     wc_z = (wc - wc.mean()) / wc_std if wc_std > 0 else np.zeros_like(wc)
+    (wass_wc, wass_dist), (wb_wc, wb_dist) = _spearman_grid([r_wass, r_wb], [wc, max_dist])
 
     return {
         "n_records": len(records),
         "n_failed": sum(1 for r in records if r.failed),
         "n_valid": n_valid,
-        "spearman_rwass_wcate": _spearman_with_permutation(r_wass, wc, n_shuffles),
-        "spearman_rwb_wcate": _spearman_with_permutation(r_wb, wc, n_shuffles),
-        "spearman_r_dist": {
-            "wass": _spearman_with_permutation(r_wass, max_dist, n_shuffles),
-            "wb": _spearman_with_permutation(r_wb, max_dist, n_shuffles),
-        },
+        "spearman_rwass_wcate": wass_wc,
+        "spearman_rwb_wcate": wb_wc,
+        "spearman_r_dist": {"wass": wass_dist, "wb": wb_dist},
         "quartile_medians": {
             "wass": _quartile_medians(r_wass, wc_z),
             "wb": _quartile_medians(r_wb, wc_z),

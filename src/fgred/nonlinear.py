@@ -11,8 +11,7 @@ precision Gamma = L L^T is checked and factored once, when the
 NonlinearGraph is built; L^T is the factor's whitener.
 
 Linearization has one path, an index plan (`_Plan`) over a factor subset
-and a state ordering. Problems with one factor layout share a plan: every
-base problem of a config, and every source problem (`slam_plans`). Each
+and a state ordering. Problems with one factor layout share a plan. Each
 problem adds only its stacked whiteners, measurements and state, so a
 block of p problems is linearized with one kernel call per factor type,
 and each type's whitened blocks are written into the p stacked J through
@@ -22,9 +21,14 @@ one `gauss.solve_pd_stack`, with a problem leaving the block when it
 converges or its normal equations fail to factor. Each problem's steps are
 the ones it would take alone, bit for bit; `solve_gauss_newton` is the
 one-problem case. The state is one flat vector per problem, retracted
-additively (pose angles re-wrapped). The information forms, the base prior
-and each source increment, are J^T J = sum_j H_j^T Gamma_j H_j of the same
-plans.
+additively (pose angles re-wrapped).
+
+`solve_worlds` is the study's SLAM block. Every graph of one n_poses has
+one layout, so a block of worlds solves its base problems as one
+Gauss-Newton block and its source problems as another, and
+`pose_information_system` then takes the block's information forms, the
+base prior and each source increment, J^T J = sum_j H_j^T Gamma_j H_j,
+with one linearization of the base factors and one of the source factors.
 """
 from __future__ import annotations
 
@@ -218,7 +222,7 @@ class _Plan:
     """Index structure of a factor subset over a state ordering.
 
     Problems whose factors have one layout share a plan: every base problem
-    of a config, and every source problem (`slam_plans`). slices[i] holds
+    of a block, and every source problem (`solve_worlds`). slices[i] holds
     the columns of state[i], and theta the pose-angle columns. Factors are
     grouped by type; a group holds the positions in the subset of its
     factors (slots), their rows of J, the columns of their variables and the
@@ -296,35 +300,6 @@ class _Plan:
         return Jt @ J, -(Jt @ r[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
-class SlamPlans:
-    """The shared plans of a study graph's problems (see `slam_plans`)."""
-
-    base: _Plan
-    source: _Plan
-    increment: _Plan
-
-
-def slam_plans(graph: NonlinearGraph) -> SlamPlans:
-    """Plans of the base solve, the source solves and the source increments.
-
-    Built from source 0; every source of a `build_nonlinear_graph` graph,
-    and every graph of one SimConfig, has the same layout, so the plans
-    serve all of them. `base` covers the base factors over the poses (each
-    base solve and the prior), `source` the base and one source's factors
-    over the poses and that source's landmark, and `increment` one source's
-    factors over the same state.
-    """
-    pose_vars = tuple(v for v in graph.variables if v[0] == "x")
-    source = sorted(graph.sources[0])
-    state = pose_vars + (("l", 0),)
-    return SlamPlans(
-        base=_Plan(graph, sorted(graph.base), pose_vars),
-        source=_Plan(graph, sorted(graph.base) + source, state),
-        increment=_Plan(graph, source, state),
-    )
-
-
 def solve_gauss_newton(
     graph: NonlinearGraph,
     subset: Iterable[int],
@@ -398,39 +373,39 @@ def solve_gauss_newton_block(
 
 
 def pose_information_system(
-    graph: NonlinearGraph,
-    base_values: Values,
-    landmarks: Mapping[int, np.ndarray],
-    plans: SlamPlans | None = None,
-) -> tuple[GaussianBelief, dict]:
-    """Pose-marginal information forms for redundancy evaluation.
+    graphs: Sequence[NonlinearGraph], poses: np.ndarray, landmarks: np.ndarray
+) -> tuple[list[GaussianBelief], list[dict]]:
+    """Pose-marginal information forms of a block of worlds, for redundancy evaluation.
 
-    Every factor is linearized at one point: the poses of `base_values`,
-    the converged base solution, and for source s its landmark estimate
-    `landmarks[s]`. Sharing the poses keeps the gauge-like directions of
+    The graphs share one layout. World i's factors are linearized at one
+    point: its stacked poses `poses[i]` (w x 3(n+1)), the converged base
+    solution, and for source s its landmark estimate `landmarks[i, s]`
+    (w x sources x 2). Sharing the poses keeps the gauge-like directions of
     each Delta_s aligned with the prior's weak directions, so sources are
     compared on measurement content, not on where they were linearized.
     The base factors (anchor + odometry) give Lambda_B = J^T J. They form a
     tree whose MAP fits every factor exactly, so the prior mean is the
     stacked base poses. Each source's range-bearing factors are linearized
     over (poses + its landmark), and Schur-marginalizing the landmark out
-    of J^T J leaves an increment Delta_s over the poses. `plans` are the
-    graph's `slam_plans`, built here when not given.
+    of J^T J leaves an increment Delta_s over the poses. One
+    `normal_equations` call covers the block's base factors and one its
+    source factors. Returns each world's prior and its {s: Delta_s}.
     """
-    plans = plans or slam_plans(graph)
-    mean = _stack(base_values, plans.base.state)
-    base = plans.base.data([(graph, sorted(graph.base))])
-    info, _ = plans.base.normal_equations(mean[None], base)
-    prior = GaussianBelief(mean=mean, info=info[0])
-
-    sources = list(landmarks)
-    if not sources:
-        return prior, {}
-    x = np.array([np.concatenate([mean, landmarks[s]]) for s in sources], dtype=float)
-    subsets = [(graph, sorted(graph.sources[s])) for s in sources]
-    info, _ = plans.increment.normal_equations(x, plans.increment.data(subsets))
-    keep = np.arange(prior.dim)
-    return prior, {s: schur_complement(H, keep) for s, H in zip(sources, info)}
+    g0 = graphs[0]
+    state = tuple(v for v in g0.variables if v[0] == "x")
+    base = _Plan(g0, sorted(g0.base), state)
+    increment = _Plan(g0, sorted(g0.sources[0]), state + (("l", 0),))
+    info, _ = base.normal_equations(poses, base.data([(g, sorted(g.base)) for g in graphs]))
+    n_sources = landmarks.shape[1]
+    x = np.concatenate([poses.repeat(n_sources, axis=0), landmarks.reshape(-1, 2)], axis=1)
+    subsets = [(g, sorted(g.sources[s])) for g in graphs for s in range(n_sources)]
+    increments, _ = increment.normal_equations(x, increment.data(subsets))
+    keep = np.arange(poses.shape[1])
+    deltas = [
+        {s: schur_complement(H, keep) for s, H in enumerate(world)}
+        for world in increments.reshape(len(poses), n_sources, *increments.shape[1:])
+    ]
+    return [GaussianBelief(mean=mean, info=H) for mean, H in zip(poses, info)], deltas
 
 
 def _floored_precision(cov: np.ndarray) -> np.ndarray:
@@ -495,3 +470,50 @@ def triangulate_landmark(world: SimWorld, s: int, pose_values: Values) -> np.nda
     x, y, t = np.asarray(pose_values[("x", 1)], dtype=float)
     heading = t + b
     return np.array([x + r * np.cos(heading), y + r * np.sin(heading)])
+
+
+@dataclass(frozen=True)
+class SlamSolution:
+    """One world's base and per-source solves and its pose-marginal information forms."""
+
+    base_result: GaussNewtonResult
+    source_results: dict
+    prior: GaussianBelief
+    deltas: dict
+
+
+def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
+    """Solve the base and per-source SLAM problems of worlds of one n_poses, in lockstep.
+
+    The base problems, from dead reckoning, are one Gauss-Newton block; the
+    source problems, each landmark triangulated at its world's base
+    solution, are another; `pose_information_system` then linearizes the
+    block at the base poses and the source landmarks. Each world's solution
+    is the one it gets alone, bit for bit. An exception in any world's
+    solves is raised for the whole block.
+    """
+    if len({w.config.n_poses for w in worlds}) > 1:
+        raise ValueError("a block of worlds must share n_poses")
+    graphs = [build_nonlinear_graph(w) for w in worlds]
+    g0 = graphs[0]
+    poses = tuple(v for v in g0.variables if v[0] == "x")
+    bases = solve_gauss_newton_block(_Plan(g0, sorted(g0.base), poses), [
+        GaussNewtonProblem(g, sorted(g.base), poses, dead_reckoning_init(w))
+        for g, w in zip(graphs, worlds)
+    ])
+    problems = [
+        GaussNewtonProblem(
+            g, sorted(g.base | g.sources[s]), poses + (("l", s),),
+            {**b.values, ("l", s): triangulate_landmark(w, s, b.values)},
+        )
+        for w, g, b in zip(worlds, graphs, bases)
+        for s in range(N_LANDMARKS)
+    ]
+    sources = solve_gauss_newton_block(_Plan(g0, problems[0].subset, problems[0].state), problems)
+    results = [
+        dict(enumerate(sources[i : i + N_LANDMARKS])) for i in range(0, len(sources), N_LANDMARKS)
+    ]
+    landmarks = np.array([[r.values[("l", s)] for s, r in world.items()] for world in results])
+    x = np.array([_stack(b.values, poses) for b in bases])
+    priors, deltas = pose_information_system(graphs, x, landmarks)
+    return [SlamSolution(*parts) for parts in zip(bases, results, priors, deltas)]

@@ -56,7 +56,8 @@ class SimConfig:
     step and one range-bearing measurement per landmark per non-initial
     pose. Noise covariances may be zero (noiseless worlds are legal). The
     walk and odometry noise square roots of the PSD check are kept,
-    read-only, for every world drawn from the config.
+    read-only, for every world drawn from the config. step_mean and the
+    noise matrices are checked as given, then kept as tuples.
     """
 
     n_poses: int = 10
@@ -74,6 +75,8 @@ class SimConfig:
         _check_finite("step_mean", self.step_mean, (3,), "3 finite numbers")
         for name in ("sigma_step", "sigma_odom"):
             _check_finite(name, getattr(self, name), (3, 3), "a 3 x 3 matrix of finite numbers")
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        object.__setattr__(self, "step_mean", tuple(self.step_mean))
         if self.box_half_width <= 0:
             raise ValueError("box_half_width must be positive")
         if self.range_var_coeff < 0 or self.bearing_var < 0:
@@ -95,13 +98,7 @@ class SimConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "step_mean" in kwargs:
-            kwargs["step_mean"] = tuple(kwargs["step_mean"])
-        for key in ("sigma_step", "sigma_odom"):
-            if key in kwargs:
-                kwargs[key] = tuple(tuple(r) for r in kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)

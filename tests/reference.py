@@ -12,7 +12,8 @@ GaussianBelief.sample, is the reference for the library's draws of
 standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
 linearize is one problem's whitened J and r through fgred.nonlinear's
-index plan. The factor bodies, linearization and Gauss-Newton solver
+index plan, and pose_information_one one world's information forms through
+its block step. The factor bodies, linearization and Gauss-Newton solver
 compute one factor at a time what fgred.nonlinear computes with one
 batched kernel per factor type, and the tests ask for the same bits;
 near_pi_angles draws the angles at the wrap boundary they are asked on.
@@ -52,6 +53,7 @@ from fgred.nonlinear import (
     RangeBearingFactor,
     _Plan,
     _stack,
+    pose_information_system,
 )
 from fgred.se2 import Pose2, se2_compose, se2_inverse
 
@@ -358,6 +360,17 @@ def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
     plan = _Plan(graph, subset, state)
     J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
     return J[0], r[0]
+
+
+def pose_information_one(graph, base_values, landmarks) -> tuple[GaussianBelief, dict]:
+    """One world's prior and {s: Delta_s}: the one-world block of `pose_information_system`.
+
+    base_values holds the poses by key, landmarks[s] source s's estimate.
+    """
+    poses = _stack(base_values, [v for v in graph.variables if v[0] == "x"])
+    stacked = np.array([[landmarks[s] for s in sorted(landmarks)]])
+    priors, deltas = pose_information_system([graph], poses[None], stacked)
+    return priors[0], deltas[0]
 
 
 def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:

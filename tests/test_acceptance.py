@@ -409,7 +409,7 @@ def default_run():
     t0 = time.monotonic()
     records = run_experiment(config, jobs=1)
     elapsed = time.monotonic() - t0
-    summary = correlation_report(records, n_shuffles=10_000)
+    summary = correlation_report(records)
     return records, summary, elapsed
 
 

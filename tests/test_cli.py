@@ -134,6 +134,26 @@ def test_bad_count_or_seed_exits_1(tmp_path, capsys, config, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "config must be a JSON object, got [1]"),
+        ('"abc"', "config must be a JSON object, got 'abc'"),
+        ("null", "config must be a JSON object, got None"),
+        ('{"sim": {"step_mean": 3}}', "step_mean must be 3 finite numbers, got 3"),
+        (
+            '{"sim": {"sigma_odom": [1, 2, 3]}}',
+            "sigma_odom must be a 3 x 3 matrix of finite numbers, got [1, 2, 3]",
+        ),
+    ],
+)
+def test_malformed_config_exits_1_with_reason(tmp_path, capsys, text, message):
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    assert main(["analyze", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"error: invalid config {p}: {message}"
+
+
 def test_missing_config_exits_2(tmp_path):
     rc = main(["analyze", "--config", str(tmp_path / "absent.json")])
     assert rc == EXIT_IO

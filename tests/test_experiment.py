@@ -8,6 +8,7 @@ import pytest
 
 import fgred.experiment as experiment
 import fgred.gauss as gauss
+import fgred.nonlinear as nonlinear
 import fgred.sim2d as sim2d
 from fgred.experiment import (
     ExperimentConfig,
@@ -256,14 +257,14 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     cfg = ExperimentConfig(n_sims=6)
     clean = run_experiment(cfg, jobs=1)
     seed_4 = experiment.world_seed(cfg.root_seed, 4)
-    triangulate = experiment.triangulate_landmark
+    triangulate = nonlinear.triangulate_landmark
 
     def onto_pose(world, s, pose_values):
         if world.seed == seed_4:
             return np.array(pose_values[("x", 1)][:2])
         return triangulate(world, s, pose_values)
 
-    monkeypatch.setattr(experiment, "triangulate_landmark", onto_pose)
+    monkeypatch.setattr(nonlinear, "triangulate_landmark", onto_pose)
     reason = "ValueError: degenerate range-bearing geometry: zero distance"
     with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):
         records = run_experiment(cfg, jobs=1)
@@ -298,7 +299,7 @@ def test_records_csv_rejects_wrong_header(tmp_path):
 
 
 def test_correlation_report_monotone_construction():
-    rep = correlation_report(synthetic_records(), n_shuffles=2000)
+    rep = correlation_report(synthetic_records())
     assert rep["spearman_rwass_wcate"]["rho"] == pytest.approx(-1.0)
     assert rep["spearman_rwass_wcate"]["p_value"] < 0.01
     assert not rep["spearman_rwass_wcate"]["degenerate"]
@@ -316,7 +317,7 @@ def test_correlation_report_constant_degenerate():
         )
         for r in recs
     ]
-    rep = correlation_report(recs, n_shuffles=500)
+    rep = correlation_report(recs)
     assert rep["spearman_rwass_wcate"]["degenerate"]
     assert math.isnan(rep["spearman_rwass_wcate"]["rho"])
 
@@ -361,7 +362,7 @@ def test_permutation_count_matches_loop_on_tie_free_data():
         y = -0.2 * x + rng.standard_normal(n)
         observed, shuffled = replayed_rank_sums(x, y, n_shuffles)
         assert observed not in shuffled
-        got = experiment._spearman_with_permutation(x, y, n_shuffles)
+        got = experiment._spearman_grid([x], [y], n_shuffles)[0][0]
         rho, hits = spearman_permutation_loop(x, y, n_shuffles, experiment._PERMUTATION_SEED)
         assert got["rho"] == rho
         assert got["p_value"] == (1 + hits) / (1 + n_shuffles)
@@ -376,10 +377,46 @@ def test_permutation_count_exact_on_ties():
     n_shuffles = 1000
     observed, shuffled = replayed_rank_sums(x, y, n_shuffles)
     hits = sum(v <= observed for v in shuffled)
-    got = experiment._spearman_with_permutation(x, y, n_shuffles)
+    got = experiment._spearman_grid([x], [y], n_shuffles)[0][0]
     assert got["p_value"] == (1 + hits) / (1 + n_shuffles)
     _, float_hits = spearman_permutation_loop(x, y, n_shuffles, experiment._PERMUTATION_SEED)
     assert float_hits < hits
+
+
+def test_correlation_report_shares_shuffles(monkeypatch):
+    # the report's 2 x 2 grid is the four one-pair tests, bit for bit, from
+    # 10 blocks of shuffles instead of 40
+    recs = synthetic_records(n=60)
+    for r in recs[::7]:  # ties in the distances
+        r.mean_dist = recs[0].mean_dist
+    rep = correlation_report(recs)
+    r_wass, r_wb, wc, dist = (
+        np.array(v) for v in zip(*[(r.r_wass, r.r_wb, r.wc_ate, max(r.mean_dist)) for r in recs])
+    )
+    pairs = {
+        ("spearman_rwass_wcate",): (r_wass, wc),
+        ("spearman_rwb_wcate",): (r_wb, wc),
+        ("spearman_r_dist", "wass"): (r_wass, dist),
+        ("spearman_r_dist", "wb"): (r_wb, dist),
+    }
+    for keys, (x, y) in pairs.items():
+        got = rep[keys[0]] if len(keys) == 1 else rep[keys[0]][keys[1]]
+        assert got == experiment._spearman_grid([x], [y])[0][0], keys
+
+    calls = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def permuted(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return self.rng.permuted(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    assert correlation_report(recs) == rep
+    assert calls == [(1000, 60)] * 10
 
 
 def test_correlation_report_too_few_records():
@@ -407,7 +444,7 @@ def test_qualities_decrease_when_box_doubled():
 
 def test_emit_outputs_files(tmp_path):
     recs = synthetic_records()
-    rep = correlation_report(recs, n_shuffles=500)
+    rep = correlation_report(recs)
     cfg = small_config()
     paths = emit_outputs(recs, rep, tmp_path, config=cfg)
     assert paths["records"].exists()

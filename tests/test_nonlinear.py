@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fgred.nonlinear as nonlinear
 from fgred.experiment import ExperimentConfig, simulate_batch_world
 from fgred.gauss import NotPositiveDefiniteError, cholesky_pd
 from fgred.nonlinear import (
@@ -12,6 +13,7 @@ from fgred.nonlinear import (
     dead_reckoning_init,
     pose_information_system,
     solve_gauss_newton,
+    solve_worlds,
     triangulate_landmark,
 )
 from fgred.se2 import Pose2, se2_compose, wrap_angle
@@ -23,6 +25,7 @@ from reference import (
     linearize,
     linearize_loop,
     near_pi_angles,
+    pose_information_one,
     pose_rotation,
     solve_gauss_newton_loop,
 )
@@ -274,7 +277,7 @@ def test_linearized_posterior_pd_and_prior_matches_base():
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
         assert res.converged
         landmarks[s] = res.values[("l", s)]
-    prior, deltas = pose_information_system(g, base.values, landmarks)
+    prior, deltas = pose_information_one(g, base.values, landmarks)
     n_poses = len(w.truth_poses)
     assert prior.dim == 3 * n_poses
     for s in range(2):
@@ -302,7 +305,7 @@ def test_metrics_invariant_under_rigid_reanchoring():
         init_s[("l", s)] = triangulate_landmark(w, s, base.values)
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
         landmarks[s] = res.values[("l", s)]
-    prior, deltas = pose_information_system(g, base.values, landmarks)
+    prior, deltas = pose_information_one(g, base.values, landmarks)
 
     T = Pose2(0.7, -1.3, 0.6)
 
@@ -325,7 +328,7 @@ def test_metrics_invariant_under_rigid_reanchoring():
     )
     base2 = {k: (move_pose(v) if k[0] == "x" else move_point(v)) for k, v in base.values.items()}
     landmarks2 = {s: move_point(lm) for s, lm in landmarks.items()}
-    prior2, deltas2 = pose_information_system(g2, base2, landmarks2)
+    prior2, deltas2 = pose_information_one(g2, base2, landmarks2)
 
     for s in range(2):
         for kind in QualityKind:
@@ -337,6 +340,46 @@ def test_metrics_invariant_under_rigid_reanchoring():
         rb = redundancy_mc_info(prior2, [deltas2[0], deltas2[1]], kind, n_samples=20_000, rng_seed=0)
         # same invariant integral, independent sample sets
         assert abs(ra.value - rb.value) < 4 * (ra.std_error + rb.std_error)
+
+
+def information_bits(sol):
+    """Bytes of a solution's prior mean, prior information and increments."""
+    deltas = [sol.deltas[s].tobytes() for s in sorted(sol.deltas)]
+    return [sol.prior.mean.tobytes(), sol.prior.info.tobytes(), *deltas]
+
+
+def test_information_forms_same_bits_in_any_block():
+    worlds = [simulate_batch_world(ExperimentConfig(root_seed=5), i) for i in range(15)]
+    alone = [information_bits(solve_worlds([w])[0]) for w in worlds]
+    assert all(len(bits) == 4 for bits in alone)
+    for size in (3, 15):
+        for start in range(0, len(worlds), size):
+            block = solve_worlds(worlds[start : start + size])
+            assert [information_bits(sol) for sol in block] == alone[start : start + size]
+
+
+def test_information_forms_two_linearizations_per_block(monkeypatch):
+    worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
+    solutions = solve_worlds(worlds)
+    poses = np.array([sol.prior.mean for sol in solutions])
+    landmarks = np.array([
+        [sol.source_results[s].values[("l", s)] for s in range(2)] for sol in solutions
+    ])
+    sizes = []
+    normal_equations = nonlinear._Plan.normal_equations
+
+    def counted(plan, x, data):
+        sizes.append(len(x))
+        return normal_equations(plan, x, data)
+
+    monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
+    graphs = [build_nonlinear_graph(w) for w in worlds]
+    priors, deltas = pose_information_system(graphs, poses, landmarks)
+    # one base linearization of the 15 worlds and one of their 30 sources
+    assert sizes == [15, 30]
+    for prior, delta, sol in zip(priors, deltas, solutions):
+        assert prior.info.tobytes() == sol.prior.info.tobytes()
+        assert [delta[s].tobytes() for s in range(2)] == [sol.deltas[s].tobytes() for s in range(2)]
 
 
 def test_triangulate_landmark_noiseless_exact():
