@@ -4,6 +4,11 @@ Estimated trajectories are gauge-free up to a rigid motion, so each is
 aligned to the truth with the best rotation + translation (no scaling)
 before errors are measured. The worst-case error takes, per pose, the
 largest squared error across the candidate estimates and sums over poses.
+
+The arithmetic runs on stacks of point sets (`wc_ates`), one matmul, SVD
+and determinant per step for the whole stack, which gives each member the
+bits of its own 2-D computation; the one-trajectory functions are its
+one-member cases.
 """
 from __future__ import annotations
 
@@ -25,6 +30,39 @@ def _as_xy(traj) -> np.ndarray:
     return pts
 
 
+def _checked_pair(source, target) -> tuple[np.ndarray, np.ndarray]:
+    src = _as_xy(source)
+    tgt = _as_xy(target)
+    if src.shape != tgt.shape:
+        raise ValueError("point sets must have matching shapes")
+    if src.shape[0] < 2:
+        raise ValueError("need at least two points to align")
+    return src, tgt
+
+
+def _align(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """umeyama_align of each member of stacks src, tgt (m, k, 2): R (m, 2, 2), t (m, 2)."""
+    src_mean, tgt_mean = src.mean(axis=1), tgt.mean(axis=1)
+    src_c = src - src_mean[:, None]
+    tgt_c = tgt - tgt_mean[:, None]
+    spread = np.minimum(np.abs(src_c).max(axis=(1, 2)), np.abs(tgt_c).max(axis=(1, 2)))
+    if (spread < 1e-12).any():
+        raise ValueError("degenerate point set: all points coincide")
+    U, _, Vt = np.linalg.svd(src_c.swapaxes(1, 2) @ tgt_c)
+    V, Ut = Vt.swapaxes(1, 2), U.swapaxes(1, 2)
+    D = np.zeros_like(U)
+    D[:, 0, 0], D[:, 1, 1] = 1.0, np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    return R, tgt_mean - (R @ src_mean[:, :, None])[:, :, 0]
+
+
+def _aligned_sq_errors(truth: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+    """aligned_sq_errors of each member of stacks truth, estimate (m, k, 2): shape (m, k)."""
+    R, t = _align(estimate, truth)
+    dev = truth - (estimate @ R.swapaxes(1, 2) + t[:, None, :])
+    return np.einsum("...ij,...ij->...i", dev, dev)
+
+
 def umeyama_align(source, target) -> tuple[np.ndarray, np.ndarray]:
     """Best rigid motion (R, t) minimizing sum ||target_i - R source_i - t||^2.
 
@@ -32,31 +70,27 @@ def umeyama_align(source, target) -> tuple[np.ndarray, np.ndarray]:
     with the usual sign correction. Needs at least two points and a
     non-degenerate spread in both clouds.
     """
-    src = _as_xy(source)
-    tgt = _as_xy(target)
-    if src.shape != tgt.shape:
-        raise ValueError("point sets must have matching shapes")
-    if src.shape[0] < 2:
-        raise ValueError("need at least two points to align")
-    src_c = src - src.mean(axis=0)
-    tgt_c = tgt - tgt.mean(axis=0)
-    if np.abs(src_c).max() < 1e-12 or np.abs(tgt_c).max() < 1e-12:
-        raise ValueError("degenerate point set: all points coincide")
-    H = src_c.T @ tgt_c
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, d]) @ U.T
-    t = tgt.mean(axis=0) - R @ src.mean(axis=0)
-    return R, t
+    src, tgt = _checked_pair(source, target)
+    R, t = _align(src[None], tgt[None])
+    return R[0], t[0]
 
 
 def aligned_sq_errors(truth, estimate) -> np.ndarray:
     """Per-pose squared errors after rigid alignment of estimate to truth."""
-    tgt = _as_xy(truth)
-    src = _as_xy(estimate)
-    R, t = umeyama_align(src, tgt)
-    dev = tgt - (src @ R.T + t[None, :])
-    return np.einsum("ij,ij->i", dev, dev)
+    src, tgt = _checked_pair(estimate, truth)
+    return _aligned_sq_errors(tgt[None], src[None])[0]
+
+
+def wc_ates(truths: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """wc_ate of each member of a stack: truths (w, k, 2), estimates (w, e, k, 2) -> (w,).
+
+    Every member has the bits of wc_ate on its own; a degenerate point set
+    in any member raises.
+    """
+    w, e = estimates.shape[:2]
+    truth = np.repeat(truths, e, axis=0)
+    per_pose = _aligned_sq_errors(truth, estimates.reshape(w * e, *estimates.shape[2:]))
+    return per_pose.reshape(w, e, -1).max(axis=1).sum(axis=1)
 
 
 def wc_ate(truth, estimates) -> float:
@@ -69,5 +103,6 @@ def wc_ate(truth, estimates) -> float:
     est_list = list(estimates)
     if not est_list:
         raise ValueError("need at least one estimated trajectory")
-    per_pose = np.stack([aligned_sq_errors(truth, est) for est in est_list])
-    return float(per_pose.max(axis=0).sum())
+    truth_xy = _as_xy(truth)
+    stack = np.array([_checked_pair(est, truth_xy)[0] for est in est_list])
+    return float(wc_ates(truth_xy[None], stack[None])[0])

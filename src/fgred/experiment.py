@@ -11,9 +11,13 @@ Simulations run in fixed blocks of consecutive sim ids (`run_block`),
 sized by `worlds_per_block` so the block's stacked J and J^T J stay within
 _BLOCK_BYTES. A block's worlds are solved and linearized together
 (nonlinear.solve_worlds), so each Gauss-Newton iteration makes one kernel
-call per factor type for the whole block. If a block's solves raise, its
-worlds are solved one at a time, so only the world at fault fails.
-`run_single` and `solve_world` are the one-world cases of the same code.
+call per factor type for the whole block, and then scored together
+(`_score_block`): one posterior per source serves both quality kinds, and
+the coefficient products, the spectra, Imhof's rule and the WC-ATE
+alignments run on stacks over the block. If a block's solves or its
+scoring raise, its worlds are solved or scored one at a time, so only the
+world at fault fails. `run_single` and `solve_world` are the one-world
+cases of the same code.
 
 Per-simulation seeds are derived from the root seed and the simulation id
 only, and a world's numbers are the same bits in any block, so results are
@@ -34,9 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .alignment import wc_ate
+from .alignment import wc_ates
 from .gauss import _one_blas_thread
-from .metrics import QualityKind, _coefficients, _pair_redundancy
+from .metrics import QualityKind, _pair_scores
 from .nonlinear import SlamSolution, solve_worlds
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
@@ -201,47 +205,69 @@ def _block_records(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[Sim
         logger.debug("sims %d-%d: block solve failed (%s), solving one world at a time",
                      sim_ids[0], sim_ids[-1], exc)
         return [rec for i in sim_ids for rec in _block_records(config, [i])]
-    return [_record(i, w, sol) for i, w, sol in zip(sim_ids, worlds, solutions)]
+    return _scored_records(sim_ids, worlds, solutions)
 
 
-def _record(sim_id: int, world: SimWorld, sol: SlamSolution) -> SimRecord:
-    """A solved world's record. Exceptions become a failed record."""
+def _scored_records(
+    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solutions: Sequence[SlamSolution]
+) -> list[SimRecord]:
+    """`_score_block` of solved worlds; if it raises, each world is scored alone.
+
+    A world whose scoring raises gets a failed record with its own reason,
+    and the others the records the block would have given them.
+    """
     try:
-        # Each kind's per-source SpecificQuality gives the pair redundancy and the qualities.
-        redundancy, qualities = {}, {}
-        for kind in QualityKind:
-            sqs = [_coefficients(kind, sol.prior, sol.deltas[s]) for s in range(N_LANDMARKS)]
-            redundancy[kind] = _pair_redundancy(sol.prior, sqs)
-            qualities[kind] = tuple(sq.quality for sq in sqs)
-
-        truth_xy = np.array([[p.x, p.y] for p in world.truth_poses])
-        n_all = len(world.truth_poses)
-        trajectories = [
-            np.array(
-                [sol.source_results[s].values[("x", i)][:2] for i in range(n_all)]
-            )
-            for s in range(N_LANDMARKS)
-        ]
-        wc = wc_ate(truth_xy, trajectories)
-        dists = world.landmark_distances().mean(axis=1)
-        base_ok = sol.base_result.converged
-        return SimRecord(
-            sim_id=sim_id,
-            r_wb=redundancy[QualityKind.WB],
-            r_wb_se=0.0,
-            r_wass=redundancy[QualityKind.WASS],
-            r_wass_se=0.0,
-            q_wb=qualities[QualityKind.WB],
-            q_wass=qualities[QualityKind.WASS],
-            wc_ate=wc,
-            mean_dist=tuple(float(d) for d in dists),
-            converged=tuple(
-                bool(base_ok and sol.source_results[s].converged)
-                for s in range(N_LANDMARKS)
-            ),
-        )
+        return _score_block(sim_ids, worlds, solutions)
     except Exception as exc:  # per-sim failures must never abort the batch
-        return _failed_record(sim_id, exc)
+        if len(sim_ids) == 1:
+            return [_failed_record(sim_ids[0], exc)]
+        logger.debug("sims %d-%d: block scoring failed (%s), scoring one world at a time",
+                     sim_ids[0], sim_ids[-1], exc)
+        return [
+            rec for i, world, sol in zip(sim_ids, worlds, solutions)
+            for rec in _scored_records([i], [world], [sol])
+        ]
+
+
+def _score_block(
+    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solutions: Sequence[SlamSolution]
+) -> list[SimRecord]:
+    """Records of solved worlds, scored together.
+
+    Both kinds' pair redundancies and source qualities come from one
+    `metrics._pair_scores` call, and the WC-ATEs from one `wc_ates` call,
+    so each world's numbers are the bits it gets in a block of one.
+    """
+    scores = _pair_scores(
+        [sol.prior for sol in solutions],
+        [[sol.deltas[s] for s in range(N_LANDMARKS)] for sol in solutions],
+    )
+    poses = range(len(worlds[0].truth_poses))
+    truths = np.array([[[p.x, p.y] for p in world.truth_poses] for world in worlds])
+    estimates = np.array([
+        [[sol.source_results[s].values[("x", i)][:2] for i in poses] for s in range(N_LANDMARKS)]
+        for sol in solutions
+    ])
+    wc = wc_ates(truths, estimates)
+    (r_wb, q_wb), (r_wass, q_wass) = scores[QualityKind.WB], scores[QualityKind.WASS]
+    records = []
+    for k, (sim_id, world, sol) in enumerate(zip(sim_ids, worlds, solutions)):
+        base_ok = sol.base_result.converged
+        records.append(SimRecord(
+            sim_id=sim_id,
+            r_wb=float(r_wb[k]),
+            r_wb_se=0.0,
+            r_wass=float(r_wass[k]),
+            r_wass_se=0.0,
+            q_wb=tuple(float(q) for q in q_wb[k]),
+            q_wass=tuple(float(q) for q in q_wass[k]),
+            wc_ate=float(wc[k]),
+            mean_dist=tuple(float(d) for d in world.landmark_distances().mean(axis=1)),
+            converged=tuple(
+                bool(base_ok and sol.source_results[s].converged) for s in range(N_LANDMARKS)
+            ),
+        ))
+    return records
 
 
 def _failed_record(sim_id: int, exc: Exception) -> SimRecord:
@@ -271,11 +297,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
         raise ValueError("jobs must be >= 1")
     size = worlds_per_block(config.sim)
     blocks = [list(range(i, min(i + size, config.n_sims))) for i in range(0, config.n_sims, size)]
-    if jobs == 1:
+    # an executor forks all its workers at the first submit: no more than there are blocks
+    workers = min(jobs, len(blocks))
+    if workers == 1:
         records = [rec for ids in blocks for rec in run_block(config, ids)]
     else:
-        chunk = max(1, len(blocks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(blocks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks_done = pool.map(run_block, itertools.repeat(config), blocks, chunksize=chunk)
             records = [rec for recs in blocks_done for rec in recs]
     records.sort(key=lambda r: r.sim_id)

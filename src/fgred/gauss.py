@@ -8,12 +8,14 @@ inf, and passes one pivot rule (`_good_pivots`): the error names the
 matrix and the first leading minor that LAPACK stops at or whose pivot is
 at or below PIVOT_TOL. `cholesky_pd_many` and `solve_pd_stack` check a
 stack with one symmetry test and factor each member on its own;
-`solve_pd_stack` reports, instead of raising, a member that fails the
-pivot rule. The module is the one owner of the LAPACK routines it binds
-once at import (`potrf`, `potrs`, `trtrs`): they are the routines the
-`scipy.linalg` wrappers call, with the same arguments, so the results are
-bit for bit the wrappers', without their per-call validation and dispatch,
-which at the dimensions here costs more than the arithmetic.
+`cholesky_pd_many` gives a diagonal member the square roots of its
+diagonal, which are potrf's bits, and `solve_pd_stack` reports, instead of
+raising, a member that fails the pivot rule. The module is the one owner
+of the LAPACK routines it binds once at import (`potrf`, `potrs`,
+`trtrs`): they are the routines the `scipy.linalg` wrappers call, with the
+same arguments, so the results are bit for bit the wrappers', without
+their per-call validation and dispatch, which at the dimensions here costs
+more than the arithmetic.
 `_one_blas_thread` limits that linear algebra to one BLAS thread for the
 length of one block of the study's simulations, and of one public Monte
 Carlo redundancy or quality call.
@@ -136,7 +138,9 @@ def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.
     """`cholesky_pd` of each matrix, with one symmetry test per shape.
 
     The matrices of one shape are stacked and checked by one `_symmetrized`
-    call; then each is factored on its own, as `solve_pd_stack` does, so
+    call. A diagonal member (every off-diagonal entry +0.0) whose square
+    roots pass the pivot rule is factored by them, which are potrf's bits;
+    every other member is factored on its own, as `solve_pd_stack` does, so
     each factor has `cholesky_pd`'s bits and an error names its matrix.
     """
     by_shape = {}
@@ -147,7 +151,15 @@ def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.
         if len(shape) != 2 or shape[0] != shape[1]:
             check_symmetric(Ms[idx[0]], name=names[idx[0]])  # raises: not square
         G = _symmetrized(np.array([Ms[i] for i in idx], dtype=float), [names[i] for i in idx])
-        out.update((i, _cholesky_symmetric(M, names[i])) for i, M in zip(idx, G))
+        d, roots = np.arange(shape[0]), np.zeros_like(G)
+        with np.errstate(invalid="ignore"):
+            roots[:, d, d] = np.sqrt(G[:, d, d])
+        off_diagonal = G.view(np.int64)[:, ~np.eye(shape[0], dtype=bool)]
+        diagonal = ~off_diagonal.any(axis=1) & _good_pivots(roots).all(axis=1)
+        out.update(
+            (i, L if fast else _cholesky_symmetric(M, names[i]))
+            for i, M, L, fast in zip(idx, G, roots, diagonal)
+        )
     return [out[i] for i in range(len(Ms))]
 
 

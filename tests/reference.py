@@ -271,6 +271,18 @@ def ate(truth, estimate) -> float:
     return float(aligned_sq_errors(truth, estimate).sum())
 
 
+def wc_ate_loop(truth: np.ndarray, estimates: Sequence[np.ndarray]) -> float:
+    """Worst-case ATE with one 2-D Umeyama alignment per estimate, (k, 2) arrays."""
+    per_pose = []
+    for src in estimates:
+        src_c, tgt_c = src - src.mean(axis=0), truth - truth.mean(axis=0)
+        U, _, Vt = np.linalg.svd(src_c.T @ tgt_c)
+        R = Vt.T @ np.diag([1.0, np.sign(np.linalg.det(Vt.T @ U.T))]) @ U.T
+        dev = truth - (src @ R.T + (truth.mean(axis=0) - R @ src.mean(axis=0))[None, :])
+        per_pose.append(np.einsum("ij,ij->i", dev, dev))
+    return float(np.stack(per_pose).max(axis=0).sum())
+
+
 def pose_translation(p: Pose2) -> np.ndarray:
     """The pose's position (x, y)."""
     return np.array([p.x, p.y])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fgred.alignment import aligned_sq_errors, umeyama_align, wc_ate
+from fgred.alignment import aligned_sq_errors, umeyama_align, wc_ate, wc_ates
 from fgred.se2 import Pose2
-from reference import ate
+from reference import ate, wc_ate_loop
 
 
 def rot(theta):
@@ -121,3 +121,33 @@ def test_wc_ate_pointwise_max():
     s1 = aligned_sq_errors(truth, e1)
     s2 = aligned_sq_errors(truth, e2)
     assert wc == pytest.approx(np.maximum(s1, s2).sum(), abs=1e-12)
+
+
+def test_stacked_wc_ate_same_bits_as_one_world():
+    # a stack of worlds, in any order, gives each world wc_ate's bits, which
+    # are those of one 2-D alignment per estimate; world 0 has an estimate
+    # that is the truth's mirror image, whose cross-covariance has
+    # det(V U^T) = -1, and a degenerate member fails the whole stack
+    rng = np.random.default_rng(8)
+    truths, estimates = [], []
+    for _ in range(7):
+        truth = np.cumsum(rng.standard_normal((11, 2)), axis=0)
+        estimates.append([
+            truth @ rot(rng.uniform(-np.pi, np.pi)).T + rng.uniform(-5, 5, 2)
+            + rng.standard_normal((11, 2)) * scale
+            for scale in (0.05, 0.3)
+        ])
+        truths.append(truth)
+    estimates[0][1] = truths[0] * [1.0, -1.0]
+    centred = [pts - pts.mean(axis=0) for pts in (estimates[0][1], truths[0])]
+    U, _, Vt = np.linalg.svd(centred[0].T @ centred[1])
+    assert np.linalg.det(Vt.T @ U.T) < 0.0
+    truths, estimates = np.array(truths), np.array(estimates)
+    alone = np.array([wc_ate(truth, ests) for truth, ests in zip(truths, estimates)])
+    assert alone.tolist() == [wc_ate_loop(truth, ests) for truth, ests in zip(truths, estimates)]
+    for order in (np.arange(7), np.arange(7)[::-1], rng.permutation(7)):
+        assert wc_ates(truths[order], estimates[order]).tobytes() == alone[order].tobytes()
+    estimates[3, 0] = 1.5
+    for call in (lambda: wc_ates(truths, estimates), lambda: wc_ate(truths[3], estimates[3])):
+        with pytest.raises(ValueError, match="degenerate point set"):
+            call()

@@ -8,6 +8,7 @@ import pytest
 
 import fgred.experiment as experiment
 import fgred.gauss as gauss
+import fgred.metrics as metrics
 import fgred.nonlinear as nonlinear
 import fgred.sim2d as sim2d
 from fgred.experiment import (
@@ -16,6 +17,7 @@ from fgred.experiment import (
     correlation_report,
     emit_outputs,
     read_records_csv,
+    run_block,
     run_experiment,
     run_single,
     simulate_batch_world,
@@ -135,7 +137,36 @@ def test_imhof_rule_matches_adaptive_quadrature():
             L_inv = np.linalg.inv(prior.chol)
             lam = np.linalg.eigvalsh(L_inv @ (sq_a.W - sq_b.W) @ L_inv.T)
             want = expected_abs_quad(sq_a.c - sq_b.c, lam)
-            assert _expected_abs(sq_a.c - sq_b.c, lam) == pytest.approx(want, rel=1e-9)
+            assert _expected_abs(np.array([sq_a.c - sq_b.c]), lam[None])[0] == pytest.approx(want, rel=1e-9)
+
+
+def imhof_rows():
+    """(c, lam) of both kinds' pairs on study worlds 0, 29 and 79, then a
+    pair whose D never changes sign and one whose D all but never does."""
+    cs, lams = [], []
+    for sim_id in (0, 29, 79):
+        prior, deltas = study_system(sim_id)
+        for coefficients in (wb_coefficients_info, wass_coefficients_info):
+            sq_a, sq_b = (coefficients(prior, d) for d in deltas)
+            cs.append(sq_a.c - sq_b.c)
+            lams.append(np.linalg.eigvalsh(prior.whiten(sq_a.W - sq_b.W)))
+    cs += [1.0, -1.0]
+    lams += [np.abs(lams[0]), 1e-4 * lams[0] / np.abs(lams[0]).max()]
+    return np.array(cs), np.array(lams)
+
+
+def test_imhof_rows_same_bits_in_any_stack():
+    # a stack of pairs gives each pair the bits of its one-pair call, in any
+    # order; the last two take the same-sign and the Chernoff exits, whose
+    # value is |E D|
+    c, lam = imhof_rows()
+    alone = np.array([_expected_abs(c[[i]], lam[[i]])[0] for i in range(len(c))])
+    exits = alone == np.abs(c + lam.sum(axis=1))
+    assert exits.tolist() == [False] * (len(c) - 2) + [True, True]
+    assert lam[-1].min() < 0.0 < lam[-1].max()
+    n = len(c)
+    for order in (np.arange(n), np.arange(n)[::-1], np.random.default_rng(4).permutation(n)):
+        assert _expected_abs(c[order], lam[order]).tobytes() == alone[order].tobytes()
 
 
 def test_exact_redundancy_never_exceeds_min_quality():
@@ -275,6 +306,68 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     logged = [(r.levelno, r.getMessage()) for r in caplog.records]
     assert (logging.DEBUG, f"sims 0-5: block solve failed ({reason[12:]}), solving one world at a time") in logged
     assert [m for level, m in logged if level == logging.WARNING] == [f"sim 4 failed: {reason}"]
+
+
+def test_scoring_failure_fails_alone(monkeypatch, caplog):
+    # with Imhof's budget cut to 9,000, one pair of sim 5 is out of reach (it
+    # needs 9,240) and every pair of sims 0-4 is not (they need at most
+    # 8,580): the block's scoring raises, its worlds are scored one at a
+    # time, and only sim 5 fails
+    cfg = ExperimentConfig(n_sims=6)
+    clean = run_experiment(cfg, jobs=1)
+    monkeypatch.setattr(metrics, "_IMHOF_BUDGET", 9000)
+    with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):
+        records = run_experiment(cfg, jobs=1)
+    reason = records[5].fail_reason
+    assert records[5].failed and reason.startswith("ValueError: E|D| out of reach: c = ")
+    assert run_single(cfg, 5).fail_reason == reason
+    for i in range(5):
+        assert not records[i].failed and records[i].csv_row() == clean[i].csv_row(), i
+    logged = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert (logging.DEBUG, f"sims 0-5: block scoring failed ({reason[12:]}), scoring one world at a time") in logged
+
+
+def test_block_builds_one_posterior_per_source(monkeypatch):
+    # both quality kinds read each source's posterior: 2 per world, not 4
+    cfg = ExperimentConfig(n_sims=5)
+    posterior, calls = metrics._posterior, []
+
+    def counting_posterior(prior, delta):
+        calls.append(prior)
+        return posterior(prior, delta)
+
+    monkeypatch.setattr(metrics, "_posterior", counting_posterior)
+    assert all(rec.is_usable() for rec in run_block(cfg, range(5)))
+    assert len(calls) == 2 * cfg.n_sims
+
+
+def test_pool_never_larger_than_the_block_count(monkeypatch):
+    # an executor forks all its workers at once: 30 default sims are two
+    # blocks, so --jobs 64 asks for two workers, and 10 sims, one block, for
+    # no pool at all; the stand-in pool maps in this process
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            seen.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    for n_sims, pool in ((30, [2, 1]), (10, [])):
+        cfg = ExperimentConfig(n_sims=n_sims)
+        rows = [rec.csv_row() for rec in run_experiment(cfg, jobs=64)]
+        assert seen == pool
+        assert rows == [rec.csv_row() for rec in run_experiment(cfg, jobs=1)]
+        seen.clear()
 
 
 def test_records_csv_round_trip(tmp_path):

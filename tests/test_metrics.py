@@ -409,7 +409,7 @@ def test_expected_abs_matches_z_quadrature():
 
     cases = [(-1.0, 0.5), (0.3, -2.0), (-4.0, 0.9), (25.85, -0.57), (-0.0167, 0.0152), (-15.0, 1e-3)]
     for c, lam in cases:
-        got = metrics._expected_abs(c, np.array([lam]))
+        got = metrics._expected_abs(np.array([c]), np.array([[lam]]))[0]
         assert got == pytest.approx(by_z(c, lam), rel=1e-9)
 
 
@@ -434,6 +434,33 @@ def test_quality_info_is_the_coefficients_quality():
         for kind, coefficients_info in coefficients.items():
             want = coefficients_info(g.prior_belief(), g.stack_subgraph(J)).quality
             assert quality(g, J, kind) == want
+
+
+def test_stacked_scores_same_bits_as_one_system():
+    # systems scored together, in any order, give each source wb_ and
+    # wass_coefficients_info's c, W and quality, and each pair
+    # redundancy_pair_info's and quality_info's values, bit for bit
+    rng = np.random.default_rng(32)
+    priors, pairs = [], []
+    for _ in range(5):
+        belief, d1, _, _ = random_system(rng, n=4)
+        priors.append(belief)
+        pairs.append([d1, random_system(rng, n=4)[1]])
+    coefficients = {QualityKind.WB: wb_coefficients_info, QualityKind.WASS: wass_coefficients_info}
+    sources = [d for pair in pairs for d in pair]
+    forms = metrics._specific_qualities([p for p in priors for _ in (0, 1)], sources, list(QualityKind))
+    for kind, coefficients_info in coefficients.items():
+        for k, sq in enumerate(forms[kind]):
+            alone = coefficients_info(priors[k // 2], sources[k])
+            assert (sq.c, sq.quality) == (alone.c, alone.quality)
+            assert sq.W.tobytes() == alone.W.tobytes()
+    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
+        scores = metrics._pair_scores([priors[i] for i in order], [pairs[i] for i in order])
+        for kind in QualityKind:
+            redundancy, qualities = scores[kind]
+            for k, i in enumerate(order):
+                assert redundancy[k] == redundancy_pair_info(priors[i], pairs[i], kind)
+                assert qualities[k].tolist() == [quality_info(priors[i], d, kind) for d in pairs[i]]
 
 
 def test_pair_identical_sources_give_quality():
@@ -469,7 +496,7 @@ def test_pair_constant_difference_gives_min_quality(monkeypatch):
     monkeypatch.setattr(metrics, "wb_coefficients_info", shifted)
     for pair in ([d_low, d_high], [d_high, d_low]):
         assert redundancy_pair_info(belief, pair, QualityKind.WB) == base.quality
-    assert metrics._expected_abs(-0.75, np.zeros(3)) == 0.75
+    assert metrics._expected_abs(np.array([-0.75]), np.zeros((1, 3)))[0] == 0.75
 
 
 def test_pair_validation():
