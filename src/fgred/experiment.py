@@ -242,8 +242,8 @@ def _score_block(
         [sol.prior for sol in solutions],
         [[sol.deltas[s] for s in range(N_LANDMARKS)] for sol in solutions],
     )
-    poses = range(len(worlds[0].truth_poses))
-    truths = np.array([[[p.x, p.y] for p in world.truth_poses] for world in worlds])
+    poses = range(len(worlds[0].truth_array))
+    truths = np.array([world.truth_array[:, :2] for world in worlds])
     estimates = np.array([
         [[sol.source_results[s].values[("x", i)][:2] for i in poses] for s in range(N_LANDMARKS)]
         for sol in solutions

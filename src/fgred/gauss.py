@@ -300,19 +300,29 @@ class GaussianBelief:
             raise ValueError(f"mean must be 1-D, got shape {mean.shape}")
         if not np.isfinite(mean).all():
             raise ValueError("mean is not finite")
-        info = check_symmetric(self.info, name="info")
+        mean = mean.copy()
+        mean.setflags(write=False)
+        self._freeze(mean, self.info)
+
+    def _freeze(self, mean: np.ndarray, info: np.ndarray) -> None:
+        """Set a checked read-only mean and `info`, checked, factored and made read-only."""
+        info = check_symmetric(info, name="info")
         if info.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean dim {mean.shape[0]} != info dim {info.shape[0]}"
             )
         chol = _cholesky_symmetric(info, "info")
-        mean = mean.copy()
-        mean.setflags(write=False)
         info.setflags(write=False)
         chol.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "_chol", chol)
+
+    def _with_info(self, info: np.ndarray) -> "GaussianBelief":
+        """The belief with this mean, shared, not checked or copied again, and `info`."""
+        belief = object.__new__(GaussianBelief)
+        belief._freeze(self.mean, info)
+        return belief
 
     @property
     def dim(self) -> int:

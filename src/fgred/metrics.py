@@ -37,10 +37,11 @@ redundancy_mc_info estimates it by Monte Carlo for any number.
 
 Validation happens at the boundary. The prior is a GaussianBelief, which
 checked and factored Lam_B when it was built. The coefficient functions check
-each Delta (symmetric, the prior's shape) on entry and build the posterior as
-GaussianBelief(mu_B, Lam_B + Delta), whose cov() and logdet_info() give
-Ltilde^-1 and log det Ltilde from its one factor; quality_info reads only
-the quality, through the same private helper as the coefficient functions.
+each Delta (symmetric, the prior's shape) on entry and build the posterior
+(mu_B, Lam_B + Delta) on the prior's own checked mean; its cov() and
+logdet_info() give Ltilde^-1 and log det Ltilde from its one factor;
+quality_info reads only the quality, through the same private helper as
+the coefficient functions.
 One posterior per source serves both kinds: the study scores a block of
 two-source systems with `_pair_scores`, which reads each source's WB and
 WASS forms from one posterior, stacks the block's products, spectra and
@@ -134,15 +135,16 @@ class RedundancyEstimate:
 def _posterior(prior: GaussianBelief, delta: np.ndarray) -> tuple[np.ndarray, GaussianBelief]:
     """Delta checked symmetric and of the prior's shape, and the posterior.
 
-    The posterior is GaussianBelief(mu_B, Lam_B + Delta), which checks and
-    factors Ltilde once; its cov() is Ltilde^-1.
+    The posterior is the belief (mu_B, Lam_B + Delta), which shares the
+    prior's checked mean and checks and factors Ltilde once; its cov() is
+    Ltilde^-1.
     """
     delta = check_symmetric(delta, name="delta")
     if delta.shape != prior.info.shape:
         raise ValueError(
             f"delta has shape {delta.shape}, prior info has shape {prior.info.shape}"
         )
-    return delta, GaussianBelief(prior.mean, prior.info + delta)
+    return delta, prior._with_info(prior.info + delta)
 
 
 def _quality(kind: QualityKind, prior: GaussianBelief, post: GaussianBelief) -> float:

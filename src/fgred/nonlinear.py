@@ -23,23 +23,28 @@ the ones it would take alone, bit for bit; `solve_gauss_newton` is the
 one-problem case. The state is one flat vector per problem, retracted
 additively (pose angles re-wrapped).
 
-`solve_worlds` is the study's SLAM block. Every graph of one n_poses has
-one layout, so a block of worlds solves its base problems as one
-Gauss-Newton block and its source problems as another, and
+`solve_worlds` is the study's SLAM block, and it builds no per-world
+graph. Every world of one n_poses has one factor layout, so a block's
+plans come from its first world's graph (`_slam_plans`), and
+`_block_data` fills the block's whitener and measurement stacks straight
+from the worlds' arrays, with the bits `_Plan.data` reads from their
+graphs. A block of worlds solves its base problems, from dead reckoning,
+as one Gauss-Newton block and its source problems as another, and
 `pose_information_system` then takes the block's information forms, the
 base prior and each source increment, J^T J = sum_j H_j^T Gamma_j H_j,
 with one linearization of the base factors and one of the source factors.
+`NonlinearGraph` and `build_nonlinear_graph` serve the one-problem API.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gauss import GaussianBelief, cholesky_pd_many, schur_complement, solve_pd_stack
-from .se2 import Pose2, se2_compose, wrap_angle
-from .sim2d import N_LANDMARKS, SimWorld
+from .gauss import GaussianBelief, _good_pivots, cholesky_pd_many, schur_complement, solve_pd_stack
+from .se2 import wrap_angle
+from .sim2d import N_LANDMARKS, SimConfig, SimWorld
 
 VarKey = tuple[str, int]
 
@@ -204,31 +209,18 @@ class GaussNewtonResult:
     max_update: float
 
 
-class GaussNewtonProblem(NamedTuple):
-    """The factors `subset` of `graph` over the variables `state`, from `init`.
-
-    `state` lists the variables in column order. Problems that share a plan
-    have its factor layout and column widths; each names its own variables
-    (source s has its own landmark).
-    """
-
-    graph: NonlinearGraph
-    subset: Sequence[int]
-    state: Sequence[VarKey]
-    init: Values
-
-
 class _Plan:
     """Index structure of a factor subset over a state ordering.
 
     Problems whose factors have one layout share a plan: every base problem
-    of a block, and every source problem (`solve_worlds`). slices[i] holds
+    of a block, and every source problem (`_slam_plans`). slices[i] holds
     the columns of state[i], and theta the pose-angle columns. Factors are
     grouped by type; a group holds the positions in the subset of its
     factors (slots), their rows of J, the columns of their variables and the
     flat indices of their blocks in J. The index structure is built with one
     pass over the factors and a few array operations per type. A problem
-    adds only its stacked whiteners and measurements (`data`) and its state.
+    adds only its stacked whiteners and measurements (`data`, or
+    `_block_data` for a block of worlds) and its state.
     """
 
     def __init__(self, graph: NonlinearGraph, subset: Sequence[int], state: Sequence[VarKey]):
@@ -266,17 +258,21 @@ class _Plan:
     def data(self, problems: Sequence[tuple]) -> list:
         """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
 
-        problems are p (graph, subset, ...) tuples; m is the group's factor
-        count and k its residual size.
+        problems are p (graph, subset) pairs; m is the group's factor count
+        and k its residual size.
         """
         out = []
         for _, slots, _, _, _ in self.groups:
-            ids = [(g, [subset[i] for i in slots]) for g, subset, *_ in problems]
+            ids = [(g, [subset[i] for i in slots]) for g, subset in problems]
             whiteners = np.array([g.whiteners[j] for g, js in ids for j in js])
             z = np.array([g.factors[j].measurement for g, js in ids for j in js], dtype=float)
             p, m = len(problems), len(slots)
             out.append((whiteners.reshape(p, m, *whiteners.shape[1:]), z.reshape(p, m, -1)))
         return out
+
+    def values(self, x: np.ndarray, state: Sequence[VarKey] = ()) -> dict:
+        """A problem's state x (cols,) by variable: `state`'s keys, else the plan's."""
+        return dict(zip(state or self.state, (x[cols] for cols in self.slices)))
 
     def linearize(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray]:
         """Whitened J (p, rows, cols) and r (p, rows) of p problems at states x (p, cols).
@@ -320,25 +316,31 @@ def solve_gauss_newton(
     for v in solve_vars:
         if v not in init:
             raise ValueError(f"initial values missing variable {v}")
-    problem = GaussNewtonProblem(graph, subset, solve_vars, init)
-    return solve_gauss_newton_block(_Plan(graph, subset, solve_vars), [problem], max_iters)[0]
+    plan = _Plan(graph, subset, solve_vars)
+    X = _stack(init, solve_vars)[None]
+    [outcome] = solve_gauss_newton_block(plan, plan.data([(graph, subset)]), X, max_iters)
+    values = {k: np.array(v, dtype=float) for k, v in init.items()}
+    values.update(plan.values(X[0]))
+    return GaussNewtonResult(values, *outcome)
 
 
 def solve_gauss_newton_block(
-    plan: _Plan, problems: Sequence[GaussNewtonProblem], max_iters: int = 50
-) -> list[GaussNewtonResult]:
-    """Gauss-Newton on problems that share `plan`, in lockstep.
+    plan: _Plan, data: list, X: np.ndarray, max_iters: int = 50
+) -> list[tuple[bool, int, float]]:
+    """Gauss-Newton on p problems that share `plan`, in lockstep.
 
-    Each iteration linearizes every active problem with one kernel call
-    per factor type, forms each J^T J and J^T r in one batched product, and
-    solves the normal equations with `solve_pd_stack`. A problem leaves the
-    active set when no state component moves by GN_STEP_TOL or its normal
-    equations fail to factor; its state is then frozen. Every problem's
-    steps are the ones it would take alone, bit for bit.
+    data holds the problems' stacked whiteners and measurements in
+    `_Plan.data`'s layout, and X (p, cols) their initial states; X is
+    updated in place to the final states. Each iteration linearizes every
+    active problem with one kernel call per factor type, forms each J^T J
+    and J^T r in one batched product, and solves the normal equations with
+    `solve_pd_stack`. A problem leaves the active set when no state
+    component moves by GN_STEP_TOL or its normal equations fail to factor;
+    its state is then frozen. Every problem's steps are the ones it would
+    take alone, bit for bit. Returns each problem's (converged, n_iters,
+    max_update).
     """
-    n = len(problems)
-    data = plan.data(problems)
-    X = np.array([_stack(p.init, p.state) for p in problems]).reshape(n, plan.n_cols)
+    n = len(X)
     converged = np.zeros(n, dtype=bool)
     n_iters = np.full(n, max_iters)
     max_update = np.full(n, np.inf)
@@ -363,21 +365,15 @@ def solve_gauss_newton_block(
         if failed or done.any():
             active = active[~done]
             active_data = [(whiteners[active], z[active]) for whiteners, z in data]
-    results = []
-    outcomes = zip(converged.tolist(), n_iters.tolist(), max_update.tolist())
-    for problem, x, outcome in zip(problems, X, outcomes):
-        values = {k: np.array(v, dtype=float) for k, v in problem.init.items()}
-        values.update(zip(problem.state, (x[cols] for cols in plan.slices)))
-        results.append(GaussNewtonResult(values, *outcome))
-    return results
+    return list(zip(converged.tolist(), n_iters.tolist(), max_update.tolist()))
 
 
 def pose_information_system(
-    graphs: Sequence[NonlinearGraph], poses: np.ndarray, landmarks: np.ndarray
+    worlds: Sequence[SimWorld], poses: np.ndarray, landmarks: np.ndarray, plans: tuple = ()
 ) -> tuple[list[GaussianBelief], list[dict]]:
     """Pose-marginal information forms of a block of worlds, for redundancy evaluation.
 
-    The graphs share one layout. World i's factors are linearized at one
+    The worlds share one config. World i's factors are linearized at one
     point: its stacked poses `poses[i]` (w x 3(n+1)), the converged base
     solution, and for source s its landmark estimate `landmarks[i, s]`
     (w x sources x 2). Sharing the poses keeps the gauge-like directions of
@@ -389,17 +385,16 @@ def pose_information_system(
     over (poses + its landmark), and Schur-marginalizing the landmark out
     of J^T J leaves an increment Delta_s over the poses. One
     `normal_equations` call covers the block's base factors and one its
-    source factors. Returns each world's prior and its {s: Delta_s}.
+    source factors, with the stacks `_block_data` fills from the worlds.
+    plans are the worlds' `_slam_plans`, built from the first world if not
+    given. Returns each world's prior and its {s: Delta_s}.
     """
-    g0 = graphs[0]
-    state = tuple(v for v in g0.variables if v[0] == "x")
-    base = _Plan(g0, sorted(g0.base), state)
-    increment = _Plan(g0, sorted(g0.sources[0]), state + (("l", 0),))
-    info, _ = base.normal_equations(poses, base.data([(g, sorted(g.base)) for g in graphs]))
+    base, _, increment = plans or _slam_plans(worlds[0])
+    base_data, increment_data = _block_data(worlds, (base, increment))
+    info, _ = base.normal_equations(poses, base_data)
     n_sources = landmarks.shape[1]
     x = np.concatenate([poses.repeat(n_sources, axis=0), landmarks.reshape(-1, 2)], axis=1)
-    subsets = [(g, sorted(g.sources[s])) for g in graphs for s in range(n_sources)]
-    increments, _ = increment.normal_equations(x, increment.data(subsets))
+    increments, _ = increment.normal_equations(x, increment_data)
     keep = np.arange(poses.shape[1])
     deltas = [
         {s: schur_complement(H, keep) for s, H in enumerate(world)}
@@ -414,6 +409,16 @@ def _floored_precision(cov: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (cov + cov.T))
     w = np.clip(w, VAR_FLOOR, None)
     return V @ np.diag(1.0 / w) @ V.T
+
+
+def _range_precisions(config: SimConfig, ranges: np.ndarray) -> list[float]:
+    """Each measured range's precision, in C order; the variance grows with the range.
+
+    The square is Python's float ** (libm's pow): numpy's elementwise square
+    differs from it in the last bit on some ranges.
+    """
+    coeff = config.range_var_coeff
+    return [1.0 / max(coeff * max(r, 1e-3) ** 2, VAR_FLOOR) for r in ranges.ravel().tolist()]
 
 
 def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
@@ -432,19 +437,19 @@ def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
     )
     dims = {v: (3 if v[0] == "x" else 2) for v in variables}
 
-    factors = [PriorFactor(("x", 0), world.truth_poses[0].as_array(), np.eye(3) / ANCHOR_SIGMA**2)]
+    factors = [PriorFactor(("x", 0), world.truth_array[0].copy(), np.eye(3) / ANCHOR_SIGMA**2)]
     odom_gamma = _floored_precision(config.sigma_odom)
     factors += [
-        OdometryFactor(("x", i - 1), ("x", i), world.odometry[i - 1].as_array(), odom_gamma)
-        for i in range(1, n + 1)
+        OdometryFactor(("x", i - 1), ("x", i), z, odom_gamma)
+        for i, z in enumerate(world.odometry_array.copy(), start=1)
     ]
     bearing_precision = 1.0 / max(config.bearing_var, VAR_FLOOR)
+    range_precisions = iter(_range_precisions(config, world.rb_measurements[:, :, 0]))
     sources = {}
     for s in range(N_LANDMARKS):
         sources[s] = frozenset(range(len(factors), len(factors) + n))
-        for i, z in enumerate(world.rb_measurements[s, :n], start=1):
-            range_var = config.range_var_coeff * max(float(z[0]), 1e-3) ** 2
-            gamma = np.diag([1.0 / max(range_var, VAR_FLOOR), bearing_precision])
+        for i, z in enumerate(world.rb_measurements[s], start=1):
+            gamma = np.diag([next(range_precisions), bearing_precision])
             factors.append(RangeBearingFactor(("x", i), ("l", s), np.array(z), gamma))
 
     return NonlinearGraph(
@@ -456,20 +461,93 @@ def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
     )
 
 
-def dead_reckoning_init(world: SimWorld) -> dict:
-    """Initial values: integrate odometry from the anchor measurement."""
-    poses = [Pose2.from_array(world.truth_poses[0].as_array())]
-    for z in world.odometry:
-        poses.append(se2_compose(poses[-1], z))
-    return {("x", i): p.as_array() for i, p in enumerate(poses)}
+def _slam_plans(world: SimWorld) -> tuple[_Plan, _Plan, _Plan]:
+    """The base, source and increment plans of every world of `world`'s n_poses.
+
+    The source plan holds the base factors and source 0's over the poses and
+    landmark 0, the increment plan source 0's alone; source s's problems use
+    them with landmark s. The layout depends on n_poses only, so the plans
+    are built from this one world's graph.
+    """
+    g = build_nonlinear_graph(world)
+    poses = tuple(v for v in g.variables if v[0] == "x")
+    source = poses + (("l", 0),)
+    return (
+        _Plan(g, sorted(g.base), poses),
+        _Plan(g, sorted(g.base | g.sources[0]), source),
+        _Plan(g, sorted(g.sources[0]), source),
+    )
 
 
-def triangulate_landmark(world: SimWorld, s: int, pose_values: Values) -> np.ndarray:
-    """Seed a landmark from its first range-bearing measurement."""
-    r, b = world.rb_measurements[s, 0]
-    x, y, t = np.asarray(pose_values[("x", 1)], dtype=float)
-    heading = t + b
-    return np.array([x + r * np.cos(heading), y + r * np.sin(heading)])
+def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list]:
+    """Each plan's (whiteners, z) stacks for a block of worlds, filled from their arrays.
+
+    The worlds must share one config. The layout is `_Plan.data`'s over the
+    worlds' graphs: a plan over the poses alone has one problem per world,
+    and a plan with a landmark one per world and source, world-major. The
+    config's anchor and odometry whiteners are factored once, by the
+    `cholesky_pd_many` call a graph makes for them. A range-bearing
+    whitener is diagonal: the square roots of the range and bearing
+    precisions, which are the bits of the graph's factor. A world with a
+    precision whose root fails the pivot rule has its graph built, which
+    raises the error naming that factor.
+    """
+    config = worlds[0].config
+    if any(w.config != config for w in worlds):
+        raise ValueError("a block of worlds must share one config")
+    anchor, odometry = cholesky_pd_many(
+        [np.eye(3) / ANCHOR_SIGMA**2, _floored_precision(config.sigma_odom)],
+        ["gamma of factor 0", "gamma of factor 1"],
+    )
+    rb = np.array([w.rb_measurements for w in worlds])
+    roots = np.zeros(rb.shape + (2,))
+    roots[..., 0, 0] = np.sqrt(_range_precisions(config, rb[..., 0])).reshape(rb.shape[:-1])
+    roots[..., 1, 1] = np.sqrt(1.0 / max(config.bearing_var, VAR_FLOOR))
+    for world, good in zip(worlds, _good_pivots(roots).reshape(len(worlds), -1).all(axis=1)):
+        if not good:
+            build_nonlinear_graph(world)  # raises, naming the factor
+    per_world = {
+        kernel: (np.broadcast_to(L.T, z.shape + z.shape[-1:]).copy(), z)
+        for kernel, L, z in (
+            (PriorFactor.kernel, anchor, np.array([w.truth_array[:1] for w in worlds])),
+            (OdometryFactor.kernel, odometry, np.array([w.odometry_array for w in worlds])),
+        )
+    }
+    per_source = {k: tuple(a.repeat(N_LANDMARKS, axis=0) for a in v) for k, v in per_world.items()}
+    per_source[RangeBearingFactor.kernel] = tuple(a.reshape(-1, *a.shape[2:]) for a in (roots, rb))
+    out = []
+    for plan in plans:
+        by_kernel = per_source if plan.state[-1][0] == "l" else per_world
+        out.append([by_kernel[kernel] for kernel, *_ in plan.groups])
+    return out
+
+
+def dead_reckoning_init(worlds: Sequence[SimWorld]) -> np.ndarray:
+    """Initial poses (w, n_poses + 1, 3): odometry integrated from the anchor measurement."""
+    z = np.array([w.odometry_array for w in worlds])
+    poses = np.empty((len(worlds), z.shape[1] + 1, 3))
+    poses[:, 0] = [w.truth_array[0] for w in worlds]
+    for i in range(z.shape[1]):
+        x, y, t = poses[:, i].T
+        c, s = np.cos(t), np.sin(t)
+        poses[:, i + 1, 0] = x + c * z[:, i, 0] - s * z[:, i, 1]
+        poses[:, i + 1, 1] = y + s * z[:, i, 0] + c * z[:, i, 1]
+        poses[:, i + 1, 2] = wrap_angle(t + z[:, i, 2])
+    return poses
+
+
+def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.ndarray:
+    """Seed each landmark (w, N_LANDMARKS, 2) from its first range-bearing measurement.
+
+    poses (w, n_poses + 1, 3) are the worlds' pose estimates; the
+    measurement is taken from pose X_1.
+    """
+    first = np.array([w.rb_measurements[:, 0] for w in worlds])
+    r, heading = first[..., 0], poses[:, 1, 2, None] + first[..., 1]
+    return np.stack(
+        [poses[:, 1, 0, None] + r * np.cos(heading), poses[:, 1, 1, None] + r * np.sin(heading)],
+        axis=-1,
+    )
 
 
 @dataclass(frozen=True)
@@ -483,37 +561,38 @@ class SlamSolution:
 
 
 def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
-    """Solve the base and per-source SLAM problems of worlds of one n_poses, in lockstep.
+    """Solve the base and per-source SLAM problems of worlds of one config, in lockstep.
 
     The base problems, from dead reckoning, are one Gauss-Newton block; the
     source problems, each landmark triangulated at its world's base
     solution, are another; `pose_information_system` then linearizes the
-    block at the base poses and the source landmarks. Each world's solution
-    is the one it gets alone, bit for bit. An exception in any world's
-    solves is raised for the whole block.
+    block at the base poses and the source landmarks. The blocks share one
+    set of plans, from the first world's graph (`_slam_plans`), and run on
+    the stacks `_block_data` fills from the worlds' arrays, so no other
+    world builds a NonlinearGraph. Each world's
+    solution is the one it gets alone, bit for bit. An exception in any
+    world's solves is raised for the whole block.
     """
-    if len({w.config.n_poses for w in worlds}) > 1:
-        raise ValueError("a block of worlds must share n_poses")
-    graphs = [build_nonlinear_graph(w) for w in worlds]
-    g0 = graphs[0]
-    poses = tuple(v for v in g0.variables if v[0] == "x")
-    bases = solve_gauss_newton_block(_Plan(g0, sorted(g0.base), poses), [
-        GaussNewtonProblem(g, sorted(g.base), poses, dead_reckoning_init(w))
-        for g, w in zip(graphs, worlds)
-    ])
-    problems = [
-        GaussNewtonProblem(
-            g, sorted(g.base | g.sources[s]), poses + (("l", s),),
-            {**b.values, ("l", s): triangulate_landmark(w, s, b.values)},
-        )
-        for w, g, b in zip(worlds, graphs, bases)
-        for s in range(N_LANDMARKS)
-    ]
-    sources = solve_gauss_newton_block(_Plan(g0, problems[0].subset, problems[0].state), problems)
+    base_plan, source_plan, _ = plans = _slam_plans(worlds[0])
+    base_data, source_data = _block_data(worlds, (base_plan, source_plan))
+    X = dead_reckoning_init(worlds).reshape(len(worlds), -1)
+    bases = solve_gauss_newton_block(base_plan, base_data, X)
+    guess = triangulate_landmark(worlds, X.reshape(len(worlds), -1, 3))
+    XS = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
+    sources = solve_gauss_newton_block(source_plan, source_data, XS)
+    landmarks = XS[:, -2:].reshape(len(worlds), N_LANDMARKS, 2)
+    priors, deltas = pose_information_system(worlds, X, landmarks, plans)
+    states = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
     results = [
-        dict(enumerate(sources[i : i + N_LANDMARKS])) for i in range(0, len(sources), N_LANDMARKS)
+        GaussNewtonResult(source_plan.values(x, states[k % N_LANDMARKS]), *outcome)
+        for k, (x, outcome) in enumerate(zip(XS, sources))
     ]
-    landmarks = np.array([[r.values[("l", s)] for s, r in world.items()] for world in results])
-    x = np.array([_stack(b.values, poses) for b in bases])
-    priors, deltas = pose_information_system(graphs, x, landmarks)
-    return [SlamSolution(*parts) for parts in zip(bases, results, priors, deltas)]
+    return [
+        SlamSolution(
+            GaussNewtonResult(base_plan.values(x), *outcome),
+            dict(enumerate(results[i * N_LANDMARKS : (i + 1) * N_LANDMARKS])),
+            prior,
+            delta,
+        )
+        for i, (x, outcome, prior, delta) in enumerate(zip(X, bases, priors, deltas))
+    ]

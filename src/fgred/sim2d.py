@@ -6,15 +6,22 @@ the right. Two landmarks are placed uniformly in a box. Measurements are
 odometry (the increment, with additive noise in (x, y, theta)) and
 range-bearing observations of each landmark from each non-initial pose,
 with range noise variance growing quadratically with true distance.
+
+A world is arrays: the true poses and the odometry as (x, y, theta) rows,
+the landmarks and the range-bearing measurements. `simulate_world` draws
+all of a world's step noise in one call, in the order a step-by-step draw
+takes it, so each world has the bits of the Pose2-at-a-time simulator in
+tests/reference.py; only the pose recursion runs step by step.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .se2 import Pose2, se2_compose, wrap_angle
+from .se2 import Pose2, wrap_angle
 
 N_LANDMARKS = 2
 
@@ -103,24 +110,36 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimWorld:
-    """One simulated world: ground truth plus every drawn measurement.
+    """One simulated world: ground truth plus every drawn measurement, as arrays.
 
-    rb_measurements[s, i - 1] is the (range, bearing) pair for landmark s
-    observed from pose X_i, i = 1..n_poses. Carries its config and seed, so
-    `simulate_world(world.config, world.seed)` regenerates it bit for bit.
+    truth_array[i] is pose X_i as (x, y, theta), i = 0..n_poses, and
+    odometry_array[i - 1] the odometry measured from X_{i-1} to X_i, both
+    with theta wrapped. rb_measurements[s, i - 1] is the (range, bearing)
+    pair for landmark s observed from pose X_i. `truth_poses` and
+    `odometry` are the same rows as Pose2 tuples, built on first use.
+    Carries its config and seed, so `simulate_world(world.config,
+    world.seed)` regenerates it bit for bit.
     """
 
     config: SimConfig
     seed: int
-    truth_poses: tuple[Pose2, ...]
+    truth_array: np.ndarray
     landmarks: np.ndarray
-    odometry: tuple[Pose2, ...]
+    odometry_array: np.ndarray
     rb_measurements: np.ndarray
+
+    @cached_property
+    def truth_poses(self) -> tuple[Pose2, ...]:
+        return tuple(Pose2(*row) for row in self.truth_array.tolist())
+
+    @cached_property
+    def odometry(self) -> tuple[Pose2, ...]:
+        return tuple(Pose2(*row) for row in self.odometry_array.tolist())
 
     def landmark_distances(self) -> np.ndarray:
         """True pose-to-landmark distances, shape (N_LANDMARKS, n_poses + 1)."""
-        xy = np.array([[p.x, p.y] for p in self.truth_poses])
-        out = np.empty((N_LANDMARKS, len(self.truth_poses)))
+        xy = self.truth_array[:, :2]
+        out = np.empty((N_LANDMARKS, len(xy)))
         for s in range(N_LANDMARKS):
             out[s] = np.linalg.norm(xy - self.landmarks[s][None, :], axis=1)
         return out
@@ -131,7 +150,10 @@ def simulate_world(config: SimConfig, seed: int) -> SimWorld:
 
     Draw order is fixed: landmarks, initial pose, then per step the walk
     increment, the odometry noise, and per landmark the range and bearing
-    noises.
+    noises; the steps' normals are one (n_poses, 6 + 2 N_LANDMARKS) draw.
+    The walk and odometry noises are each step's noise root times its
+    normals. The pose recursion runs step by step, wrapping theta at each
+    step as Pose2 does; the ranges and bearings are computed as arrays.
     """
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -141,45 +163,38 @@ def simulate_world(config: SimConfig, seed: int) -> SimWorld:
     landmarks = rng.uniform(-C, C, size=(N_LANDMARKS, 2))
     x0 = rng.uniform(-C / 2.0, C / 2.0, size=2)
     theta0 = rng.uniform(-np.pi, np.pi)
-    poses = [Pose2(x0[0], x0[1], theta0)]
+    normals = rng.standard_normal((n, 6 + 2 * N_LANDMARKS))
 
-    step_mean = Pose2(*config.step_mean)
-    walk_sqrt, odom_sqrt = config._walk_sqrt, config._odom_sqrt
-    range_sd_coeff = np.sqrt(config.range_var_coeff)
-    bearing_sd = np.sqrt(config.bearing_var)
+    # one stacked matvec per root: S @ z per step, not z @ S.T, keeps the bits
+    walk = (config._walk_sqrt[None] @ normals[:, :3, None])[:, :, 0]
+    odom_noise = (config._odom_sqrt[None] @ normals[:, 3:6, None])[:, :, 0]
+    eta = Pose2(*config.step_mean).as_array() + walk  # the mean heading wrapped first
+    eta[:, 2] = wrap_angle(eta[:, 2])
+    odometry = eta + odom_noise
+    odometry[:, 2] = wrap_angle(odometry[:, 2])
 
-    odometry = []
+    x, y, theta = float(x0[0]), float(x0[1]), wrap_angle(theta0)
+    poses = [(x, y, theta)]
+    for ex, ey, et in eta.tolist():
+        c, s = np.cos(theta), np.sin(theta)
+        x, y = float(x + c * ex - s * ey), float(y + s * ex + c * ey)
+        theta = wrap_angle(theta + et)
+        poses.append((x, y, theta))
+    truth = np.array(poses)
+
+    dx = landmarks[:, 0, None] - truth[None, 1:, 0]
+    dy = landmarks[:, 1, None] - truth[None, 1:, 1]
+    d = np.hypot(dx, dy)
     rb = np.empty((N_LANDMARKS, n, 2))
-    for i in range(1, n + 1):
-        walk_noise = walk_sqrt @ rng.standard_normal(3)
-        eta = Pose2(
-            step_mean.x + walk_noise[0],
-            step_mean.y + walk_noise[1],
-            step_mean.theta + walk_noise[2],
-        )
-        pose = se2_compose(poses[-1], eta)
-        poses.append(pose)
-
-        odom_noise = odom_sqrt @ rng.standard_normal(3)
-        odometry.append(
-            Pose2(eta.x + odom_noise[0], eta.y + odom_noise[1], eta.theta + odom_noise[2])
-        )
-
-        for s in range(N_LANDMARKS):
-            dx = landmarks[s, 0] - pose.x
-            dy = landmarks[s, 1] - pose.y
-            d = float(np.hypot(dx, dy))
-            r = d + range_sd_coeff * d * rng.standard_normal()
-            b = wrap_angle(
-                np.arctan2(dy, dx) - pose.theta + bearing_sd * rng.standard_normal()
-            )
-            rb[s, i - 1] = (r, b)
-
+    rb[:, :, 0] = d + np.sqrt(config.range_var_coeff) * d * normals[:, 6::2].T
+    rb[:, :, 1] = wrap_angle(
+        np.arctan2(dy, dx) - truth[None, 1:, 2] + np.sqrt(config.bearing_var) * normals[:, 7::2].T
+    )
     return SimWorld(
         config=config,
         seed=seed,
-        truth_poses=tuple(poses),
+        truth_array=truth,
         landmarks=landmarks,
-        odometry=tuple(odometry),
+        odometry_array=odometry,
         rb_measurements=rb,
     )

@@ -11,9 +11,13 @@ redundancies, and the x-space Monte Carlo, which draws states with
 GaussianBelief.sample, is the reference for the library's draws of
 standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
+simulate_world_loop is the simulator one draw and one Pose2 at a time,
+the oracle for the library's array simulator.
 linearize is one problem's whitened J and r through fgred.nonlinear's
-index plan, and pose_information_one one world's information forms through
-its block step. The factor bodies, linearization and Gauss-Newton solver
+index plan, and pose_information_one one world's information forms from
+its graph's factors (`_Plan.data`). dead_reckoning_values and
+triangulate_one are the one-world cases of the block's initial values.
+The factor bodies, linearization and Gauss-Newton solver
 compute one factor at a time what fgred.nonlinear computes with one
 batched kernel per factor type, and the tests ask for the same bits;
 near_pi_angles draws the angles at the wrap boundary they are asked on.
@@ -37,6 +41,7 @@ from fgred.gauss import (
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
+    schur_complement,
     solve_pd,
 )
 from fgred.metrics import (
@@ -53,9 +58,11 @@ from fgred.nonlinear import (
     RangeBearingFactor,
     _Plan,
     _stack,
-    pose_information_system,
+    dead_reckoning_init,
+    triangulate_landmark,
 )
-from fgred.se2 import Pose2, se2_compose, se2_inverse
+from fgred.se2 import Pose2, se2_compose, se2_inverse, wrap_angle
+from fgred.sim2d import N_LANDMARKS, SimConfig
 
 
 def invert_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -255,6 +262,55 @@ def expected_abs_quad(c: float, lam: np.ndarray) -> float:
         lo, hi = hi, 2.0 * hi
 
 
+def simulate_world_loop(config: SimConfig, seed: int) -> tuple:
+    """`simulate_world`, one draw and one Pose2 at a time.
+
+    Returns the truth poses and odometry as Pose2 tuples, the landmarks and
+    the range-bearing measurements (N_LANDMARKS, n_poses, 2).
+    """
+    rng = np.random.default_rng(seed)
+    C = config.box_half_width
+    n = config.n_poses
+
+    landmarks = rng.uniform(-C, C, size=(N_LANDMARKS, 2))
+    x0 = rng.uniform(-C / 2.0, C / 2.0, size=2)
+    theta0 = rng.uniform(-np.pi, np.pi)
+    poses = [Pose2(x0[0], x0[1], theta0)]
+
+    step_mean = Pose2(*config.step_mean)
+    walk_sqrt, odom_sqrt = config._walk_sqrt, config._odom_sqrt
+    range_sd_coeff = np.sqrt(config.range_var_coeff)
+    bearing_sd = np.sqrt(config.bearing_var)
+
+    odometry = []
+    rb = np.empty((N_LANDMARKS, n, 2))
+    for i in range(1, n + 1):
+        walk_noise = walk_sqrt @ rng.standard_normal(3)
+        eta = Pose2(
+            step_mean.x + walk_noise[0],
+            step_mean.y + walk_noise[1],
+            step_mean.theta + walk_noise[2],
+        )
+        pose = se2_compose(poses[-1], eta)
+        poses.append(pose)
+
+        odom_noise = odom_sqrt @ rng.standard_normal(3)
+        odometry.append(
+            Pose2(eta.x + odom_noise[0], eta.y + odom_noise[1], eta.theta + odom_noise[2])
+        )
+
+        for s in range(N_LANDMARKS):
+            dx = landmarks[s, 0] - pose.x
+            dy = landmarks[s, 1] - pose.y
+            d = float(np.hypot(dx, dy))
+            r = d + range_sd_coeff * d * rng.standard_normal()
+            b = wrap_angle(
+                np.arctan2(dy, dx) - pose.theta + bearing_sd * rng.standard_normal()
+            )
+            rb[s, i - 1] = (r, b)
+    return tuple(poses), landmarks, tuple(odometry), rb
+
+
 def se2_relative(a: Pose2, b: Pose2) -> Pose2:
     """b expressed in a's frame: a^-1 * b."""
     return se2_compose(se2_inverse(a), b)
@@ -375,14 +431,35 @@ def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pose_information_one(graph, base_values, landmarks) -> tuple[GaussianBelief, dict]:
-    """One world's prior and {s: Delta_s}: the one-world block of `pose_information_system`.
+    """One world's prior and {s: Delta_s}, linearized from its graph's factors.
 
-    base_values holds the poses by key, landmarks[s] source s's estimate.
+    `pose_information_system` for one world, with the whiteners and
+    measurements read from `graph` through `_Plan.data`. base_values holds
+    the poses by key, landmarks[s] source s's estimate.
     """
-    poses = _stack(base_values, [v for v in graph.variables if v[0] == "x"])
-    stacked = np.array([[landmarks[s] for s in sorted(landmarks)]])
-    priors, deltas = pose_information_system([graph], poses[None], stacked)
-    return priors[0], deltas[0]
+    state = tuple(v for v in graph.variables if v[0] == "x")
+    poses = _stack(base_values, state)[None]
+    base = _Plan(graph, sorted(graph.base), state)
+    info, _ = base.normal_equations(poses, base.data([(graph, sorted(graph.base))]))
+    deltas = {}
+    for s in sorted(landmarks):
+        subset = sorted(graph.sources[s])
+        plan = _Plan(graph, subset, state + (("l", s),))
+        x = np.concatenate([poses[0], landmarks[s]])[None]
+        H, _ = plan.normal_equations(x, plan.data([(graph, subset)]))
+        deltas[s] = schur_complement(H[0], np.arange(poses.shape[1]))
+    return GaussianBelief(mean=poses[0], info=info[0]), deltas
+
+
+def dead_reckoning_values(world) -> dict:
+    """One world's `dead_reckoning_init` poses, by variable key."""
+    return {("x", i): pose for i, pose in enumerate(dead_reckoning_init([world])[0])}
+
+
+def triangulate_one(world, s: int, pose_values) -> np.ndarray:
+    """Landmark s's `triangulate_landmark` seed for one world, at poses given by key."""
+    poses = np.array([pose_values[("x", i)] for i in range(world.config.n_poses + 1)])
+    return triangulate_landmark([world], poses[None])[0, s]
 
 
 def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:

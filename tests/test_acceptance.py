@@ -37,7 +37,6 @@ from fgred.nonlinear import (
     RangeBearingFactor,
     build_nonlinear_graph,
     solve_gauss_newton,
-    triangulate_landmark,
 )
 from fgred.sim2d import SimConfig, simulate_world
 from reference import (
@@ -45,6 +44,7 @@ from reference import (
     expected_recentred_quadratic,
     kernel_jacobians,
     redundancy_quadrature_1d_info,
+    triangulate_one,
 )
 
 
@@ -360,7 +360,7 @@ def test_criterion_6_slam_pipeline_sanity():
     for s in range(len(world.landmarks)):
         subset = sorted(graph.base | graph.sources[s])
         init = {k: np.array(v) for k, v in base_res.values.items()}
-        init[("l", s)] = triangulate_landmark(world, s, base_res.values)
+        init[("l", s)] = triangulate_one(world, s, base_res.values)
         res = solve_gauss_newton(graph, subset, init)
         assert res.converged
         n_iters.append(res.n_iters)

@@ -290,10 +290,12 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     seed_4 = experiment.world_seed(cfg.root_seed, 4)
     triangulate = nonlinear.triangulate_landmark
 
-    def onto_pose(world, s, pose_values):
-        if world.seed == seed_4:
-            return np.array(pose_values[("x", 1)][:2])
-        return triangulate(world, s, pose_values)
+    def onto_pose(worlds, poses):
+        seeds = triangulate(worlds, poses)
+        for k, world in enumerate(worlds):
+            if world.seed == seed_4:
+                seeds[k] = poses[k, 1, :2]
+        return seeds
 
     monkeypatch.setattr(nonlinear, "triangulate_landmark", onto_pose)
     reason = "ValueError: degenerate range-bearing geometry: zero distance"
@@ -306,6 +308,27 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     logged = [(r.levelno, r.getMessage()) for r in caplog.records]
     assert (logging.DEBUG, f"sims 0-5: block solve failed ({reason[12:]}), solving one world at a time") in logged
     assert [m for level, m in logged if level == logging.WARNING] == [f"sim 4 failed: {reason}"]
+
+
+def test_degenerate_range_precision_fails_with_its_reason():
+    # at range_var_coeff 1e18 a range precision's square root falls to or
+    # below PIVOT_TOL in each of these worlds: each sim fails and names its
+    # first such factor, with the reason its NonlinearGraph gives
+    cfg = ExperimentConfig(sim=SimConfig(range_var_coeff=1e18), n_sims=3)
+    reasons = [
+        "NotPositiveDefiniteError: gamma of factor 11 is not positive definite: "
+        "leading minor of order 1 is not positive (pivot 1.739e-19)",
+        "NotPositiveDefiniteError: gamma of factor 12 is not positive definite: "
+        "leading minor of order 1 is not positive (pivot 2.488e-19)",
+        "NotPositiveDefiniteError: gamma of factor 16 is not positive definite: "
+        "leading minor of order 1 is not positive (pivot 4.274e-19)",
+    ]
+    records = run_experiment(cfg, jobs=1)
+    assert [(r.failed, r.fail_reason) for r in records] == [(True, why) for why in reasons]
+    for i, why in enumerate(reasons):
+        with pytest.raises(gauss.NotPositiveDefiniteError) as err:
+            nonlinear.build_nonlinear_graph(simulate_batch_world(cfg, i))
+        assert f"NotPositiveDefiniteError: {err.value}" == why
 
 
 def test_scoring_failure_fails_alone(monkeypatch, caplog):

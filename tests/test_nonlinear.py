@@ -10,7 +10,6 @@ from fgred.nonlinear import (
     PriorFactor,
     RangeBearingFactor,
     build_nonlinear_graph,
-    dead_reckoning_init,
     pose_information_system,
     solve_gauss_newton,
     solve_worlds,
@@ -19,6 +18,7 @@ from fgred.nonlinear import (
 from fgred.se2 import Pose2, se2_compose, wrap_angle
 from fgred.sim2d import SimConfig, simulate_world
 from reference import (
+    dead_reckoning_values,
     factor_jacobians,
     factor_residual,
     kernel_jacobians,
@@ -28,6 +28,7 @@ from reference import (
     pose_information_one,
     pose_rotation,
     solve_gauss_newton_loop,
+    triangulate_one,
 )
 
 
@@ -161,10 +162,10 @@ def test_solver_matches_loop_reference():
     capped = 0
     for world in worlds:
         g = build_nonlinear_graph(world)
-        base = assert_same_solve(g, sorted(g.base), dead_reckoning_init(world))
+        base = assert_same_solve(g, sorted(g.base), dead_reckoning_values(world))
         for s in sorted(g.sources):
             init = dict(base.values)
-            init[("l", s)] = triangulate_landmark(world, s, base.values)
+            init[("l", s)] = triangulate_one(world, s, base.values)
             subset = sorted(g.base | g.sources[s])
             res = assert_same_solve(g, subset, init)
             capped += not res.converged and res.n_iters == 50
@@ -222,7 +223,7 @@ def test_base_only_map_is_dead_reckoning():
     # anchor measurement + odometry chain has an exact sequential solution
     w = simulate_world(SimConfig(), 4)
     g = build_nonlinear_graph(w)
-    init = dead_reckoning_init(w)
+    init = dead_reckoning_values(w)
     res = solve_gauss_newton(g, sorted(g.base), init)
     assert res.converged
     chain = Pose2.from_array(g.factors[0].measurement)
@@ -238,7 +239,7 @@ def test_subset_must_cover_base():
     w = simulate_world(SimConfig(), 5)
     g = build_nonlinear_graph(w)
     with pytest.raises(ValueError):
-        solve_gauss_newton(g, sorted(g.sources[0]), dead_reckoning_init(w))
+        solve_gauss_newton(g, sorted(g.sources[0]), dead_reckoning_values(w))
 
 
 def test_linearize_affine_factors_independent_of_point():
@@ -268,12 +269,12 @@ def test_linearize_affine_factors_independent_of_point():
 def test_linearized_posterior_pd_and_prior_matches_base():
     w = simulate_world(SimConfig(), 7)
     g = build_nonlinear_graph(w)
-    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
+    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_values(w))
     assert base.converged
     landmarks = {}
     for s in range(2):
         init_s = {k: np.array(v) for k, v in base.values.items()}
-        init_s[("l", s)] = triangulate_landmark(w, s, base.values)
+        init_s[("l", s)] = triangulate_one(w, s, base.values)
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
         assert res.converged
         landmarks[s] = res.values[("l", s)]
@@ -289,6 +290,12 @@ def test_linearized_posterior_pd_and_prior_matches_base():
     got = prior.mean.reshape(n_poses, 3)
     for i in range(n_poses):
         assert np.allclose(got[i], base.values[("x", i)], atol=1e-6)
+    # the graph-read forms are the library's array-filled ones, bit for bit
+    [lib_prior], [lib_deltas] = pose_information_system(
+        [w], prior.mean[None], np.array([[landmarks[0], landmarks[1]]])
+    )
+    assert lib_prior.info.tobytes() == prior.info.tobytes()
+    assert [lib_deltas[s].tobytes() for s in range(2)] == [deltas[s].tobytes() for s in range(2)]
 
 
 def test_metrics_invariant_under_rigid_reanchoring():
@@ -298,11 +305,11 @@ def test_metrics_invariant_under_rigid_reanchoring():
 
     w = simulate_world(SimConfig(), 8)
     g = build_nonlinear_graph(w)
-    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
+    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_values(w))
     landmarks = {}
     for s in range(2):
         init_s = {k: np.array(v) for k, v in base.values.items()}
-        init_s[("l", s)] = triangulate_landmark(w, s, base.values)
+        init_s[("l", s)] = triangulate_one(w, s, base.values)
         res = solve_gauss_newton(g, sorted(g.base | g.sources[s]), init_s)
         landmarks[s] = res.values[("l", s)]
     prior, deltas = pose_information_one(g, base.values, landmarks)
@@ -373,8 +380,7 @@ def test_information_forms_two_linearizations_per_block(monkeypatch):
         return normal_equations(plan, x, data)
 
     monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
-    graphs = [build_nonlinear_graph(w) for w in worlds]
-    priors, deltas = pose_information_system(graphs, poses, landmarks)
+    priors, deltas = pose_information_system(worlds, poses, landmarks)
     # one base linearization of the 15 worlds and one of their 30 sources
     assert sizes == [15, 30]
     for prior, delta, sol in zip(priors, deltas, solutions):
@@ -382,19 +388,86 @@ def test_information_forms_two_linearizations_per_block(monkeypatch):
         assert [delta[s].tobytes() for s in range(2)] == [sol.deltas[s].tobytes() for s in range(2)]
 
 
+def graph_data(worlds):
+    """`_Plan.data` of the base, source and increment plans over the worlds' graphs."""
+    graphs = [build_nonlinear_graph(w) for w in worlds]
+    base, source, increment = nonlinear._slam_plans(worlds[0])
+    by_source = [(g, s) for g in graphs for s in range(2)]
+    return [
+        base.data([(g, sorted(g.base)) for g in graphs]),
+        source.data([(g, sorted(g.base | g.sources[s])) for g, s in by_source]),
+        increment.data([(g, sorted(g.sources[s])) for g, s in by_source]),
+    ]
+
+
+def stack_bits(data):
+    return [[(a.shape, a.dtype, a.tobytes()) for a in group] for group in data]
+
+
+def test_block_data_equals_graph_data():
+    # the stacks filled from the worlds' arrays are the ones _Plan.data reads
+    # from their graphs, bit for bit, for every plan of the block
+    blocks = [
+        [simulate_batch_world(ExperimentConfig(), i) for i in range(15)],
+        [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30), root_seed=5), i)
+         for i in range(2)],
+    ]
+    for worlds in blocks:
+        got = nonlinear._block_data(worlds, nonlinear._slam_plans(worlds[0]))
+        assert [stack_bits(d) for d in got] == [stack_bits(d) for d in graph_data(worlds)]
+    # the stacks hold one config's whiteners, so a block holds one config
+    mixed = [blocks[0][0], simulate_world(SimConfig(bearing_var=0.5), 0)]
+    with pytest.raises(ValueError, match="^a block of worlds must share one config$"):
+        solve_worlds(mixed)
+
+
+def test_range_whitener_keeps_libm_square():
+    # root seed 0, sim 2, landmark 0, pose 2 (factor 12): numpy's square of
+    # the measured range differs from Python's ** (libm pow) in the last
+    # bit; the filled whitener keeps the graph's bits
+    world = simulate_batch_world(ExperimentConfig(), 2)
+    config, r = world.config, float(world.rb_measurements[0, 1, 0])
+    assert config.range_var_coeff * np.square(r) != config.range_var_coeff * r**2
+    want = np.sqrt(np.diag([
+        1.0 / max(config.range_var_coeff * r**2, nonlinear.VAR_FLOOR),
+        1.0 / max(config.bearing_var, nonlinear.VAR_FLOOR),
+    ]))
+    graph = build_nonlinear_graph(world)
+    _, _, increment = nonlinear._slam_plans(world)
+    [[(whiteners, _)]] = nonlinear._block_data([world], [increment])
+    assert whiteners[0, 1].tobytes() == graph.whiteners[12].tobytes() == want.tobytes()
+
+
+def test_block_builds_one_graph_for_its_layout(monkeypatch):
+    worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
+    alone = [information_bits(solve_worlds([w])[0]) for w in worlds[:2]]
+    built, build = [], nonlinear.build_nonlinear_graph
+
+    def counted(world):
+        built.append(world.seed)
+        return build(world)
+
+    monkeypatch.setattr(nonlinear, "build_nonlinear_graph", counted)
+    solutions = solve_worlds(worlds)
+    # one graph, the first world's, for the plans' layout
+    assert built == [worlds[0].seed]
+    assert [information_bits(sol) for sol in solutions[:2]] == alone
+
+
 def test_triangulate_landmark_noiseless_exact():
-    w = simulate_world(zero_noise_config(), 9)
-    vals = truth_values(w)
-    for s in range(2):
-        assert np.allclose(triangulate_landmark(w, s, vals), w.landmarks[s], atol=1e-10)
+    worlds = [simulate_world(zero_noise_config(), seed) for seed in (9, 10, 11)]
+    seeds = triangulate_landmark(worlds, np.array([w.truth_array for w in worlds]))
+    assert seeds.shape == (3, 2, 2)
+    for w, got in zip(worlds, seeds):
+        assert np.allclose(got, w.landmarks, atol=1e-10)
 
 
 def test_nonconvergence_flagged_not_raised():
     w = simulate_world(SimConfig(), 10)
     g = build_nonlinear_graph(w)
-    init = dead_reckoning_init(w)
+    init = dead_reckoning_values(w)
     init = {k: np.asarray(v, dtype=float) + 0.5 for k, v in init.items()}
-    init[("l", 0)] = triangulate_landmark(w, 0, dead_reckoning_init(w))
+    init[("l", 0)] = triangulate_one(w, 0, dead_reckoning_values(w))
     res = solve_gauss_newton(g, sorted(g.base | g.sources[0]), init, max_iters=1)
     assert not res.converged
     assert res.n_iters == 1
@@ -419,10 +492,10 @@ def information_oracle(graph, subset, values, state):
 def test_linearize_matches_information_oracle():
     w = simulate_world(SimConfig(n_poses=4), 11)
     g = build_nonlinear_graph(w)
-    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_init(w))
+    base = solve_gauss_newton(g, sorted(g.base), dead_reckoning_values(w))
     vals = {k: np.array(v) for k, v in base.values.items()}
     for s in range(2):
-        vals[("l", s)] = triangulate_landmark(w, s, base.values)
+        vals[("l", s)] = triangulate_one(w, s, base.values)
     subsets = [sorted(g.base), sorted(g.base | g.sources[0]), sorted(g.sources[1])]
     for subset in subsets:
         state = g.touched_vars(subset)

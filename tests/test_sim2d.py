@@ -3,7 +3,7 @@ import pytest
 
 from fgred.se2 import wrap_angle
 from fgred.sim2d import SimConfig, simulate_world
-from reference import se2_relative
+from reference import se2_relative, simulate_world_loop
 
 
 def zero_noise_config(**kw):
@@ -29,6 +29,41 @@ def test_determinism_bitwise():
     )
     w3 = simulate_world(SimConfig(), 43)
     assert w3.landmarks.tobytes() != w1.landmarks.tobytes()
+
+
+def pose_bits(poses):
+    return np.array([p.as_array() for p in poses]).tobytes()
+
+
+def test_worlds_equal_the_scalar_simulator():
+    # the array simulator against the one-draw-at-a-time loop, bit for bit:
+    # default worlds, 30-pose worlds whose noise roots are not diagonal (a
+    # stacked matvec, unlike z @ S.T, keeps each step's S @ z), a step_mean
+    # with an unwrapped heading and integer entries, and noiseless worlds
+    zero3 = ((0.0,) * 3,) * 3
+    cases = [
+        (SimConfig(), range(200)),
+        (SimConfig(
+            n_poses=30,
+            sigma_step=((0.04, 0.01, 0.002), (0.01, 0.05, 0.001), (0.002, 0.001, 0.003)),
+            sigma_odom=((0.03, -0.01, 0.001), (-0.01, 0.04, 0.0), (0.001, 0.0, 0.0005)),
+        ), range(200, 240)),
+        (SimConfig(step_mean=(1, 0, 7)), range(20)),
+        (zero_noise_config(), range(20)),
+    ]
+    for root in (cases[1][0]._walk_sqrt, cases[1][0]._odom_sqrt):
+        assert np.count_nonzero(root - np.diag(np.diag(root))) == 6
+    for cfg, seeds in cases:
+        for seed in seeds:
+            w = simulate_world(cfg, seed)
+            truth, landmarks, odometry, rb = simulate_world_loop(cfg, seed)
+            assert w.truth_array.tobytes() == pose_bits(truth), seed
+            assert w.odometry_array.tobytes() == pose_bits(odometry), seed
+            assert w.landmarks.tobytes() == landmarks.tobytes(), seed
+            assert w.rb_measurements.tobytes() == rb.tobytes(), seed
+            # the Pose2 views carry the same bits
+            assert pose_bits(w.truth_poses) == pose_bits(truth), seed
+            assert pose_bits(w.odometry) == pose_bits(odometry), seed
 
 
 def test_world_shapes():
