@@ -30,7 +30,6 @@ import itertools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -302,6 +301,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     if workers == 1:
         records = [rec for ids in blocks for rec in run_block(config, ids)]
     else:
+        # imported here, so a one-process run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(blocks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks_done = pool.map(run_block, itertools.repeat(config), blocks, chunksize=chunk)

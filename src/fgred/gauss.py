@@ -15,7 +15,13 @@ of the LAPACK routines it binds once at import (`potrf`, `potrs`,
 `trtrs`): they are the routines the `scipy.linalg` wrappers call, with the
 same arguments, so the results are bit for bit the wrappers', without
 their per-call validation and dispatch, which at the dimensions here costs
-more than the arithmetic.
+more than the arithmetic. They are the float64 routines of scipy's
+compiled LAPACK module, `scipy.linalg._flapack`, the objects
+`scipy.linalg.get_lapack_funcs` returns. `_flapack` loads that extension
+from scipy's install and registers it under its name, so a later
+`import scipy.linalg` shares it. The `scipy.linalg` package is not
+imported: its array API layer imports `numpy.f2py`, `numpy.ma` and
+`numpy.testing`, which were most of a cold `import fgred`.
 `_one_blas_thread` limits that linear algebra to one BLAS thread for the
 length of one block of the study's simulations, and of one public Monte
 Carlo redundancy or quality call.
@@ -23,14 +29,17 @@ Carlo redundancy or quality call.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import logging
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 logger = logging.getLogger(__name__)
 
@@ -43,9 +52,31 @@ SYM_RTOL = 1e-10
 # entries below it, 0.5 * (M + M.T) has M's bits.
 _EXACT_DOUBLING = 2.0**1023
 
-_potrf, _potrs, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "trtrs"), dtype=np.float64
-)
+
+def _flapack():
+    """scipy's compiled LAPACK module, without importing the `scipy.linalg` package.
+
+    A module already in `sys.modules` is used as is. Otherwise the extension
+    file is looked for in scipy's `linalg` directory, loaded and registered
+    under its name; if it is not there, the module is imported through its
+    package, which is slower but binds the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    linalg_dir = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lapack = _flapack()
+_potrf, _potrs, _trtrs = _lapack.dpotrf, _lapack.dpotrs, _lapack.dtrtrs
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):

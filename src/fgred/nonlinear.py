@@ -369,7 +369,11 @@ def solve_gauss_newton_block(
 
 
 def pose_information_system(
-    worlds: Sequence[SimWorld], poses: np.ndarray, landmarks: np.ndarray, plans: tuple = ()
+    worlds: Sequence[SimWorld],
+    poses: np.ndarray,
+    landmarks: np.ndarray,
+    plans: tuple = (),
+    data: tuple = (),
 ) -> tuple[list[GaussianBelief], list[dict]]:
     """Pose-marginal information forms of a block of worlds, for redundancy evaluation.
 
@@ -387,10 +391,11 @@ def pose_information_system(
     `normal_equations` call covers the block's base factors and one its
     source factors, with the stacks `_block_data` fills from the worlds.
     plans are the worlds' `_slam_plans`, built from the first world if not
+    given, and data the base and increment plans' stacks, filled if not
     given. Returns each world's prior and its {s: Delta_s}.
     """
     base, _, increment = plans or _slam_plans(worlds[0])
-    base_data, increment_data = _block_data(worlds, (base, increment))
+    base_data, increment_data = data or _block_data(worlds, (base, increment))
     info, _ = base.normal_equations(poses, base_data)
     n_sources = landmarks.shape[1]
     x = np.concatenate([poses.repeat(n_sources, axis=0), landmarks.reshape(-1, 2)], axis=1)
@@ -568,20 +573,22 @@ def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
     solution, are another; `pose_information_system` then linearizes the
     block at the base poses and the source landmarks. The blocks share one
     set of plans, from the first world's graph (`_slam_plans`), and run on
-    the stacks `_block_data` fills from the worlds' arrays, so no other
-    world builds a NonlinearGraph. Each world's
+    the stacks one `_block_data` call fills from the worlds' arrays, so no
+    other world builds a NonlinearGraph. Each world's
     solution is the one it gets alone, bit for bit. An exception in any
     world's solves is raised for the whole block.
     """
     base_plan, source_plan, _ = plans = _slam_plans(worlds[0])
-    base_data, source_data = _block_data(worlds, (base_plan, source_plan))
+    base_data, source_data, increment_data = _block_data(worlds, plans)
     X = dead_reckoning_init(worlds).reshape(len(worlds), -1)
     bases = solve_gauss_newton_block(base_plan, base_data, X)
     guess = triangulate_landmark(worlds, X.reshape(len(worlds), -1, 3))
     XS = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
     sources = solve_gauss_newton_block(source_plan, source_data, XS)
     landmarks = XS[:, -2:].reshape(len(worlds), N_LANDMARKS, 2)
-    priors, deltas = pose_information_system(worlds, X, landmarks, plans)
+    priors, deltas = pose_information_system(
+        worlds, X, landmarks, plans, (base_data, increment_data)
+    )
     states = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
     results = [
         GaussNewtonResult(source_plan.values(x, states[k % N_LANDMARKS]), *outcome)

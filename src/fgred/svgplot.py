@@ -6,7 +6,6 @@ render anywhere without a plotting runtime.
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,6 +32,15 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         ticks.append(0.0 if abs(t) < 1e-12 * step else float(t))
         t += step
     return ticks
+
+
+def _escape(text: str) -> str:
+    """XML character data: `&`, then `<` and `>`, replaced by entities.
+
+    The bytes of `xml.sax.saxutils.escape`, whose import pulls in urllib,
+    http and email.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -86,7 +94,7 @@ def scatter_svg(
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222">'
-            f"{escape(title)}</text>"
+            f"{_escape(title)}</text>"
         )
 
     axis_y = _MARGIN_T + plot_h
@@ -134,21 +142,21 @@ def scatter_svg(
         )
         parts.append(
             f'<text x="{legend_x + 10}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12" fill="#222">{escape(str(label))}</text>'
+            f'font-size="12" fill="#222">{_escape(str(label))}</text>'
         )
 
     if xlabel:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13" '
-            f'fill="#222">{escape(xlabel)}</text>'
+            f'fill="#222">{_escape(xlabel)}</text>'
         )
     if ylabel:
         cx, cy = 20, _MARGIN_T + plot_h / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" fill="#222" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import logging
 import math
@@ -384,7 +385,7 @@ def test_pool_never_larger_than_the_block_count(monkeypatch):
             seen.append(chunksize)
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for n_sims, pool in ((30, [2, 1]), (10, [])):
         cfg = ExperimentConfig(n_sims=n_sims)
         rows = [rec.csv_row() for rec in run_experiment(cfg, jobs=64)]

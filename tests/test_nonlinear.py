@@ -454,6 +454,30 @@ def test_block_builds_one_graph_for_its_layout(monkeypatch):
     assert [information_bits(sol) for sol in solutions[:2]] == alone
 
 
+def test_block_fills_its_stacks_once(monkeypatch):
+    # solve_worlds fills the base, source and increment stacks with one call
+    # and hands the base and increment ones to pose_information_system,
+    # which fills them itself only when it is called without them
+    worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
+    filled, fill = [], nonlinear._block_data
+
+    def counted(worlds, plans):
+        filled.append((len(worlds), len(plans)))
+        return fill(worlds, plans)
+
+    monkeypatch.setattr(nonlinear, "_block_data", counted)
+    solutions = solve_worlds(worlds)
+    assert filled == [(15, 3)]
+    filled.clear()
+    poses = np.array([sol.prior.mean for sol in solutions])
+    landmarks = np.array([
+        [sol.source_results[s].values[("l", s)] for s in range(2)] for sol in solutions
+    ])
+    priors, _ = pose_information_system(worlds, poses, landmarks)
+    assert filled == [(15, 2)]
+    assert [p.info.tobytes() for p in priors] == [sol.prior.info.tobytes() for sol in solutions]
+
+
 def test_triangulate_landmark_noiseless_exact():
     worlds = [simulate_world(zero_noise_config(), seed) for seed in (9, 10, 11)]
     seeds = triangulate_landmark(worlds, np.array([w.truth_array for w in worlds]))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fgred
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,9 +34,88 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def fresh_python(code: str) -> str:
+    """What a new interpreter, with fgred on its path, prints running code."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_unused_packages():
+    # the scipy.linalg package clones numpy's namespace, with numpy.f2py,
+    # numpy.ma and numpy.testing; xml.sax pulls in urllib, http and email;
+    # multiprocessing serves only a pool of more than one worker
+    unused = [
+        "scipy.linalg", "numpy.f2py", "numpy.ma", "xml.sax", "urllib.request", "multiprocessing",
+    ]
+    code = f"import sys, fgred.cli; print([m for m in {unused!r} if m in sys.modules])"
+    assert fresh_python(code) == "[]"
+    assert fresh_python("import sys, fgred; print('scipy.linalg' in sys.modules)") == "False"
+
+
+LAPACK_IDENTITY = """
+import sys
+{setup}
+import numpy as np
+import fgred.gauss as gauss
+package = "scipy.linalg" in sys.modules
+import scipy.linalg
+want = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+print(package, all(a is b for a, b in zip((gauss._potrf, gauss._potrs, gauss._trtrs), want)))
+"""
+
+# The first lookup of scipy.linalg._flapack finds nothing, as on an install
+# without the file where gauss looks for it.
+LOOKUP_FAILS = """
+import importlib.machinery
+find, missed = importlib.machinery.PathFinder.find_spec, []
+def find_spec(name, path=None, target=None):
+    if name == "scipy.linalg._flapack" and not missed:
+        missed.append(name)
+        return None
+    return find(name, path, target)
+importlib.machinery.PathFinder.find_spec = find_spec
+"""
+
+
+@pytest.mark.parametrize(
+    "setup, want",
+    [
+        ("", "False True"),  # loaded from its file, no package
+        ("import scipy.linalg", "True True"),  # already imported
+        (LOOKUP_FAILS, "True True"),  # imported through its package
+    ],
+    ids=["fgred-first", "scipy-linalg-first", "lookup-fails"],
+)
+def test_lapack_routines_are_get_lapack_funcs(setup, want):
+    # every route binds the objects scipy.linalg.get_lapack_funcs returns,
+    # so each result keeps the wrappers' bits
+    assert fresh_python(LAPACK_IDENTITY.format(setup=setup)) == want
+
+
+def test_blas_thread_limit_finds_scipy_openblas():
+    # the scipy.linalg package, and with it _fblas, is not imported, but
+    # _flapack maps scipy's OpenBLAS, so the limit covers as many copies
+    code = (
+        "import sys, fgred, fgred.gauss as gauss; "
+        "alone = len(gauss._openblas_setters()); "
+        "assert 'scipy.linalg' not in sys.modules; "
+        "gauss._openblas_setters.cache_clear(); "
+        "import scipy.linalg; "
+        "print(alone, len(gauss._openblas_setters()))"
+    )
+    alone, with_package = fresh_python(code).split()
+    assert alone == with_package
+
+
 def test_only_gauss_imports_scipy_linalg():
-    # gauss is the one entry into the dense linear algebra: every other
-    # module reaches scipy.linalg through its checked helpers
+    # gauss is the one entry into the dense linear algebra: it binds scipy's
+    # LAPACK routines from scipy.linalg._flapack without importing the
+    # scipy.linalg package, and every other module reaches them through its
+    # checked helpers
     for path in sorted((SRC / "fgred").glob("*.py")):
         if path.name == "gauss.py":
             continue
