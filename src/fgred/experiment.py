@@ -1,7 +1,7 @@
 """Batch simulation study: redundancy versus worst-case trajectory error.
 
-Each simulation draws a world, solves the base (anchor + odometry) problem
-and one SLAM problem per landmark source, linearizes around those solutions,
+Each simulation draws a world, takes the base (anchor + odometry) MAP in
+closed form, solves one SLAM problem per landmark source, linearizes there,
 Schur-marginalizes the landmarks, and evaluates both redundancy metrics on
 the pose-marginal information forms, exactly for the two landmark sources
 (metrics.redundancy_pair_info). Worst-case trajectory error and
@@ -251,7 +251,6 @@ def _score_block(
     (r_wb, q_wb), (r_wass, q_wass) = scores[QualityKind.WB], scores[QualityKind.WASS]
     records = []
     for k, (sim_id, world, sol) in enumerate(zip(sim_ids, worlds, solutions)):
-        base_ok = sol.base_result.converged
         records.append(SimRecord(
             sim_id=sim_id,
             r_wb=float(r_wb[k]),
@@ -262,9 +261,7 @@ def _score_block(
             q_wass=tuple(float(q) for q in q_wass[k]),
             wc_ate=float(wc[k]),
             mean_dist=tuple(float(d) for d in world.landmark_distances().mean(axis=1)),
-            converged=tuple(
-                bool(base_ok and sol.source_results[s].converged) for s in range(N_LANDMARKS)
-            ),
+            converged=tuple(sol.source_results[s].converged for s in range(N_LANDMARKS)),
         ))
     return records
 
@@ -274,7 +271,7 @@ def _failed_record(sim_id: int, exc: Exception) -> SimRecord:
 
 
 def _world_bytes(sim: SimConfig) -> int:
-    """Bytes of one world's dense J and J^T J: its base and source solves."""
+    """Bytes of one world's dense J and J^T J: its base linearization and source solves."""
     n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
     n_s = n_x + 2  # a source solve's columns: the poses and one landmark
     return 8 * (2 * n_x * n_x + N_LANDMARKS * (n_s + 2 * sim.n_poses + n_s) * n_s)

@@ -28,8 +28,11 @@ graph. Every world of one n_poses has one factor layout, so a block's
 plans come from its first world's graph (`_slam_plans`), and
 `_block_data` fills the block's whitener and measurement stacks straight
 from the worlds' arrays, with the bits `_Plan.data` reads from their
-graphs. A block of worlds solves its base problems, from dead reckoning,
-as one Gauss-Newton block and its source problems as another, and
+graphs. The base factors, an anchor prior and an odometry chain, form a
+tree with as many residual rows as unknowns, so their MAP fits every
+factor exactly: it is dead reckoning from the anchor measurement, in
+closed form (`dead_reckoning_init`). A block of worlds solves only its
+source problems, as one Gauss-Newton block, and
 `pose_information_system` then takes the block's information forms, the
 base prior and each source increment, J^T J = sum_j H_j^T Gamma_j H_j,
 with one linearization of the base factors and one of the source factors.
@@ -212,15 +215,16 @@ class GaussNewtonResult:
 class _Plan:
     """Index structure of a factor subset over a state ordering.
 
-    Problems whose factors have one layout share a plan: every base problem
-    of a block, and every source problem (`_slam_plans`). slices[i] holds
-    the columns of state[i], and theta the pose-angle columns. Factors are
-    grouped by type; a group holds the positions in the subset of its
-    factors (slots), their rows of J, the columns of their variables and the
-    flat indices of their blocks in J. The index structure is built with one
-    pass over the factors and a few array operations per type. A problem
-    adds only its stacked whiteners and measurements (`data`, or
-    `_block_data` for a block of worlds) and its state.
+    Problems whose factors have one layout share a plan: the base factors of
+    every world of a block, and every source problem (`_slam_plans`).
+    slices[i] holds the columns of state[i], and theta the pose-angle
+    columns. Factors are grouped by type; a group holds the positions in the
+    subset of its factors (slots), their rows of J, the columns of their
+    variables and the flat indices of their blocks in J. The index
+    structure is built with one pass over the factors and a few array
+    operations per type. A problem adds only its stacked whiteners and
+    measurements (`data`, or `_block_data` for a block of worlds) and its
+    state.
     """
 
     def __init__(self, graph: NonlinearGraph, subset: Sequence[int], state: Sequence[VarKey]):
@@ -369,33 +373,23 @@ def solve_gauss_newton_block(
 
 
 def pose_information_system(
-    worlds: Sequence[SimWorld],
-    poses: np.ndarray,
-    landmarks: np.ndarray,
-    plans: tuple = (),
-    data: tuple = (),
+    poses: np.ndarray, landmarks: np.ndarray, plans: tuple, data: tuple
 ) -> tuple[list[GaussianBelief], list[dict]]:
     """Pose-marginal information forms of a block of worlds, for redundancy evaluation.
 
-    The worlds share one config. World i's factors are linearized at one
-    point: its stacked poses `poses[i]` (w x 3(n+1)), the converged base
-    solution, and for source s its landmark estimate `landmarks[i, s]`
-    (w x sources x 2). Sharing the poses keeps the gauge-like directions of
-    each Delta_s aligned with the prior's weak directions, so sources are
-    compared on measurement content, not on where they were linearized.
-    The base factors (anchor + odometry) give Lambda_B = J^T J. They form a
-    tree whose MAP fits every factor exactly, so the prior mean is the
-    stacked base poses. Each source's range-bearing factors are linearized
-    over (poses + its landmark), and Schur-marginalizing the landmark out
-    of J^T J leaves an increment Delta_s over the poses. One
-    `normal_equations` call covers the block's base factors and one its
-    source factors, with the stacks `_block_data` fills from the worlds.
-    plans are the worlds' `_slam_plans`, built from the first world if not
-    given, and data the base and increment plans' stacks, filled if not
-    given. Returns each world's prior and its {s: Delta_s}.
+    World i's factors are linearized at one point: its stacked poses
+    `poses[i]` (w x 3(n+1)), the base MAP, and for source s its landmark
+    estimate `landmarks[i, s]` (w x sources x 2). Sharing the poses keeps
+    the gauge-like directions of each Delta_s aligned with the prior's weak
+    directions, so sources are compared on measurement content, not on
+    where they were linearized. plans are the block's base and increment
+    `_Plan`s and data their `_block_data` stacks. The base factors give
+    Lambda_B = J^T J, and the prior mean is the base poses. Each source's
+    range-bearing factors are linearized over (poses + its landmark), and
+    Schur-marginalizing the landmark out of J^T J leaves an increment
+    Delta_s over the poses. Returns each world's prior and its {s: Delta_s}.
     """
-    base, _, increment = plans or _slam_plans(worlds[0])
-    base_data, increment_data = data or _block_data(worlds, (base, increment))
+    (base, increment), (base_data, increment_data) = plans, data
     info, _ = base.normal_equations(poses, base_data)
     n_sources = landmarks.shape[1]
     x = np.concatenate([poses.repeat(n_sources, axis=0), landmarks.reshape(-1, 2)], axis=1)
@@ -528,7 +522,11 @@ def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list
 
 
 def dead_reckoning_init(worlds: Sequence[SimWorld]) -> np.ndarray:
-    """Initial poses (w, n_poses + 1, 3): odometry integrated from the anchor measurement."""
+    """The base MAP poses (w, n_poses + 1, 3): odometry integrated from the anchor measurement.
+
+    The anchor prior and the odometry chain fit these poses exactly, so
+    they are the base solution and the source solves' initial poses.
+    """
     z = np.array([w.odometry_array for w in worlds])
     poses = np.empty((len(worlds), z.shape[1] + 1, 3))
     poses[:, 0] = [w.truth_array[0] for w in worlds]
@@ -557,7 +555,7 @@ def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class SlamSolution:
-    """One world's base and per-source solves and its pose-marginal information forms."""
+    """One world's base poses, per-source solves and pose-marginal information forms."""
 
     base_result: GaussNewtonResult
     source_results: dict
@@ -566,28 +564,29 @@ class SlamSolution:
 
 
 def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
-    """Solve the base and per-source SLAM problems of worlds of one config, in lockstep.
+    """Solve the per-source SLAM problems of worlds of one config, in lockstep.
 
-    The base problems, from dead reckoning, are one Gauss-Newton block; the
-    source problems, each landmark triangulated at its world's base
-    solution, are another; `pose_information_system` then linearizes the
-    block at the base poses and the source landmarks. The blocks share one
-    set of plans, from the first world's graph (`_slam_plans`), and run on
-    the stacks one `_block_data` call fills from the worlds' arrays, so no
-    other world builds a NonlinearGraph. Each world's
-    solution is the one it gets alone, bit for bit. An exception in any
-    world's solves is raised for the whole block.
+    The base poses are the base MAP in closed form, `dead_reckoning_init`;
+    each world's `base_result` holds them, converged after 0 iterations.
+    The source problems, each landmark triangulated at its world's base
+    poses, are one Gauss-Newton block; `pose_information_system` then
+    linearizes the block at the base poses and the source landmarks. All of
+    it shares one set of plans, from the first world's graph
+    (`_slam_plans`), and runs on the stacks one `_block_data` call fills
+    from the worlds' arrays, so no other world builds a NonlinearGraph.
+    Each world's solution is the one it gets alone, bit for bit. An
+    exception in any world's solves is raised for the whole block.
     """
-    base_plan, source_plan, _ = plans = _slam_plans(worlds[0])
+    base_plan, source_plan, increment_plan = plans = _slam_plans(worlds[0])
     base_data, source_data, increment_data = _block_data(worlds, plans)
-    X = dead_reckoning_init(worlds).reshape(len(worlds), -1)
-    bases = solve_gauss_newton_block(base_plan, base_data, X)
-    guess = triangulate_landmark(worlds, X.reshape(len(worlds), -1, 3))
+    poses = dead_reckoning_init(worlds)
+    guess = triangulate_landmark(worlds, poses)
+    X = poses.reshape(len(worlds), -1)
     XS = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
     sources = solve_gauss_newton_block(source_plan, source_data, XS)
     landmarks = XS[:, -2:].reshape(len(worlds), N_LANDMARKS, 2)
     priors, deltas = pose_information_system(
-        worlds, X, landmarks, plans, (base_data, increment_data)
+        X, landmarks, (base_plan, increment_plan), (base_data, increment_data)
     )
     states = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
     results = [
@@ -596,10 +595,10 @@ def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
     ]
     return [
         SlamSolution(
-            GaussNewtonResult(base_plan.values(x), *outcome),
+            GaussNewtonResult(base_plan.values(x), converged=True, n_iters=0, max_update=0.0),
             dict(enumerate(results[i * N_LANDMARKS : (i + 1) * N_LANDMARKS])),
             prior,
             delta,
         )
-        for i, (x, outcome, prior, delta) in enumerate(zip(X, bases, priors, deltas))
+        for i, (x, prior, delta) in enumerate(zip(X, priors, deltas))
     ]

@@ -15,8 +15,10 @@ simulate_world_loop is the simulator one draw and one Pose2 at a time,
 the oracle for the library's array simulator.
 linearize is one problem's whitened J and r through fgred.nonlinear's
 index plan, and pose_information_one one world's information forms from
-its graph's factors (`_Plan.data`). dead_reckoning_values and
-triangulate_one are the one-world cases of the block's initial values.
+its graph's factors (`_Plan.data`); information_inputs gives the plans
+and stacks a block's information forms are taken with.
+dead_reckoning_values and triangulate_one are the one-world cases of the
+block's initial values.
 The factor bodies, linearization and Gauss-Newton solver
 compute one factor at a time what fgred.nonlinear computes with one
 batched kernel per factor type, and the tests ask for the same bits;
@@ -57,6 +59,8 @@ from fgred.nonlinear import (
     PriorFactor,
     RangeBearingFactor,
     _Plan,
+    _block_data,
+    _slam_plans,
     _stack,
     dead_reckoning_init,
     triangulate_landmark,
@@ -449,6 +453,16 @@ def pose_information_one(graph, base_values, landmarks) -> tuple[GaussianBelief,
         H, _ = plan.normal_equations(x, plan.data([(graph, subset)]))
         deltas[s] = schur_complement(H[0], np.arange(poses.shape[1]))
     return GaussianBelief(mean=poses[0], info=info[0]), deltas
+
+
+def information_inputs(worlds) -> tuple[tuple, tuple]:
+    """The base and increment plans of a block of worlds, and their stacks.
+
+    The `plans` and `data` that `solve_worlds` passes to
+    `pose_information_system`.
+    """
+    base, _, increment = _slam_plans(worlds[0])
+    return (base, increment), tuple(_block_data(worlds, (base, increment)))
 
 
 def dead_reckoning_values(world) -> dict:

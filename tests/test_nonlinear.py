@@ -21,6 +21,7 @@ from reference import (
     dead_reckoning_values,
     factor_jacobians,
     factor_residual,
+    information_inputs,
     kernel_jacobians,
     linearize,
     linearize_loop,
@@ -219,7 +220,7 @@ def test_gauss_newton_recovers_truth_from_perturbed_init():
         assert np.allclose(res.values[v], val, atol=1e-6)
 
 
-def test_base_only_map_is_dead_reckoning():
+def test_base_only_map_is_dead_reckoning(monkeypatch):
     # anchor measurement + odometry chain has an exact sequential solution
     w = simulate_world(SimConfig(), 4)
     g = build_nonlinear_graph(w)
@@ -233,6 +234,30 @@ def test_base_only_map_is_dead_reckoning():
         got = res.values[("x", i + 1)]
         assert np.allclose(got[:2], chain.as_array()[:2], atol=1e-8)
         assert wrap_angle(got[2] - chain.theta) == pytest.approx(0.0, abs=1e-8)
+    # solve_worlds takes the base poses in that closed form, with no solve
+    [sol] = solve_worlds([w])
+    base = sol.base_result
+    assert (base.converged, base.n_iters, base.max_update) == (True, 0, 0.0)
+    closed = dead_reckoning_values(w)
+    assert {k: v.tobytes() for k, v in base.values.items()} == {
+        k: v.tobytes() for k, v in closed.items()
+    }
+    # and they are the base MAP: Gauss-Newton started there does not move them
+    res = solve_gauss_newton(g, sorted(g.base), closed)
+    assert res.converged
+    assert max(np.abs(res.values[k] - v).max() for k, v in closed.items()) <= 1e-12
+    # so a block of worlds runs one Gauss-Newton block, its sources'
+    calls, block = [], nonlinear.solve_gauss_newton_block
+
+    def counted(plan, data, X, *args):
+        calls.append(len(X))
+        return block(plan, data, X, *args)
+
+    monkeypatch.setattr(nonlinear, "solve_gauss_newton_block", counted)
+    for worlds in ([w], [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]):
+        calls.clear()
+        solve_worlds(worlds)
+        assert calls == [2 * len(worlds)]
 
 
 def test_subset_must_cover_base():
@@ -292,7 +317,7 @@ def test_linearized_posterior_pd_and_prior_matches_base():
         assert np.allclose(got[i], base.values[("x", i)], atol=1e-6)
     # the graph-read forms are the library's array-filled ones, bit for bit
     [lib_prior], [lib_deltas] = pose_information_system(
-        [w], prior.mean[None], np.array([[landmarks[0], landmarks[1]]])
+        prior.mean[None], np.array([[landmarks[0], landmarks[1]]]), *information_inputs([w])
     )
     assert lib_prior.info.tobytes() == prior.info.tobytes()
     assert [lib_deltas[s].tobytes() for s in range(2)] == [deltas[s].tobytes() for s in range(2)]
@@ -380,7 +405,7 @@ def test_information_forms_two_linearizations_per_block(monkeypatch):
         return normal_equations(plan, x, data)
 
     monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
-    priors, deltas = pose_information_system(worlds, poses, landmarks)
+    priors, deltas = pose_information_system(poses, landmarks, *information_inputs(worlds))
     # one base linearization of the 15 worlds and one of their 30 sources
     assert sizes == [15, 30]
     for prior, delta, sol in zip(priors, deltas, solutions):
@@ -456,8 +481,7 @@ def test_block_builds_one_graph_for_its_layout(monkeypatch):
 
 def test_block_fills_its_stacks_once(monkeypatch):
     # solve_worlds fills the base, source and increment stacks with one call
-    # and hands the base and increment ones to pose_information_system,
-    # which fills them itself only when it is called without them
+    # and hands the base and increment ones to pose_information_system
     worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
     filled, fill = [], nonlinear._block_data
 
@@ -468,13 +492,11 @@ def test_block_fills_its_stacks_once(monkeypatch):
     monkeypatch.setattr(nonlinear, "_block_data", counted)
     solutions = solve_worlds(worlds)
     assert filled == [(15, 3)]
-    filled.clear()
     poses = np.array([sol.prior.mean for sol in solutions])
     landmarks = np.array([
         [sol.source_results[s].values[("l", s)] for s in range(2)] for sol in solutions
     ])
-    priors, _ = pose_information_system(worlds, poses, landmarks)
-    assert filled == [(15, 2)]
+    priors, _ = pose_information_system(poses, landmarks, *information_inputs(worlds))
     assert [p.info.tobytes() for p in priors] == [sol.prior.info.tobytes() for sol in solutions]
 
 

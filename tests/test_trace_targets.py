@@ -71,15 +71,21 @@ def test_solution_fields_read_by_checks():
             assert np.asarray(factor.gamma).shape == (r.shape[0], r.shape[0])
 
 
+def load_workloads(monkeypatch):
+    # workloads.py imports its sibling modules graphs and oracles by name.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_study_configs_load(tmp_path, monkeypatch):
     # Study.prepare writes the config that the setup interpreter and every
     # `fgred analyze` round load; _recheck_sims adds a root seed to it.
     from fgred.experiment import ExperimentConfig
 
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads(monkeypatch)
     studies = [make() for make in workloads.WORKLOADS.values()]
     studies = [w for w in studies if isinstance(w, workloads.Study)]
     assert studies
@@ -90,3 +96,16 @@ def test_study_configs_load(tmp_path, monkeypatch):
         config = ExperimentConfig.from_dict(json.loads(study.config_path.read_text()))
         assert config.n_sims == workloads.STUDY_BLOCK
         assert ExperimentConfig.from_dict({**study.config, "root_seed": 5}).root_seed == 5
+
+
+def test_base_and_source_solves_pass_stationarity_gate(monkeypatch):
+    # The stationarity gate of the re-solved worlds checks every converged
+    # solve, the closed-form base poses included.
+    from fgred.experiment import ExperimentConfig, simulate_batch_world, solve_world
+    from fgred.sim2d import SimConfig
+
+    workloads = load_workloads(monkeypatch)
+    worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(3)]
+    worlds.append(simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30)), 0))
+    for i, world in enumerate(worlds):
+        assert workloads._stationarity_problems(f"world {i}", world, solve_world(world)) == []
