@@ -7,17 +7,21 @@ the pose-marginal information forms, exactly for the two landmark sources
 (metrics.redundancy_pair_info). Worst-case trajectory error and
 trajectory-to-landmark distances are recorded alongside.
 
-Simulations run in fixed blocks of consecutive sim ids (`run_block`),
-sized by `worlds_per_block` so the block's stacked J and J^T J stay within
-_BLOCK_BYTES. A block's worlds are solved and linearized together
-(nonlinear.solve_worlds), so each Gauss-Newton iteration makes one kernel
-call per factor type for the whole block, and then scored together
-(`_score_block`): one posterior per source serves both quality kinds, and
-the coefficient products, the spectra, Imhof's rule and the WC-ATE
-alignments run on stacks over the block. If a block's solves or its
-scoring raise, its worlds are solved or scored one at a time, so only the
-world at fault fails. `run_single` and `solve_world` are the one-world
-cases of the same code.
+Simulations run in blocks of at most _BLOCK_SIMS consecutive sim ids
+(`run_block`), each one task of the worker pool; a batch is cut into the
+same number of blocks for each worker. A block's source problems are solved
+as one Gauss-Newton block (nonlinear.solve_block) that keeps as many
+problems active as fit their dense J and J^T J in _BLOCK_BYTES, and lets
+the next one in as each leaves, so each iteration makes one kernel call
+per factor type for the whole active set. The block's worlds are then
+linearized and scored in chunks of `worlds_per_block`, whose traced peak
+fits _BLOCK_BYTES (`_score_block`): one posterior per source serves both
+quality kinds, and the coefficient products, the spectra, Imhof's rule and
+the WC-ATE alignments run on stacks over the chunk. So a block holds only
+its worlds, stacks and solved states beyond that budget. If a block's
+solves or a chunk's scoring raise, its worlds are solved or scored one at
+a time, so only the world at fault fails. `run_single` and `solve_world`
+are the one-world cases of the same code.
 
 Per-simulation seeds are derived from the root seed and the simulation id
 only, and a world's numbers are the same bits in any block, so results are
@@ -40,7 +44,7 @@ from . import __version__
 from .alignment import wc_ates
 from .gauss import _one_blas_thread
 from .metrics import QualityKind, _pair_scores
-from .nonlinear import SlamSolution, solve_worlds
+from .nonlinear import SlamSolution, SolvedBlock, solve_block, solve_worlds
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
 
@@ -73,9 +77,15 @@ _PERMUTATION_SEED = 715517
 # Shuffles drawn at once: at 500 records a block of 1,000 index rows is 4 MB,
 # and the two y series' shuffled ranks 8 MB.
 _PERMUTATION_BLOCK = 1000
-# Bytes of stacked dense J and J^T J that one block of worlds may hold: 15
-# default worlds (67 kB each) or 2 thirty-pose worlds (515 kB each).
-_BLOCK_BYTES = 1 << 20
+# Memory budget of a block's two stages. Its Gauss-Newton solves keep as
+# many source problems active as fit their dense J, J^T J and symmetrized
+# J^T J in it: 76 default ones (34 kB each) or 10 thirty-pose ones (261 kB
+# each). Its worlds are linearized and scored in chunks whose traced peak,
+# `_world_bytes` per world, fits in it: 15 default worlds or 2 thirty-pose ones.
+_BLOCK_BYTES = 5 << 19
+# Most worlds one block holds. It keeps their worlds, stacks and solved
+# states until it is scored: about 12 kB per thirty-pose world, traced.
+_BLOCK_SIMS = 100
 MIN_VALID_FOR_CORRELATION = 30
 
 
@@ -192,23 +202,33 @@ def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecor
 def _block_records(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
     """The body of `run_block`, on the caller's BLAS threads.
 
-    If the block's solves raise, each world is run again as a block of one,
-    so only the world at fault fails, with its own reason.
+    The block's source problems are one Gauss-Newton block whose active set
+    fits _BLOCK_BYTES (`nonlinear.solve_block`); its worlds are then
+    linearized and scored in chunks of `worlds_per_block`. If the block's
+    solves raise, each world is run again as a block of one, so only the
+    world at fault fails, with its own reason.
     """
     try:
         worlds = [simulate_batch_world(config, i) for i in sim_ids]
-        solutions = solve_worlds(worlds)
+        solved = solve_block(worlds, _BLOCK_BYTES)
     except Exception as exc:  # per-sim failures must never abort the batch
         if len(sim_ids) == 1:
             return [_failed_record(sim_ids[0], exc)]
         logger.debug("sims %d-%d: block solve failed (%s), solving one world at a time",
                      sim_ids[0], sim_ids[-1], exc)
         return [rec for i in sim_ids for rec in _block_records(config, [i])]
-    return _scored_records(sim_ids, worlds, solutions)
+    size = worlds_per_block(config.sim)
+    return [
+        rec
+        for start in range(0, len(worlds), size)
+        for rec in _scored_records(
+            sim_ids[start : start + size], worlds[start : start + size], solved.chunk(start, start + size)
+        )
+    ]
 
 
 def _scored_records(
-    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solutions: Sequence[SlamSolution]
+    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solved: SolvedBlock
 ) -> list[SimRecord]:
     """`_score_block` of solved worlds; if it raises, each world is scored alone.
 
@@ -216,41 +236,36 @@ def _scored_records(
     and the others the records the block would have given them.
     """
     try:
-        return _score_block(sim_ids, worlds, solutions)
+        return _score_block(sim_ids, worlds, solved)
     except Exception as exc:  # per-sim failures must never abort the batch
         if len(sim_ids) == 1:
             return [_failed_record(sim_ids[0], exc)]
         logger.debug("sims %d-%d: block scoring failed (%s), scoring one world at a time",
                      sim_ids[0], sim_ids[-1], exc)
         return [
-            rec for i, world, sol in zip(sim_ids, worlds, solutions)
-            for rec in _scored_records([i], [world], [sol])
+            rec for k, (i, world) in enumerate(zip(sim_ids, worlds))
+            for rec in _scored_records([i], [world], solved.chunk(k, k + 1))
         ]
 
 
 def _score_block(
-    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solutions: Sequence[SlamSolution]
+    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solved: SolvedBlock
 ) -> list[SimRecord]:
-    """Records of solved worlds, scored together.
+    """Records of solved worlds, linearized and scored together.
 
-    Both kinds' pair redundancies and source qualities come from one
-    `metrics._pair_scores` call, and the WC-ATEs from one `wc_ates` call,
-    so each world's numbers are the bits it gets in a block of one.
+    The information forms come from one `pose_information_system` call,
+    both kinds' pair redundancies and source qualities from one
+    `metrics._pair_scores` call, and the WC-ATEs from one `wc_ates` call on
+    the source solves' poses, so each world's numbers are the bits it gets
+    in a block of one.
     """
-    scores = _pair_scores(
-        [sol.prior for sol in solutions],
-        [[sol.deltas[s] for s in range(N_LANDMARKS)] for sol in solutions],
-    )
-    poses = range(len(worlds[0].truth_array))
+    priors, deltas = solved.information()
+    scores = _pair_scores(priors, [[delta[s] for s in range(N_LANDMARKS)] for delta in deltas])
     truths = np.array([world.truth_array[:, :2] for world in worlds])
-    estimates = np.array([
-        [[sol.source_results[s].values[("x", i)][:2] for i in poses] for s in range(N_LANDMARKS)]
-        for sol in solutions
-    ])
-    wc = wc_ates(truths, estimates)
+    wc = wc_ates(truths, solved.source_poses()[..., :2].copy())
     (r_wb, q_wb), (r_wass, q_wass) = scores[QualityKind.WB], scores[QualityKind.WASS]
     records = []
-    for k, (sim_id, world, sol) in enumerate(zip(sim_ids, worlds, solutions)):
+    for k, (sim_id, world) in enumerate(zip(sim_ids, worlds)):
         records.append(SimRecord(
             sim_id=sim_id,
             r_wb=float(r_wb[k]),
@@ -261,7 +276,7 @@ def _score_block(
             q_wass=tuple(float(q) for q in q_wass[k]),
             wc_ate=float(wc[k]),
             mean_dist=tuple(float(d) for d in world.landmark_distances().mean(axis=1)),
-            converged=tuple(sol.source_results[s].converged for s in range(N_LANDMARKS)),
+            converged=tuple(c for c, _, _ in solved.outcomes[k * N_LANDMARKS : (k + 1) * N_LANDMARKS]),
         ))
     return records
 
@@ -271,39 +286,45 @@ def _failed_record(sim_id: int, exc: Exception) -> SimRecord:
 
 
 def _world_bytes(sim: SimConfig) -> int:
-    """Bytes of one world's dense J and J^T J: its base linearization and source solves."""
+    """One world's share of the traced peak of linearizing and scoring a chunk.
+
+    Scoring holds more than the linearization's dense J and J^T J: a chunk's
+    traced peak was 2.46 (10 poses) and 2.59 (30 poses) times theirs, so a
+    world counts as 2.5 times its J and J^T J bytes.
+    """
     n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
-    n_s = n_x + 2  # a source solve's columns: the poses and one landmark
-    return 8 * (2 * n_x * n_x + N_LANDMARKS * (n_s + 2 * sim.n_poses + n_s) * n_s)
+    n_s = n_x + 2  # a source problem's columns: the poses and one landmark
+    return 20 * (2 * n_x * n_x + N_LANDMARKS * (n_s + 2 * sim.n_poses + n_s) * n_s)
 
 
 def worlds_per_block(sim: SimConfig) -> int:
-    """Worlds solved together: as many as fit their stacked J and J^T J in _BLOCK_BYTES."""
+    """Worlds linearized and scored together: as many as fit their traced peak in _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // _world_bytes(sim))
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     """Run the whole batch; output is identical for any worker count.
 
-    Sims run in fixed blocks of `worlds_per_block` consecutive ids, the
-    same blocks for every worker count; each failed sim is logged at
-    WARNING with its reason.
+    Sims run in blocks of consecutive ids (`run_block`), each one task of
+    the pool. The blocks are as even as can be, hold at most _BLOCK_SIMS
+    worlds, and come in a multiple of the worker count, min(jobs, n_sims),
+    so every worker gets as many. Each failed sim is logged at WARNING with
+    its reason.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    size = worlds_per_block(config.sim)
-    blocks = [list(range(i, min(i + size, config.n_sims))) for i in range(0, config.n_sims, size)]
-    # an executor forks all its workers at the first submit: no more than there are blocks
-    workers = min(jobs, len(blocks))
+    n = config.n_sims
+    workers = min(jobs, n)
+    n_blocks = workers * -(-n // (_BLOCK_SIMS * workers))
+    blocks = [list(range(n * k // n_blocks, n * (k + 1) // n_blocks)) for k in range(n_blocks)]
     if workers == 1:
         records = [rec for ids in blocks for rec in run_block(config, ids)]
     else:
         # imported here, so a one-process run does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(blocks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks_done = pool.map(run_block, itertools.repeat(config), blocks, chunksize=chunk)
+            blocks_done = pool.map(run_block, itertools.repeat(config), blocks)
             records = [rec for recs in blocks_done for rec in recs]
     records.sort(key=lambda r: r.sim_id)
     for rec in records:

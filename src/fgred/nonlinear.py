@@ -16,30 +16,37 @@ problem adds only its stacked whiteners, measurements and state, so a
 block of p problems is linearized with one kernel call per factor type,
 and each type's whitened blocks are written into the p stacked J through
 the plan's flat indices. `solve_gauss_newton_block` runs Gauss-Newton on
-such a block in lockstep: per iteration one batched J^T J and J^T r and
-one `gauss.solve_pd_stack`, with a problem leaving the block when it
-converges or its normal equations fail to factor. Each problem's steps are
-the ones it would take alone, bit for bit; `solve_gauss_newton` is the
-one-problem case. The state is one flat vector per problem, retracted
-additively (pose angles re-wrapped).
+such a block with at most C problems active: per iteration one batched
+J^T J and J^T r and one `gauss.solve_pd_stack` over the active set. A
+problem leaves it when it converges, its normal equations fail to factor
+or it reaches max_iters, and the next pending problem joins at the next
+iteration, so a slow problem does not keep the others waiting in a
+half-empty block. C comes from a byte budget and the plan's rows and
+columns (`_Plan.capacity`). Each problem counts its own iterations, and its
+steps are the ones it would take alone, bit for bit; `solve_gauss_newton`
+is the one-problem case. The state is one flat vector per problem,
+retracted additively (pose angles re-wrapped).
 
-`solve_worlds` is the study's SLAM block, and it builds no per-world
-graph. Every world of one n_poses has one factor layout, so a block's
-plans come from its first world's graph (`_slam_plans`), and
-`_block_data` fills the block's whitener and measurement stacks straight
-from the worlds' arrays, with the bits `_Plan.data` reads from their
-graphs. The base factors, an anchor prior and an odometry chain, form a
-tree with as many residual rows as unknowns, so their MAP fits every
-factor exactly: it is dead reckoning from the anchor measurement, in
-closed form (`dead_reckoning_init`). A block of worlds solves only its
-source problems, as one Gauss-Newton block, and
-`pose_information_system` then takes the block's information forms, the
-base prior and each source increment, J^T J = sum_j H_j^T Gamma_j H_j,
-with one linearization of the base factors and one of the source factors.
+`solve_block` is the study's SLAM block, and it builds no per-world graph.
+Every world of one n_poses has one factor layout, so the plans are built
+once per n_poses and process (`_slam_plans`), and `_block_data` fills the
+block's whitener and measurement stacks straight from the worlds' arrays,
+with the bits `_Plan.data` reads from their graphs. The base factors, an
+anchor prior and an odometry chain, form a tree with as many residual rows
+as unknowns, so their MAP fits every factor exactly: it is dead reckoning
+from the anchor measurement, in closed form (`dead_reckoning_init`). A
+block of worlds solves only its source problems, as one Gauss-Newton
+block. Its `SolvedBlock` keeps the base poses, the final source states and
+the stacks, and serves chunks of its worlds to `pose_information_system`,
+which takes their information forms, the base prior and each source
+increment, J^T J = sum_j H_j^T Gamma_j H_j, with one linearization of the
+base factors and one of the source factors. `solve_worlds` is a block of
+worlds solved and linearized whole, with every problem active at once.
 `NonlinearGraph` and `build_nonlinear_graph` serve the one-problem API.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -47,7 +54,7 @@ import numpy as np
 
 from .gauss import GaussianBelief, _good_pivots, cholesky_pd_many, schur_complement, solve_pd_stack
 from .se2 import wrap_angle
-from .sim2d import N_LANDMARKS, SimConfig, SimWorld
+from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
 
 VarKey = tuple[str, int]
 
@@ -259,6 +266,10 @@ class _Plan:
             flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
             self.groups.append((kernel, slots, rows.ravel(), cols, flat.ravel()))
 
+    def capacity(self, budget: int) -> int:
+        """Problems whose dense J, J^T J and its symmetrized copy fit in budget bytes; at least 1."""
+        return max(1, budget // (8 * self.n_cols * (self.n_rows + 2 * self.n_cols)))
+
     def data(self, problems: Sequence[tuple]) -> list:
         """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
 
@@ -329,9 +340,9 @@ def solve_gauss_newton(
 
 
 def solve_gauss_newton_block(
-    plan: _Plan, data: list, X: np.ndarray, max_iters: int = 50
+    plan: _Plan, data: list, X: np.ndarray, max_iters: int = 50, capacity: int | None = None
 ) -> list[tuple[bool, int, float]]:
-    """Gauss-Newton on p problems that share `plan`, in lockstep.
+    """Gauss-Newton on p problems that share `plan`, at most `capacity` at a time.
 
     data holds the problems' stacked whiteners and measurements in
     `_Plan.data`'s layout, and X (p, cols) their initial states; X is
@@ -339,36 +350,48 @@ def solve_gauss_newton_block(
     active problem with one kernel call per factor type, forms each J^T J
     and J^T r in one batched product, and solves the normal equations with
     `solve_pd_stack`. A problem leaves the active set when no state
-    component moves by GN_STEP_TOL or its normal equations fail to factor;
-    its state is then frozen. Every problem's steps are the ones it would
-    take alone, bit for bit. Returns each problem's (converged, n_iters,
-    max_update).
+    component moves by GN_STEP_TOL, its normal equations fail to factor or
+    it has taken max_iters steps; its state is then frozen, and the next
+    pending problem, in index order, joins at the next iteration. capacity
+    None lets every problem in at once. Each problem counts its own
+    iterations, and its steps are the ones it would take alone, bit for
+    bit. Returns each problem's (converged, n_iters, max_update).
     """
     n = len(X)
+    capacity = n if capacity is None else capacity
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
     converged = np.zeros(n, dtype=bool)
-    n_iters = np.full(n, max_iters)
+    n_iters = np.zeros(n, dtype=int)
     max_update = np.full(n, np.inf)
-    active, active_data = np.arange(n), data
-    for it in range(1, max_iters + 1):
+    active, left = np.arange(0), False
+    pending = 0 if max_iters >= 1 else n  # with no step allowed, no problem joins
+    while True:
+        joining = min(capacity - len(active), n - pending)
+        if joining:
+            active = np.concatenate([active, np.arange(pending, pending + joining)])
+            pending += joining
         if not active.size:
             break
+        if joining or left:
+            active_data = [(whiteners[active], z[active]) for whiteners, z in data]
         x = X[active]
+        n_iters[active] += 1
         delta, failed = solve_pd_stack(*plan.normal_equations(x, active_data), "normal equations")
+        stay = np.ones(len(active), dtype=bool)
         if failed:
-            bad = np.array(sorted(failed))
-            n_iters[active[bad]], max_update[active[bad]] = it, np.nan
-            ok = np.ones(len(active), dtype=bool)
-            ok[bad] = False
-            active, x, delta = active[ok], x[ok], delta[ok]
+            stay[list(failed)] = False
+            max_update[active[~stay]] = np.nan
+            x, delta = x[stay], delta[stay]
+        moved = active[stay]
         x += delta
         x[:, plan.theta] = wrap_angle(x[:, plan.theta])
-        X[active] = x
-        max_update[active] = np.abs(delta).max(axis=1, initial=0.0)
-        done = max_update[active] < GN_STEP_TOL
-        converged[active[done]], n_iters[active[done]] = True, it
-        if failed or done.any():
-            active = active[~done]
-            active_data = [(whiteners[active], z[active]) for whiteners, z in data]
+        X[moved] = x
+        max_update[moved] = np.abs(delta).max(axis=1, initial=0.0)
+        converged[moved] = max_update[moved] < GN_STEP_TOL
+        stay[stay] = ~converged[moved] & (n_iters[moved] < max_iters)
+        left = not stay.all()
+        active = active[stay]
     return list(zip(converged.tolist(), n_iters.tolist(), max_update.tolist()))
 
 
@@ -460,15 +483,16 @@ def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
     )
 
 
-def _slam_plans(world: SimWorld) -> tuple[_Plan, _Plan, _Plan]:
-    """The base, source and increment plans of every world of `world`'s n_poses.
+@functools.cache
+def _slam_plans(n_poses: int) -> tuple[_Plan, _Plan, _Plan]:
+    """The base, source and increment plans of every world of n_poses, built once per process.
 
     The source plan holds the base factors and source 0's over the poses and
     landmark 0, the increment plan source 0's alone; source s's problems use
     them with landmark s. The layout depends on n_poses only, so the plans
-    are built from this one world's graph.
+    come from the graph of one default-config world of that length.
     """
-    g = build_nonlinear_graph(world)
+    g = build_nonlinear_graph(simulate_world(SimConfig(n_poses=n_poses), 0))
     poses = tuple(v for v in g.variables if v[0] == "x")
     source = poses + (("l", 0),)
     return (
@@ -554,6 +578,66 @@ def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True)
+class SolvedBlock:
+    """A block of worlds after its source solves: what their information forms and scores need.
+
+    poses (w, 3(n+1)) are the base MAP poses, states (w * N_LANDMARKS,
+    3(n+1) + 2) each source problem's final poses and landmark, world-major,
+    and outcomes each source problem's (converged, n_iters, max_update).
+    plans are the base and increment `_Plan`s, data their stacks.
+    """
+
+    plans: tuple
+    data: tuple
+    poses: np.ndarray
+    states: np.ndarray
+    outcomes: list
+
+    def chunk(self, start: int, stop: int) -> SolvedBlock:
+        """Worlds start..stop-1 of the block, as views of its arrays."""
+        a, b = start * N_LANDMARKS, stop * N_LANDMARKS
+        base, increment = self.data
+        return SolvedBlock(
+            self.plans,
+            ([(w[start:stop], z[start:stop]) for w, z in base], [(w[a:b], z[a:b]) for w, z in increment]),
+            self.poses[start:stop],
+            self.states[a:b],
+            self.outcomes[a:b],
+        )
+
+    def source_poses(self) -> np.ndarray:
+        """Each source solve's poses, (w, N_LANDMARKS, n + 1, 3)."""
+        return self.states[:, :-2].reshape(len(self.poses), N_LANDMARKS, -1, 3)
+
+    def information(self) -> tuple[list[GaussianBelief], list[dict]]:
+        """`pose_information_system` of the block's worlds."""
+        landmarks = self.states[:, -2:].reshape(len(self.poses), N_LANDMARKS, 2)
+        return pose_information_system(self.poses, landmarks, self.plans, self.data)
+
+
+def solve_block(worlds: Sequence[SimWorld], budget: int | None = None) -> SolvedBlock:
+    """The source solves of worlds of one config, as one Gauss-Newton block.
+
+    The base poses are the base MAP in closed form, `dead_reckoning_init`,
+    and each landmark is triangulated there. The plans are the worlds'
+    n_poses' (`_slam_plans`), and one `_block_data` call fills every stack
+    from the worlds' arrays. At most as many source problems are active at
+    once as fit their dense J, J^T J and its symmetrized copy in budget
+    bytes (`_Plan.capacity`); None lets every one in at once. An exception
+    in any world's solves is raised for the whole block.
+    """
+    base_plan, source_plan, increment_plan = plans = _slam_plans(worlds[0].config.n_poses)
+    base_data, source_data, increment_data = _block_data(worlds, plans)
+    poses = dead_reckoning_init(worlds)
+    guess = triangulate_landmark(worlds, poses)
+    X = poses.reshape(len(worlds), -1)
+    states = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
+    capacity = None if budget is None else source_plan.capacity(budget)
+    outcomes = solve_gauss_newton_block(source_plan, source_data, states, capacity=capacity)
+    return SolvedBlock((base_plan, increment_plan), (base_data, increment_data), X, states, outcomes)
+
+
+@dataclass(frozen=True)
 class SlamSolution:
     """One world's base poses, per-source solves and pose-marginal information forms."""
 
@@ -566,32 +650,19 @@ class SlamSolution:
 def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
     """Solve the per-source SLAM problems of worlds of one config, in lockstep.
 
-    The base poses are the base MAP in closed form, `dead_reckoning_init`;
-    each world's `base_result` holds them, converged after 0 iterations.
-    The source problems, each landmark triangulated at its world's base
-    poses, are one Gauss-Newton block; `pose_information_system` then
-    linearizes the block at the base poses and the source landmarks. All of
-    it shares one set of plans, from the first world's graph
-    (`_slam_plans`), and runs on the stacks one `_block_data` call fills
-    from the worlds' arrays, so no other world builds a NonlinearGraph.
-    Each world's solution is the one it gets alone, bit for bit. An
-    exception in any world's solves is raised for the whole block.
+    `solve_block` with every source problem active at once, then
+    `pose_information_system` at the base poses and the source landmarks.
+    Each world's `base_result` holds its base poses, converged after 0
+    iterations. Each world's solution is the one it gets alone, bit for
+    bit. An exception in any world's solves is raised for the whole block.
     """
-    base_plan, source_plan, increment_plan = plans = _slam_plans(worlds[0])
-    base_data, source_data, increment_data = _block_data(worlds, plans)
-    poses = dead_reckoning_init(worlds)
-    guess = triangulate_landmark(worlds, poses)
-    X = poses.reshape(len(worlds), -1)
-    XS = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
-    sources = solve_gauss_newton_block(source_plan, source_data, XS)
-    landmarks = XS[:, -2:].reshape(len(worlds), N_LANDMARKS, 2)
-    priors, deltas = pose_information_system(
-        X, landmarks, (base_plan, increment_plan), (base_data, increment_data)
-    )
+    block = solve_block(worlds)
+    priors, deltas = block.information()
+    base_plan, source_plan, _ = _slam_plans(worlds[0].config.n_poses)
     states = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
     results = [
         GaussNewtonResult(source_plan.values(x, states[k % N_LANDMARKS]), *outcome)
-        for k, (x, outcome) in enumerate(zip(XS, sources))
+        for k, (x, outcome) in enumerate(zip(block.states, block.outcomes))
     ]
     return [
         SlamSolution(
@@ -600,5 +671,5 @@ def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
             prior,
             delta,
         )
-        for i, (x, prior, delta) in enumerate(zip(X, priors, deltas))
+        for i, (x, prior, delta) in enumerate(zip(block.poses, priors, deltas))
     ]

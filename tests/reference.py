@@ -461,7 +461,7 @@ def information_inputs(worlds) -> tuple[tuple, tuple]:
     The `plans` and `data` that `solve_worlds` passes to
     `pose_information_system`.
     """
-    base, _, increment = _slam_plans(worlds[0])
+    base, _, increment = _slam_plans(worlds[0].config.n_poses)
     return (base, increment), tuple(_block_data(worlds, (base, increment)))
 
 

@@ -172,10 +172,10 @@ def test_report_missing_records_exits_2(tmp_path):
 
 
 def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
-    def boom(worlds):
+    def boom(worlds, budget):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(experiment, "solve_worlds", boom)
+    monkeypatch.setattr(experiment, "solve_block", boom)
     cfg = tiny_config_file(tmp_path)
     out = tmp_path / "out"
     rc = main(["analyze", "--config", str(cfg), "--out", str(out)])

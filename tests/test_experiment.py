@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import logging
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,6 +23,7 @@ from fgred.experiment import (
     run_experiment,
     run_single,
     simulate_batch_world,
+    solve_block,
     solve_world,
     solve_worlds,
     write_records_csv,
@@ -91,11 +93,11 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
     unscoped = experiment._block_records(cfg, [2])[0]
     seen = []
 
-    def counting_solve(worlds):
+    def counting_solve(worlds, budget):
         seen.append(blas_thread_counts(setters))
-        return solve_worlds(worlds)
+        return solve_block(worlds, budget)
 
-    monkeypatch.setattr(experiment, "solve_worlds", counting_solve)
+    monkeypatch.setattr(experiment, "solve_block", counting_solve)
     assert run_single(cfg, 2) == unscoped
     assert seen == [[1] * len(setters)]
     assert blas_thread_counts(setters) == before
@@ -228,10 +230,10 @@ def test_worlds_reuse_the_checked_sim_config(monkeypatch):
 
 
 def test_failed_sim_recorded_not_raised(monkeypatch):
-    def boom(worlds):
+    def boom(worlds, budget):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(experiment, "solve_worlds", boom)
+    monkeypatch.setattr(experiment, "solve_block", boom)
     recs = run_experiment(small_config(), jobs=1)
     assert len(recs) == 6
     assert all(r.failed for r in recs)
@@ -251,35 +253,94 @@ def solve_outcomes(sol):
     return solves, sol.prior.info.tobytes(), deltas
 
 
+def source_problem_bytes(sim):
+    """What one active source problem counts against _BLOCK_BYTES."""
+    plan = nonlinear._slam_plans(sim.n_poses)[1]
+    return 8 * plan.n_cols * (plan.n_rows + 2 * plan.n_cols)
+
+
 def test_block_matches_one_world_runs(monkeypatch):
-    # blocks of three worlds: 0-2, 3-5, 6-7; sims 0 and 5 of root seed 5 hold
-    # a source solve that stops at the 50-iteration cap
+    # one block of 8 worlds, 16 source problems with 3 active at a time;
+    # sims 0 and 5 of root seed 5 hold a source solve that stops at the
+    # 50-iteration cap, and it stays active while the others are refilled
+    # around it: every solve keeps the bits it gets alone
     cfg = ExperimentConfig(n_sims=8, root_seed=5)
-    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 3 * experiment._world_bytes(cfg.sim))
-    assert experiment.worlds_per_block(cfg.sim) == 3
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 3 * source_problem_bytes(cfg.sim))
+    assert experiment.worlds_per_block(cfg.sim) == 1
+    blocks, sizes = [], []
+    block, normal_equations = nonlinear.solve_gauss_newton_block, nonlinear._Plan.normal_equations
+
+    def recorded(plan, data, X, *args, **kwargs):
+        outcomes = block(plan, data, X, *args, **kwargs)
+        blocks.append((kwargs["capacity"], X, outcomes))
+        return outcomes
+
+    def counted(self, x, data):
+        sizes.append(len(x))
+        return normal_equations(self, x, data)
+
+    monkeypatch.setattr(nonlinear, "solve_gauss_newton_block", recorded)
+    monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
     records = run_experiment(cfg, jobs=1)
+    [(capacity, X, outcomes)] = blocks
+    iterations = sizes[: -2 * cfg.n_sims]  # then the worlds' base and increment linearizations
+    # sim 0's capped solve holds a place through the first 50 iterations,
+    # and the other two are refilled the whole time
+    assert capacity == 3 and iterations[:50] == [3] * 50 and max(iterations) == 3
+    assert sum(iterations) == sum(n for _, n, _ in outcomes)
     worlds = [simulate_batch_world(cfg, i) for i in range(cfg.n_sims)]
     capped = []
-    for ids in (range(0, 3), range(3, 6), range(6, 8)):
-        for i, sol in zip(ids, solve_worlds([worlds[i] for i in ids])):
-            assert records[i].csv_row() == run_single(cfg, i).csv_row(), i
-            assert solve_outcomes(sol) == solve_outcomes(solve_world(worlds[i])), i
-            capped += [i for r in sol.source_results.values() if r.n_iters == 50 and not r.converged]
+    for i, world in enumerate(worlds):
+        assert records[i].csv_row() == run_single(cfg, i).csv_row(), i
+        alone = solve_world(world)
+        for s, res in sorted(alone.source_results.items()):
+            k = 2 * i + s
+            assert outcomes[k] == (res.converged, res.n_iters, res.max_update), (i, s)
+            assert X[k].tobytes() == np.concatenate(list(res.values.values())).tobytes(), (i, s)
+            capped += [i] if (res.converged, res.n_iters) == (False, 50) else []
     assert capped == [0, 5]
 
 
 def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(n_sims=20)
+    # chunks of 1, 15 and all 20 default worlds or of 1, 2 and 6 of 12
+    # thirty-pose ones, with 4, 76 and 243 or 4, 10 and 32 source problems
+    # active, in one block or in blocks of at most 7 worlds: records.csv
+    # keeps its bytes
     default = experiment._BLOCK_BYTES
-    assert experiment.worlds_per_block(cfg.sim) == 15
-    per_world = experiment._world_bytes(cfg.sim)
-    outputs = []
-    for budget in (per_world, 3 * per_world, default):
-        monkeypatch.setattr(experiment, "_BLOCK_BYTES", budget)
-        path = tmp_path / f"{budget}.csv"
-        write_records_csv(run_experiment(cfg, jobs=1), path)
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    for cfg, chunks, active in (
+        (ExperimentConfig(n_sims=20), [1, 15, 49], [4, 76, 243]),
+        (ExperimentConfig(sim=SimConfig(n_poses=30), n_sims=12), [1, 2, 6], [4, 10, 32]),
+    ):
+        source = nonlinear._slam_plans(cfg.sim.n_poses)[1]
+        outputs = []
+        for budget in (experiment._world_bytes(cfg.sim), default, 1 << 23):
+            monkeypatch.setattr(experiment, "_BLOCK_BYTES", budget)
+            assert experiment.worlds_per_block(cfg.sim) == chunks.pop(0)
+            assert source.capacity(budget) == active.pop(0)
+            for block_sims in (100, 7):
+                monkeypatch.setattr(experiment, "_BLOCK_SIMS", block_sims)
+                path = tmp_path / f"{cfg.sim.n_poses}-{budget}-{block_sims}.csv"
+                write_records_csv(run_experiment(cfg, jobs=1), path)
+                outputs.append(path.read_bytes())
+        assert all(out == outputs[0] for out in outputs)
+
+
+def test_block_peak_memory_stays_bounded():
+    # a block of 30 worlds keeps its worlds, stacks and solved states, and
+    # its solves' active set and its chunks' scoring each fit _BLOCK_BYTES:
+    # traced peaks were 2.88 MiB (30 poses) and 2.40 MiB (10 poses), against
+    # 34.6 and 4.66 MiB for a block that solves and scores all 30 at once
+    for n_poses, limit in ((30, 3.5), (10, 3.0)):
+        cfg = ExperimentConfig(sim=SimConfig(n_poses=n_poses), n_sims=30, root_seed=5)
+        run_block(cfg, [0])  # the layout's plans are built once per process
+        tracemalloc.start()
+        try:
+            records = run_block(cfg, range(30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec.is_usable() for rec in records)
+        assert peak <= limit * 2**20, (n_poses, peak / 2**20)
 
 
 def test_raising_world_fails_alone(monkeypatch, caplog):
@@ -366,9 +427,11 @@ def test_block_builds_one_posterior_per_source(monkeypatch):
 
 
 def test_pool_never_larger_than_the_block_count(monkeypatch):
-    # an executor forks all its workers at once: 30 default sims are two
-    # blocks, so --jobs 64 asks for two workers, and 10 sims, one block, for
-    # no pool at all; the stand-in pool maps in this process
+    # an executor forks all its workers at once, and each takes whole
+    # blocks: the batch is cut into even runs of consecutive ids, at most
+    # _BLOCK_SIMS each and a multiple of min(jobs, n_sims) of them, and the
+    # pool has min(jobs, n_sims) workers; the stand-in pool maps in this
+    # process
     seen = []
 
     class SerialPool:
@@ -381,17 +444,46 @@ def test_pool_never_larger_than_the_block_count(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            seen.append(chunksize)
-            return map(fn, *iterables)
+        def map(self, fn, configs, blocks):
+            blocks = list(blocks)
+            seen.append([len(ids) for ids in blocks])
+            assert [i for ids in blocks for i in ids] == list(range(sum(map(len, blocks))))
+            return map(fn, configs, blocks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    for n_sims, pool in ((30, [2, 1]), (10, [])):
-        cfg = ExperimentConfig(n_sims=n_sims)
-        rows = [rec.csv_row() for rec in run_experiment(cfg, jobs=64)]
+    monkeypatch.setattr(experiment, "_BLOCK_SIMS", 8)
+    cfg = ExperimentConfig(n_sims=30)
+    serial = [rec.csv_row() for rec in run_experiment(cfg, jobs=1)]
+    assert seen == []
+    for jobs, pool in ((2, [2, [7, 8, 7, 8]]), (3, [3, [5] * 6]), (64, [30, [1] * 30])):
+        assert [rec.csv_row() for rec in run_experiment(cfg, jobs=jobs)] == serial
         assert seen == pool
-        assert rows == [rec.csv_row() for rec in run_experiment(cfg, jobs=1)]
         seen.clear()
+    run_experiment(ExperimentConfig(n_sims=1), jobs=64)
+    assert seen == []
+
+
+def test_thirty_sims_at_two_jobs_run_two_blocks(tmp_path, monkeypatch):
+    # one block would leave the second worker idle: a 30-sim batch at
+    # --jobs 2 runs two blocks of 15, in a real pool, and writes the bytes
+    # of --jobs 1, which runs one block of 30
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, configs, blocks):
+            blocks = list(blocks)
+            pools.append([len(ids) for ids in blocks])
+            return super().map(fn, configs, blocks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    cfg = ExperimentConfig(n_sims=30)
+    outputs = []
+    for jobs in (1, 2):
+        path = tmp_path / f"records-{jobs}.csv"
+        write_records_csv(run_experiment(cfg, jobs=jobs), path)
+        outputs.append(path.read_bytes())
+    assert pools == [[15, 15]]
+    assert outputs[0] == outputs[1]
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -249,9 +249,9 @@ def test_base_only_map_is_dead_reckoning(monkeypatch):
     # so a block of worlds runs one Gauss-Newton block, its sources'
     calls, block = [], nonlinear.solve_gauss_newton_block
 
-    def counted(plan, data, X, *args):
+    def counted(plan, data, X, *args, **kwargs):
         calls.append(len(X))
-        return block(plan, data, X, *args)
+        return block(plan, data, X, *args, **kwargs)
 
     monkeypatch.setattr(nonlinear, "solve_gauss_newton_block", counted)
     for worlds in ([w], [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]):
@@ -416,7 +416,7 @@ def test_information_forms_two_linearizations_per_block(monkeypatch):
 def graph_data(worlds):
     """`_Plan.data` of the base, source and increment plans over the worlds' graphs."""
     graphs = [build_nonlinear_graph(w) for w in worlds]
-    base, source, increment = nonlinear._slam_plans(worlds[0])
+    base, source, increment = nonlinear._slam_plans(worlds[0].config.n_poses)
     by_source = [(g, s) for g in graphs for s in range(2)]
     return [
         base.data([(g, sorted(g.base)) for g in graphs]),
@@ -438,7 +438,7 @@ def test_block_data_equals_graph_data():
          for i in range(2)],
     ]
     for worlds in blocks:
-        got = nonlinear._block_data(worlds, nonlinear._slam_plans(worlds[0]))
+        got = nonlinear._block_data(worlds, nonlinear._slam_plans(worlds[0].config.n_poses))
         assert [stack_bits(d) for d in got] == [stack_bits(d) for d in graph_data(worlds)]
     # the stacks hold one config's whiteners, so a block holds one config
     mixed = [blocks[0][0], simulate_world(SimConfig(bearing_var=0.5), 0)]
@@ -458,25 +458,30 @@ def test_range_whitener_keeps_libm_square():
         1.0 / max(config.bearing_var, nonlinear.VAR_FLOOR),
     ]))
     graph = build_nonlinear_graph(world)
-    _, _, increment = nonlinear._slam_plans(world)
+    _, _, increment = nonlinear._slam_plans(world.config.n_poses)
     [[(whiteners, _)]] = nonlinear._block_data([world], [increment])
     assert whiteners[0, 1].tobytes() == graph.whiteners[12].tobytes() == want.tobytes()
 
 
 def test_block_builds_one_graph_for_its_layout(monkeypatch):
+    # the plans depend on n_poses alone: a process builds one layout graph
+    # per n_poses, from a default world of that length, however many blocks
+    # it solves, and none from the blocks' own worlds
     worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
+    long = [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30)), i) for i in range(2)]
     alone = [information_bits(solve_worlds([w])[0]) for w in worlds[:2]]
     built, build = [], nonlinear.build_nonlinear_graph
 
     def counted(world):
-        built.append(world.seed)
+        built.append((world.config, world.seed))
         return build(world)
 
     monkeypatch.setattr(nonlinear, "build_nonlinear_graph", counted)
-    solutions = solve_worlds(worlds)
-    # one graph, the first world's, for the plans' layout
-    assert built == [worlds[0].seed]
-    assert [information_bits(sol) for sol in solutions[:2]] == alone
+    nonlinear._slam_plans.cache_clear()
+    for block in (worlds[:5], worlds[5:], long, long[:1]):
+        solve_worlds(block)
+    assert built == [(SimConfig(), 0), (SimConfig(n_poses=30), 0)]
+    assert [information_bits(sol) for sol in solve_worlds(worlds[:2])] == alone
 
 
 def test_block_fills_its_stacks_once(monkeypatch):
@@ -498,6 +503,63 @@ def test_block_fills_its_stacks_once(monkeypatch):
     ])
     priors, _ = pose_information_system(poses, landmarks, *information_inputs(worlds))
     assert [p.info.tobytes() for p in priors] == [sol.prior.info.tobytes() for sol in solutions]
+
+
+def outcome_bits(outcome):
+    converged, n_iters, max_update = outcome
+    return converged, n_iters, np.float64(max_update).tobytes()
+
+
+def test_refilled_block_keeps_each_lone_solve(monkeypatch):
+    # root seed 5, sims 0-7: 16 source problems, of which sim 0's and sim 5's
+    # stop at the 50-iteration cap, and at position 4 a copy of problem 3
+    # whose range-bearing whiteners are zero, so its landmark block is
+    # singular and its normal equations fail to factor at its first step.
+    # At every capacity each problem ends with the outcome and the state of
+    # its lone solve, bit for bit.
+    worlds = [simulate_batch_world(ExperimentConfig(root_seed=5), i) for i in range(8)]
+    _, plan, _ = plans = nonlinear._slam_plans(10)
+    _, data, _ = nonlinear._block_data(worlds, plans)
+    poses = nonlinear.dead_reckoning_init(worlds)
+    X0 = np.concatenate(
+        [poses.reshape(8, -1).repeat(2, axis=0), triangulate_landmark(worlds, poses).reshape(-1, 2)],
+        axis=1,
+    )
+    lone, capped = [], []
+    for k, x in enumerate(X0):
+        world, s = worlds[k // 2], k % 2
+        graph = build_nonlinear_graph(world)
+        state = plan.state[:-1] + (("l", s),)
+        res = solve_gauss_newton(graph, sorted(graph.base | graph.sources[s]), plan.values(x, state))
+        outcome = (res.converged, res.n_iters, res.max_update)
+        lone.append((outcome_bits(outcome), np.concatenate([res.values[v] for v in state]).tobytes()))
+        capped += [k] if outcome[:2] == (False, 50) else []
+    assert capped == [0, 11]
+    rb = [kernel is RangeBearingFactor.kernel for kernel, *_ in plan.groups]
+    data = [
+        (np.insert(w, 4, 0.0 if is_rb else w[3], axis=0), np.insert(z, 4, z[3], axis=0))
+        for (w, z), is_rb in zip(data, rb)
+    ]
+    X0 = np.insert(X0, 4, X0[3], axis=0)
+    lone.insert(4, (outcome_bits((False, 1, np.nan)), X0[4].tobytes()))
+    sizes, normal_equations = [], nonlinear._Plan.normal_equations
+
+    def counted(self, x, data):
+        sizes.append(len(x))
+        return normal_equations(self, x, data)
+
+    monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
+    for capacity in (1, 2, 3, 17, None):
+        sizes.clear()
+        X = X0.copy()
+        outcomes = nonlinear.solve_gauss_newton_block(plan, data, X, capacity=capacity)
+        assert [(outcome_bits(o), x.tobytes()) for o, x in zip(outcomes, X)] == lone, capacity
+        # never more than capacity active, and each problem is linearized
+        # once per iteration of its own
+        assert max(sizes) == min(capacity or 17, 17)
+        assert sum(sizes) == sum(n for _, n, _ in outcomes)
+    with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
+        nonlinear.solve_gauss_newton_block(plan, data, X0.copy(), capacity=0)
 
 
 def test_triangulate_landmark_noiseless_exact():
