@@ -18,10 +18,10 @@ linearized and scored in chunks of `worlds_per_block`, whose traced peak
 fits _BLOCK_BYTES (`_score_block`): one posterior per source serves both
 quality kinds, and the coefficient products, the spectra, Imhof's rule and
 the WC-ATE alignments run on stacks over the chunk. So a block holds only
-its worlds, stacks and solved states beyond that budget. If a block's
-solves or a chunk's scoring raise, its worlds are solved or scored one at
-a time, so only the world at fault fails. `run_single` and `solve_world`
-are the one-world cases of the same code.
+its worlds, stacks and solved states beyond that budget. If anything in a
+block raises, its worlds are run again one at a time, so only the world at
+fault fails. `run_single` and `solve_world` are the one-world cases of the
+same code.
 
 Per-simulation seeds are derived from the root seed and the simulation id
 only, and a world's numbers are the same bits in any block, so results are
@@ -191,61 +191,32 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
 def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
     """Records of a block of simulations, solved together. Exceptions become failed records.
 
-    The block's linear algebra runs on one BLAS thread: its matrices are
-    too small to gain from more, and `run_experiment`'s workers are the way
-    to use more cores.
-    """
-    with _one_blas_thread:
-        return _block_records(config, sim_ids)
-
-
-def _block_records(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
-    """The body of `run_block`, on the caller's BLAS threads.
-
     The block's source problems are one Gauss-Newton block whose active set
     fits _BLOCK_BYTES (`nonlinear.solve_block`); its worlds are then
-    linearized and scored in chunks of `worlds_per_block`. If the block's
-    solves raise, each world is run again as a block of one, so only the
-    world at fault fails, with its own reason.
+    linearized and scored in chunks of `worlds_per_block`. If any of that
+    raises, each world is run again as a block of one, so only the world at
+    fault fails, with its own reason. The block's linear algebra runs on one
+    BLAS thread: its matrices are too small to gain from more, and
+    `run_experiment`'s workers are the way to use more cores.
     """
-    try:
-        worlds = [simulate_batch_world(config, i) for i in sim_ids]
-        solved = solve_block(worlds, _BLOCK_BYTES)
-    except Exception as exc:  # per-sim failures must never abort the batch
-        if len(sim_ids) == 1:
-            return [_failed_record(sim_ids[0], exc)]
-        logger.debug("sims %d-%d: block solve failed (%s), solving one world at a time",
-                     sim_ids[0], sim_ids[-1], exc)
-        return [rec for i in sim_ids for rec in _block_records(config, [i])]
-    size = worlds_per_block(config.sim)
-    return [
-        rec
-        for start in range(0, len(worlds), size)
-        for rec in _scored_records(
-            sim_ids[start : start + size], worlds[start : start + size], solved.chunk(start, start + size)
-        )
-    ]
-
-
-def _scored_records(
-    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solved: SolvedBlock
-) -> list[SimRecord]:
-    """`_score_block` of solved worlds; if it raises, each world is scored alone.
-
-    A world whose scoring raises gets a failed record with its own reason,
-    and the others the records the block would have given them.
-    """
-    try:
-        return _score_block(sim_ids, worlds, solved)
-    except Exception as exc:  # per-sim failures must never abort the batch
-        if len(sim_ids) == 1:
-            return [_failed_record(sim_ids[0], exc)]
-        logger.debug("sims %d-%d: block scoring failed (%s), scoring one world at a time",
-                     sim_ids[0], sim_ids[-1], exc)
-        return [
-            rec for k, (i, world) in enumerate(zip(sim_ids, worlds))
-            for rec in _scored_records([i], [world], solved.chunk(k, k + 1))
-        ]
+    with _one_blas_thread:
+        try:
+            worlds = [simulate_batch_world(config, i) for i in sim_ids]
+            solved = solve_block(worlds, _BLOCK_BYTES)
+            size = worlds_per_block(config.sim)
+            return [
+                rec
+                for start in range(0, len(worlds), size)
+                for rec in _score_block(
+                    sim_ids[start : start + size], worlds[start : start + size], solved.chunk(start, start + size)
+                )
+            ]
+        except Exception as exc:  # per-sim failures must never abort the batch
+            if len(sim_ids) == 1:
+                return [_failed_record(sim_ids[0], exc)]
+            logger.debug("sims %d-%d: block failed (%s), running one world at a time",
+                         sim_ids[0], sim_ids[-1], exc)
+            return [rec for i in sim_ids for rec in run_block(config, [i])]
 
 
 def _score_block(

@@ -116,7 +116,7 @@ class SupplementedGraph:
                     f"factor {j}: A has {f.A.shape[1]} columns, "
                     f"state dim is {state_dim}"
                 )
-            if f.args and f.args[-1] >= n_vars:
+            if f.args and (f.args[0] < 0 or f.args[-1] >= n_vars):
                 raise ValueError(
                     f"factor {j}: args {f.args} outside [0, {n_vars})"
                 )

@@ -6,11 +6,9 @@ factorization is of one matrix (`_cholesky_symmetric`), after one symmetry
 test (`_symmetrized`) of it or of its stack, which also rejects NaN and
 inf, and passes one pivot rule (`_good_pivots`): the error names the
 matrix and the first leading minor that LAPACK stops at or whose pivot is
-at or below PIVOT_TOL. `cholesky_pd_many` and `solve_pd_stack` check a
-stack with one symmetry test and factor each member on its own;
-`cholesky_pd_many` gives a diagonal member the square roots of its
-diagonal, which are potrf's bits, and `solve_pd_stack` reports, instead of
-raising, a member that fails the pivot rule. The module is the one owner
+at or below PIVOT_TOL. `solve_pd_stack` checks a stack with one symmetry
+test, factors each member on its own and reports, instead of raising, a
+member that fails the pivot rule. The module is the one owner
 of the LAPACK routines it binds once at import (`potrf`, `potrs`,
 `trtrs`): they are the routines the `scipy.linalg` wrappers call, with the
 same arguments, so the results are bit for bit the wrappers', without
@@ -163,35 +161,6 @@ def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
         k = int(bad[0]) + 1 if bad.size else info
         raise NotPositiveDefiniteError(name, k, None if info else float(L[k - 1, k - 1]))
     return L
-
-
-def cholesky_pd_many(Ms: Sequence[np.ndarray], names: Sequence[str]) -> list[np.ndarray]:
-    """`cholesky_pd` of each matrix, with one symmetry test per shape.
-
-    The matrices of one shape are stacked and checked by one `_symmetrized`
-    call. A diagonal member (every off-diagonal entry +0.0) whose square
-    roots pass the pivot rule is factored by them, which are potrf's bits;
-    every other member is factored on its own, as `solve_pd_stack` does, so
-    each factor has `cholesky_pd`'s bits and an error names its matrix.
-    """
-    by_shape = {}
-    for i, M in enumerate(Ms):
-        by_shape.setdefault(np.shape(M), []).append(i)
-    out = {}
-    for shape, idx in by_shape.items():
-        if len(shape) != 2 or shape[0] != shape[1]:
-            check_symmetric(Ms[idx[0]], name=names[idx[0]])  # raises: not square
-        G = _symmetrized(np.array([Ms[i] for i in idx], dtype=float), [names[i] for i in idx])
-        d, roots = np.arange(shape[0]), np.zeros_like(G)
-        with np.errstate(invalid="ignore"):
-            roots[:, d, d] = np.sqrt(G[:, d, d])
-        off_diagonal = G.view(np.int64)[:, ~np.eye(shape[0], dtype=bool)]
-        diagonal = ~off_diagonal.any(axis=1) & _good_pivots(roots).all(axis=1)
-        out.update(
-            (i, L if fast else _cholesky_symmetric(M, names[i]))
-            for i, M, L, fast in zip(idx, G, roots, diagonal)
-        )
-    return [out[i] for i in range(len(Ms))]
 
 
 @functools.cache

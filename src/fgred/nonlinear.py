@@ -52,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gauss import GaussianBelief, _good_pivots, cholesky_pd_many, schur_complement, solve_pd_stack
+from .gauss import GaussianBelief, _good_pivots, cholesky_pd, schur_complement, solve_pd_stack
 from .se2 import wrap_angle
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
 
@@ -180,8 +180,6 @@ class NonlinearGraph:
 
     Construction checks every factor's `gamma` as symmetric PD and keeps
     L^T of its Cholesky factor as `whiteners[j]` for every later solve.
-    Factors that share one `gamma` array (the odometry) share one factor;
-    the distinct gammas are factored by one `cholesky_pd_many` call.
     """
 
     variables: tuple[VarKey, ...]
@@ -192,15 +190,9 @@ class NonlinearGraph:
     whiteners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        first = {}  # id of each distinct gamma -> its first factor
-        for j, f in enumerate(self.factors):
-            first.setdefault(id(f.gamma), j)
-        chols = cholesky_pd_many(
-            [self.factors[j].gamma for j in first.values()],
-            [f"gamma of factor {j}" for j in first.values()],
+        whiteners = tuple(
+            cholesky_pd(f.gamma, f"gamma of factor {j}").T for j, f in enumerate(self.factors)
         )
-        by_gamma = {key: L.T for key, L in zip(first, chols)}
-        whiteners = tuple(by_gamma[id(f.gamma)] for f in self.factors)
         object.__setattr__(self, "whiteners", whiteners)
 
     def touched_vars(self, subset: Iterable[int]) -> tuple[VarKey, ...]:
@@ -508,8 +500,8 @@ def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list
     The worlds must share one config. The layout is `_Plan.data`'s over the
     worlds' graphs: a plan over the poses alone has one problem per world,
     and a plan with a landmark one per world and source, world-major. The
-    config's anchor and odometry whiteners are factored once, by the
-    `cholesky_pd_many` call a graph makes for them. A range-bearing
+    config's anchor and odometry whiteners are factored once per block,
+    under the names a graph gives its factors 0 and 1. A range-bearing
     whitener is diagonal: the square roots of the range and bearing
     precisions, which are the bits of the graph's factor. A world with a
     precision whose root fails the pivot rule has its graph built, which
@@ -518,10 +510,8 @@ def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list
     config = worlds[0].config
     if any(w.config != config for w in worlds):
         raise ValueError("a block of worlds must share one config")
-    anchor, odometry = cholesky_pd_many(
-        [np.eye(3) / ANCHOR_SIGMA**2, _floored_precision(config.sigma_odom)],
-        ["gamma of factor 0", "gamma of factor 1"],
-    )
+    anchor = cholesky_pd(np.eye(3) / ANCHOR_SIGMA**2, "gamma of factor 0")
+    odometry = cholesky_pd(_floored_precision(config.sigma_odom), "gamma of factor 1")
     rb = np.array([w.rb_measurements for w in worlds])
     roots = np.zeros(rb.shape + (2,))
     roots[..., 0, 0] = np.sqrt(_range_precisions(config, rb[..., 0])).reshape(rb.shape[:-1])

@@ -115,10 +115,10 @@ class SimWorld:
     truth_array[i] is pose X_i as (x, y, theta), i = 0..n_poses, and
     odometry_array[i - 1] the odometry measured from X_{i-1} to X_i, both
     with theta wrapped. rb_measurements[s, i - 1] is the (range, bearing)
-    pair for landmark s observed from pose X_i. `truth_poses` and
-    `odometry` are the same rows as Pose2 tuples, built on first use.
-    Carries its config and seed, so `simulate_world(world.config,
-    world.seed)` regenerates it bit for bit.
+    pair for landmark s observed from pose X_i. `truth_poses` holds
+    truth_array's rows as Pose2 tuples, built on first use. Carries its
+    config and seed, so `simulate_world(world.config, world.seed)`
+    regenerates it bit for bit.
     """
 
     config: SimConfig
@@ -131,10 +131,6 @@ class SimWorld:
     @cached_property
     def truth_poses(self) -> tuple[Pose2, ...]:
         return tuple(Pose2(*row) for row in self.truth_array.tolist())
-
-    @cached_property
-    def odometry(self) -> tuple[Pose2, ...]:
-        return tuple(Pose2(*row) for row in self.odometry_array.tolist())
 
     def landmark_distances(self) -> np.ndarray:
         """True pose-to-landmark distances, shape (N_LANDMARKS, n_poses + 1)."""

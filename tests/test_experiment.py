@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import json
 import logging
 import math
@@ -90,7 +91,9 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
         pytest.skip("no OpenBLAS copy with openblas_set_num_threads_local is loaded")
     cfg = small_config()
     before = blas_thread_counts(setters)
-    unscoped = experiment._block_records(cfg, [2])[0]
+    with monkeypatch.context() as unscoped_run:
+        unscoped_run.setattr(experiment, "_one_blas_thread", contextlib.nullcontext())
+        unscoped = run_single(cfg, 2)
     seen = []
 
     def counting_solve(worlds, budget):
@@ -105,10 +108,10 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
     class Stop(BaseException):
         pass
 
-    def stop(config, sim_ids):
+    def stop(worlds, budget):
         raise Stop
 
-    monkeypatch.setattr(experiment, "_block_records", stop)
+    monkeypatch.setattr(experiment, "solve_block", stop)
     with pytest.raises(Stop):
         run_single(cfg, 2)
     assert blas_thread_counts(setters) == before
@@ -368,7 +371,7 @@ def test_raising_world_fails_alone(monkeypatch, caplog):
     for i in (0, 1, 2, 3, 5):
         assert not records[i].failed and records[i].csv_row() == clean[i].csv_row(), i
     logged = [(r.levelno, r.getMessage()) for r in caplog.records]
-    assert (logging.DEBUG, f"sims 0-5: block solve failed ({reason[12:]}), solving one world at a time") in logged
+    assert (logging.DEBUG, f"sims 0-5: block failed ({reason[12:]}), running one world at a time") in logged
     assert [m for level, m in logged if level == logging.WARNING] == [f"sim 4 failed: {reason}"]
 
 
@@ -396,20 +399,37 @@ def test_degenerate_range_precision_fails_with_its_reason():
 def test_scoring_failure_fails_alone(monkeypatch, caplog):
     # with Imhof's budget cut to 9,000, one pair of sim 5 is out of reach (it
     # needs 9,240) and every pair of sims 0-4 is not (they need at most
-    # 8,580): the block's scoring raises, its worlds are scored one at a
-    # time, and only sim 5 fails
+    # 8,580): the block's scoring raises, its worlds are run one at a time,
+    # and only sim 5 fails. That holds when sim 5 is scored in one chunk with
+    # sims 0-4, and when a budget of five worlds scores it in a later chunk
+    # than theirs, after their chunk has been scored
     cfg = ExperimentConfig(n_sims=6)
     clean = run_experiment(cfg, jobs=1)
     monkeypatch.setattr(metrics, "_IMHOF_BUDGET", 9000)
-    with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):
-        records = run_experiment(cfg, jobs=1)
-    reason = records[5].fail_reason
-    assert records[5].failed and reason.startswith("ValueError: E|D| out of reach: c = ")
-    assert run_single(cfg, 5).fail_reason == reason
-    for i in range(5):
-        assert not records[i].failed and records[i].csv_row() == clean[i].csv_row(), i
-    logged = [(r.levelno, r.getMessage()) for r in caplog.records]
-    assert (logging.DEBUG, f"sims 0-5: block scoring failed ({reason[12:]}), scoring one world at a time") in logged
+    score_block, scored = experiment._score_block, []
+
+    def recording_score_block(sim_ids, worlds, solved):
+        scored.append(list(sim_ids))
+        return score_block(sim_ids, worlds, solved)
+
+    monkeypatch.setattr(experiment, "_score_block", recording_score_block)
+    for block_bytes, chunks in (
+        (experiment._BLOCK_BYTES, [[0, 1, 2, 3, 4, 5]]),
+        (5 * experiment._world_bytes(cfg.sim), [[0, 1, 2, 3, 4], [5]]),
+    ):
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", block_bytes)
+        scored.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):
+            records = run_experiment(cfg, jobs=1)
+        assert scored == chunks + [[i] for i in range(6)]
+        reason = records[5].fail_reason
+        assert records[5].failed and reason.startswith("ValueError: E|D| out of reach: c = ")
+        assert run_single(cfg, 5).fail_reason == reason
+        for i in range(5):
+            assert not records[i].failed and records[i].csv_row() == clean[i].csv_row(), i
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records]
+        assert (logging.DEBUG, f"sims 0-5: block failed ({reason[12:]}), running one world at a time") in logged
 
 
 def test_block_builds_one_posterior_per_source(monkeypatch):

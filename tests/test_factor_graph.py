@@ -126,6 +126,16 @@ def test_rank_deficient_base_rejected():
         SupplementedGraph(factors=[f], base=(0,), n_vars=1, var_dim=2)
 
 
+def test_args_outside_variables_rejected():
+    # a negative index would slice a block counted from the end of the state
+    A = np.zeros((1, 6))
+    A[0, 2] = 1.0
+    for args in ((-2,), (3,), (0, 3)):
+        f = LinearFactor(A=A, z=np.zeros(1), gamma=np.eye(1), args=args)
+        with pytest.raises(ValueError, match=r"^factor 0: args .* outside \[0, 3\)$"):
+            SupplementedGraph(factors=[f], base=(0,), n_vars=3, var_dim=2)
+
+
 def test_sample_measurements_moments():
     rng = np.random.default_rng(8)
     g = random_graph(rng, n_supp=2)

@@ -12,7 +12,6 @@ from fgred.gauss import (
     NotPositiveDefiniteError,
     check_symmetric,
     cholesky_pd,
-    cholesky_pd_many,
     schur_complement,
     solve_pd,
     solve_pd_stack,
@@ -379,46 +378,6 @@ def test_conditional_moments_against_sampling():
         got = expected_recentred_quadratic(belief, delta, T, mshift, x)
         se_q = vals.std() / np.sqrt(n_draws)
         assert abs(vals.mean() - got) < 4 * se_q + 1e-8
-
-
-def test_cholesky_pd_many_matches_cholesky_pd():
-    rng = np.random.default_rng(3)
-    Ms = [random_spd(rng, n) for n in (2, 3, 2, 5, 1, 3, 2)]
-    # diagonal members, factored by their square roots, one with a -0.0
-    # off the diagonal, which is factored by potrf
-    Ms += [np.diag(rng.uniform(0.1, 9.0, n)) for n in (2, 2, 3, 1)]
-    Ms.append(np.array([[4.0, -0.0], [-0.0, 0.3]]))
-    names = [f"m{i}" for i in range(len(Ms))]
-    for L, M in zip(cholesky_pd_many(Ms, names), Ms):
-        assert np.array_equal(L, cholesky_pd(M))
-        assert np.array_equal(L.view(np.int64), cholesky_pd(M).view(np.int64))
-        assert np.array_equal(L, np.tril(L))
-    # one bad matrix is named by cholesky_pd's own error, diagonal ones too:
-    # the minor that is not positive, or whose pivot is at or below PIVOT_TOL
-    bad = Ms[:3] + [np.diag([1.0, -1.0, 1.0])]
-    message = "m3 is not positive definite: leading minor of order 2 is not positive$"
-    with pytest.raises(NotPositiveDefiniteError, match=message):
-        cholesky_pd_many(bad, names[:4])
-    for diagonal, minor in (([4.0, 1.0, 0.0], 3), ([4.0, 1e-24, 1.0], 2)):
-        with pytest.raises(NotPositiveDefiniteError) as raised:
-            cholesky_pd_many([np.eye(3), np.diag(diagonal)], names[:2])
-        with pytest.raises(NotPositiveDefiniteError) as alone:
-            cholesky_pd(np.diag(diagonal), name="m1")
-        assert (raised.value.name, raised.value.minor) == ("m1", minor)
-        assert str(raised.value) == str(alone.value)
-    skew = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="m2 is not symmetric"):
-        cholesky_pd_many([np.eye(2), 2 * np.eye(2), skew], names[:3])
-    # non-finite entries are named by matrix, symmetric or not, in any stack
-    for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
-                [[1.0, 0.0], [np.nan, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]):
-        for at in range(3):
-            stack = [np.eye(2), 2 * np.eye(2), np.eye(3)]
-            stack.insert(at, np.array(bad))
-            with pytest.raises(ValueError, match=f"^m{at} is not finite$"):
-                cholesky_pd_many(stack, names[:4])
-    with pytest.raises(ValueError, match=r"^m1 must be square, got shape \(2, 3\)$"):
-        cholesky_pd_many([np.eye(2), np.ones((2, 3))], names[:2])
 
 
 def gauge_free_odometry_system():

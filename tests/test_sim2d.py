@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgred.se2 import wrap_angle
+from fgred.se2 import Pose2, wrap_angle
 from fgred.sim2d import SimConfig, simulate_world
 from reference import se2_relative, simulate_world_loop
 
@@ -23,10 +23,7 @@ def test_determinism_bitwise():
         a.as_array().tobytes() == b.as_array().tobytes()
         for a, b in zip(w1.truth_poses, w2.truth_poses)
     )
-    assert all(
-        a.as_array().tobytes() == b.as_array().tobytes()
-        for a, b in zip(w1.odometry, w2.odometry)
-    )
+    assert w1.odometry_array.tobytes() == w2.odometry_array.tobytes()
     w3 = simulate_world(SimConfig(), 43)
     assert w3.landmarks.tobytes() != w1.landmarks.tobytes()
 
@@ -61,16 +58,15 @@ def test_worlds_equal_the_scalar_simulator():
             assert w.odometry_array.tobytes() == pose_bits(odometry), seed
             assert w.landmarks.tobytes() == landmarks.tobytes(), seed
             assert w.rb_measurements.tobytes() == rb.tobytes(), seed
-            # the Pose2 views carry the same bits
+            # the Pose2 view carries the same bits
             assert pose_bits(w.truth_poses) == pose_bits(truth), seed
-            assert pose_bits(w.odometry) == pose_bits(odometry), seed
 
 
 def test_world_shapes():
     cfg = SimConfig(n_poses=7)
     w = simulate_world(cfg, 1)
     assert len(w.truth_poses) == 8
-    assert len(w.odometry) == 7
+    assert w.odometry_array.shape == (7, 3)
     assert w.landmarks.shape == (2, 2)
     assert w.rb_measurements.shape == (2, 7, 2)
     assert w.landmark_distances().shape == (2, 8)
@@ -78,7 +74,7 @@ def test_world_shapes():
 
 def test_noiseless_odometry_equals_relative_truth():
     w = simulate_world(zero_noise_config(), 3)
-    for i, odo in enumerate(w.odometry):
+    for i, odo in enumerate(map(Pose2.from_array, w.odometry_array)):
         rel = se2_relative(w.truth_poses[i], w.truth_poses[i + 1])
         assert abs(odo.x - rel.x) < 1e-12
         assert abs(odo.y - rel.y) < 1e-12
