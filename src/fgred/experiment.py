@@ -10,18 +10,18 @@ trajectory-to-landmark distances are recorded alongside.
 Simulations run in blocks of at most _BLOCK_SIMS consecutive sim ids
 (`run_block`), each one task of the worker pool; a batch is cut into the
 same number of blocks for each worker. A block's source problems are solved
-as one Gauss-Newton block (nonlinear.solve_block) that keeps as many
-problems active as fit their dense J and J^T J in _BLOCK_BYTES, and lets
-the next one in as each leaves, so each iteration makes one kernel call
-per factor type for the whole active set. The block's worlds are then
-linearized and scored in chunks of `worlds_per_block`, whose traced peak
-fits _BLOCK_BYTES (`_score_block`): one posterior per source serves both
-quality kinds, and the coefficient products, the spectra, Imhof's rule and
-the WC-ATE alignments run on stacks over the chunk. So a block holds only
-its worlds, stacks and solved states beyond that budget. If anything in a
-block raises, its worlds are run again one at a time, so only the world at
-fault fails. `run_single` and `solve_world` are the one-world cases of the
-same code.
+as one Gauss-Newton block (nonlinear.solve_block) that keeps a bounded
+number of problems active and lets the next one in as each leaves, so each
+iteration makes one kernel call per factor type for the whole active set.
+It then hands out the block's worlds in chunks of bounded size with their
+information forms, and each chunk is scored together (`_score_block`): one
+posterior per source serves both quality kinds, and the coefficient
+products, the spectra, Imhof's rule and the WC-ATE alignments run on
+stacks over the chunk. `nonlinear` sizes both from one byte budget, so a
+block holds only its worlds, stacks and solved states beyond it. If
+anything in a block raises, its worlds are run again one at a time, so
+only the world at fault fails. `run_single` and `solve_world` are the
+one-world cases of the same code.
 
 Per-simulation seeds are derived from the root seed and the simulation id
 only, and a world's numbers are the same bits in any block, so results are
@@ -44,7 +44,7 @@ from . import __version__
 from .alignment import wc_ates
 from .gauss import _one_blas_thread
 from .metrics import QualityKind, _pair_scores
-from .nonlinear import SlamSolution, SolvedBlock, solve_block, solve_worlds
+from .nonlinear import SlamSolution, solve_block, solve_worlds
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
 
@@ -77,12 +77,6 @@ _PERMUTATION_SEED = 715517
 # Shuffles drawn at once: at 500 records a block of 1,000 index rows is 4 MB,
 # and the two y series' shuffled ranks 8 MB.
 _PERMUTATION_BLOCK = 1000
-# Memory budget of a block's two stages. Its Gauss-Newton solves keep as
-# many source problems active as fit their dense J, J^T J and symmetrized
-# J^T J in it: 76 default ones (34 kB each) or 10 thirty-pose ones (261 kB
-# each). Its worlds are linearized and scored in chunks whose traced peak,
-# `_world_bytes` per world, fits in it: 15 default worlds or 2 thirty-pose ones.
-_BLOCK_BYTES = 5 << 19
 # Most worlds one block holds. It keeps their worlds, stacks and solved
 # states until it is scored: about 12 kB per thirty-pose world, traced.
 _BLOCK_SIMS = 100
@@ -191,25 +185,21 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
 def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
     """Records of a block of simulations, solved together. Exceptions become failed records.
 
-    The block's source problems are one Gauss-Newton block whose active set
-    fits _BLOCK_BYTES (`nonlinear.solve_block`); its worlds are then
-    linearized and scored in chunks of `worlds_per_block`. If any of that
-    raises, each world is run again as a block of one, so only the world at
-    fault fails, with its own reason. The block's linear algebra runs on one
-    BLAS thread: its matrices are too small to gain from more, and
-    `run_experiment`'s workers are the way to use more cores.
+    The block's source problems are one Gauss-Newton block
+    (`nonlinear.solve_block`), and each chunk of worlds it hands out is
+    scored together. If any of that raises, each world is run again as a
+    block of one, so only the world at fault fails, with its own reason.
+    The block's linear algebra runs on one BLAS thread: its matrices are
+    too small to gain from more, and `run_experiment`'s workers are the way
+    to use more cores.
     """
     with _one_blas_thread:
         try:
             worlds = [simulate_batch_world(config, i) for i in sim_ids]
-            solved = solve_block(worlds, _BLOCK_BYTES)
-            size = worlds_per_block(config.sim)
             return [
                 rec
-                for start in range(0, len(worlds), size)
-                for rec in _score_block(
-                    sim_ids[start : start + size], worlds[start : start + size], solved.chunk(start, start + size)
-                )
+                for chunk, *solved in solve_block(worlds)
+                for rec in _score_block(sim_ids[chunk], worlds[chunk], *solved)
             ]
         except Exception as exc:  # per-sim failures must never abort the batch
             if len(sim_ids) == 1:
@@ -220,20 +210,19 @@ def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecor
 
 
 def _score_block(
-    sim_ids: Sequence[int], worlds: Sequence[SimWorld], solved: SolvedBlock
+    sim_ids: Sequence[int], worlds: Sequence[SimWorld], priors: list, deltas: list, states: np.ndarray, outcomes: list
 ) -> list[SimRecord]:
-    """Records of solved worlds, linearized and scored together.
+    """Records of a chunk of `solve_block`: its worlds' priors, increments, source states and outcomes.
 
-    The information forms come from one `pose_information_system` call,
-    both kinds' pair redundancies and source qualities from one
+    Both kinds' pair redundancies and source qualities come from one
     `metrics._pair_scores` call, and the WC-ATEs from one `wc_ates` call on
     the source solves' poses, so each world's numbers are the bits it gets
     in a block of one.
     """
-    priors, deltas = solved.information()
     scores = _pair_scores(priors, [[delta[s] for s in range(N_LANDMARKS)] for delta in deltas])
     truths = np.array([world.truth_array[:, :2] for world in worlds])
-    wc = wc_ates(truths, solved.source_poses()[..., :2].copy())
+    source_poses = states[:, :-2].reshape(len(worlds), N_LANDMARKS, -1, 3)
+    wc = wc_ates(truths, source_poses[..., :2].copy())
     (r_wb, q_wb), (r_wass, q_wass) = scores[QualityKind.WB], scores[QualityKind.WASS]
     records = []
     for k, (sim_id, world) in enumerate(zip(sim_ids, worlds)):
@@ -247,30 +236,13 @@ def _score_block(
             q_wass=tuple(float(q) for q in q_wass[k]),
             wc_ate=float(wc[k]),
             mean_dist=tuple(float(d) for d in world.landmark_distances().mean(axis=1)),
-            converged=tuple(c for c, _, _ in solved.outcomes[k * N_LANDMARKS : (k + 1) * N_LANDMARKS]),
+            converged=tuple(c for c, _, _ in outcomes[k * N_LANDMARKS : (k + 1) * N_LANDMARKS]),
         ))
     return records
 
 
 def _failed_record(sim_id: int, exc: Exception) -> SimRecord:
     return SimRecord(sim_id=sim_id, failed=True, fail_reason=f"{type(exc).__name__}: {exc}")
-
-
-def _world_bytes(sim: SimConfig) -> int:
-    """One world's share of the traced peak of linearizing and scoring a chunk.
-
-    Scoring holds more than the linearization's dense J and J^T J: a chunk's
-    traced peak was 2.46 (10 poses) and 2.59 (30 poses) times theirs, so a
-    world counts as 2.5 times its J and J^T J bytes.
-    """
-    n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
-    n_s = n_x + 2  # a source problem's columns: the poses and one landmark
-    return 20 * (2 * n_x * n_x + N_LANDMARKS * (n_s + 2 * sim.n_poses + n_s) * n_s)
-
-
-def worlds_per_block(sim: SimConfig) -> int:
-    """Worlds linearized and scored together: as many as fit their traced peak in _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // _world_bytes(sim))
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:

@@ -21,11 +21,10 @@ J^T J and J^T r and one `gauss.solve_pd_stack` over the active set. A
 problem leaves it when it converges, its normal equations fail to factor
 or it reaches max_iters, and the next pending problem joins at the next
 iteration, so a slow problem does not keep the others waiting in a
-half-empty block. C comes from a byte budget and the plan's rows and
-columns (`_Plan.capacity`). Each problem counts its own iterations, and its
-steps are the ones it would take alone, bit for bit; `solve_gauss_newton`
-is the one-problem case. The state is one flat vector per problem,
-retracted additively (pose angles re-wrapped).
+half-empty block. Each problem counts its own iterations, and its steps
+are the ones it would take alone, bit for bit; `solve_gauss_newton` is the
+one-problem case. The state is one flat vector per problem, retracted
+additively (pose angles re-wrapped).
 
 `solve_block` is the study's SLAM block, and it builds no per-world graph.
 Every world of one n_poses has one factor layout, so the plans are built
@@ -36,24 +35,25 @@ anchor prior and an odometry chain, form a tree with as many residual rows
 as unknowns, so their MAP fits every factor exactly: it is dead reckoning
 from the anchor measurement, in closed form (`dead_reckoning_init`). A
 block of worlds solves only its source problems, as one Gauss-Newton
-block. Its `SolvedBlock` keeps the base poses, the final source states and
-the stacks, and serves chunks of its worlds to `pose_information_system`,
-which takes their information forms, the base prior and each source
+block, then hands out its worlds in chunks, each with the information
+forms `pose_information_system` takes: the base prior and each source
 increment, J^T J = sum_j H_j^T Gamma_j H_j, with one linearization of the
-base factors and one of the source factors. `solve_worlds` is a block of
-worlds solved and linearized whole, with every problem active at once.
-`NonlinearGraph` and `build_nonlinear_graph` serve the one-problem API.
+base factors and one of the source factors. The block's active set and
+its chunks each fit _BLOCK_BYTES, sized from the plans' rows and columns
+(`_block_sizes`). `solve_worlds` is that block with its outputs as
+per-world solutions. `NonlinearGraph` and `build_nonlinear_graph` serve
+the one-problem API.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .gauss import GaussianBelief, _good_pivots, cholesky_pd, schur_complement, solve_pd_stack
-from .se2 import wrap_angle
+from .se2 import compose_chain, wrap_angle
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
 
 VarKey = tuple[str, int]
@@ -67,6 +67,11 @@ ANCHOR_SIGMA = 0.3
 
 # Gauss-Newton has converged once no state component moves by this much.
 GN_STEP_TOL = 1e-8
+
+# Memory budget of a study block's two stages (`_block_sizes`): 76 default
+# source problems active at once (34 kB each) or 10 thirty-pose ones (261 kB
+# each), and chunks of 15 default worlds or 2 thirty-pose ones.
+_BLOCK_BYTES = 5 << 19
 
 Values = Mapping[VarKey, np.ndarray]
 
@@ -258,10 +263,6 @@ class _Plan:
             flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
             self.groups.append((kernel, slots, rows.ravel(), cols, flat.ravel()))
 
-    def capacity(self, budget: int) -> int:
-        """Problems whose dense J, J^T J and its symmetrized copy fit in budget bytes; at least 1."""
-        return max(1, budget // (8 * self.n_cols * (self.n_rows + 2 * self.n_cols)))
-
     def data(self, problems: Sequence[tuple]) -> list:
         """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
 
@@ -325,14 +326,14 @@ def solve_gauss_newton(
             raise ValueError(f"initial values missing variable {v}")
     plan = _Plan(graph, subset, solve_vars)
     X = _stack(init, solve_vars)[None]
-    [outcome] = solve_gauss_newton_block(plan, plan.data([(graph, subset)]), X, max_iters)
+    [outcome] = solve_gauss_newton_block(plan, plan.data([(graph, subset)]), X, 1, max_iters)
     values = {k: np.array(v, dtype=float) for k, v in init.items()}
     values.update(plan.values(X[0]))
     return GaussNewtonResult(values, *outcome)
 
 
 def solve_gauss_newton_block(
-    plan: _Plan, data: list, X: np.ndarray, max_iters: int = 50, capacity: int | None = None
+    plan: _Plan, data: list, X: np.ndarray, capacity: int, max_iters: int = 50
 ) -> list[tuple[bool, int, float]]:
     """Gauss-Newton on p problems that share `plan`, at most `capacity` at a time.
 
@@ -344,13 +345,12 @@ def solve_gauss_newton_block(
     `solve_pd_stack`. A problem leaves the active set when no state
     component moves by GN_STEP_TOL, its normal equations fail to factor or
     it has taken max_iters steps; its state is then frozen, and the next
-    pending problem, in index order, joins at the next iteration. capacity
-    None lets every problem in at once. Each problem counts its own
-    iterations, and its steps are the ones it would take alone, bit for
-    bit. Returns each problem's (converged, n_iters, max_update).
+    pending problem, in index order, joins at the next iteration. Each
+    problem counts its own iterations, and its steps are the ones it would
+    take alone, bit for bit. Returns each problem's (converged, n_iters,
+    max_update).
     """
     n = len(X)
-    capacity = n if capacity is None else capacity
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     converged = np.zeros(n, dtype=bool)
@@ -536,21 +536,13 @@ def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list
 
 
 def dead_reckoning_init(worlds: Sequence[SimWorld]) -> np.ndarray:
-    """The base MAP poses (w, n_poses + 1, 3): odometry integrated from the anchor measurement.
+    """The base MAP poses (w, n_poses + 1, 3): odometry composed from the anchor measurement.
 
     The anchor prior and the odometry chain fit these poses exactly, so
     they are the base solution and the source solves' initial poses.
     """
-    z = np.array([w.odometry_array for w in worlds])
-    poses = np.empty((len(worlds), z.shape[1] + 1, 3))
-    poses[:, 0] = [w.truth_array[0] for w in worlds]
-    for i in range(z.shape[1]):
-        x, y, t = poses[:, i].T
-        c, s = np.cos(t), np.sin(t)
-        poses[:, i + 1, 0] = x + c * z[:, i, 0] - s * z[:, i, 1]
-        poses[:, i + 1, 1] = y + s * z[:, i, 0] + c * z[:, i, 1]
-        poses[:, i + 1, 2] = wrap_angle(t + z[:, i, 2])
-    return poses
+    start = np.array([w.truth_array[0] for w in worlds])
+    return compose_chain(start, np.array([w.odometry_array for w in worlds]))
 
 
 def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.ndarray:
@@ -567,64 +559,51 @@ def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.nd
     )
 
 
-@dataclass(frozen=True)
-class SolvedBlock:
-    """A block of worlds after its source solves: what their information forms and scores need.
+def _block_sizes(n_poses: int) -> tuple[int, int]:
+    """Source problems active at once and worlds per chunk in a block of n_poses, within _BLOCK_BYTES.
 
-    poses (w, 3(n+1)) are the base MAP poses, states (w * N_LANDMARKS,
-    3(n+1) + 2) each source problem's final poses and landmark, world-major,
-    and outcomes each source problem's (converged, n_iters, max_update).
-    plans are the base and increment `_Plan`s, data their stacks.
+    An active source problem holds its dense J, J^T J and symmetrized J^T J.
+    A chunk's traced peak was 2.46 (10 poses) and 2.59 (30 poses) times its
+    base and increment J and J^T J, so a world counts 2.5 times those bytes.
     """
-
-    plans: tuple
-    data: tuple
-    poses: np.ndarray
-    states: np.ndarray
-    outcomes: list
-
-    def chunk(self, start: int, stop: int) -> SolvedBlock:
-        """Worlds start..stop-1 of the block, as views of its arrays."""
-        a, b = start * N_LANDMARKS, stop * N_LANDMARKS
-        base, increment = self.data
-        return SolvedBlock(
-            self.plans,
-            ([(w[start:stop], z[start:stop]) for w, z in base], [(w[a:b], z[a:b]) for w, z in increment]),
-            self.poses[start:stop],
-            self.states[a:b],
-            self.outcomes[a:b],
-        )
-
-    def source_poses(self) -> np.ndarray:
-        """Each source solve's poses, (w, N_LANDMARKS, n + 1, 3)."""
-        return self.states[:, :-2].reshape(len(self.poses), N_LANDMARKS, -1, 3)
-
-    def information(self) -> tuple[list[GaussianBelief], list[dict]]:
-        """`pose_information_system` of the block's worlds."""
-        landmarks = self.states[:, -2:].reshape(len(self.poses), N_LANDMARKS, 2)
-        return pose_information_system(self.poses, landmarks, self.plans, self.data)
+    base, source, increment = _slam_plans(n_poses)
+    problem = 8 * source.n_cols * (source.n_rows + 2 * source.n_cols)
+    world = 20 * (
+        base.n_cols * (base.n_rows + base.n_cols)
+        + N_LANDMARKS * increment.n_cols * (increment.n_rows + 2 * increment.n_cols)
+    )
+    return max(1, _BLOCK_BYTES // problem), max(1, _BLOCK_BYTES // world)
 
 
-def solve_block(worlds: Sequence[SimWorld], budget: int | None = None) -> SolvedBlock:
-    """The source solves of worlds of one config, as one Gauss-Newton block.
+def solve_block(worlds: Sequence[SimWorld]) -> Iterator[tuple]:
+    """The source solves of worlds of one config as one Gauss-Newton block, then their chunks.
 
     The base poses are the base MAP in closed form, `dead_reckoning_init`,
-    and each landmark is triangulated there. The plans are the worlds'
-    n_poses' (`_slam_plans`), and one `_block_data` call fills every stack
-    from the worlds' arrays. At most as many source problems are active at
-    once as fit their dense J, J^T J and its symmetrized copy in budget
-    bytes (`_Plan.capacity`); None lets every one in at once. An exception
-    in any world's solves is raised for the whole block.
+    and each landmark is triangulated there. One `_block_data` call fills
+    every stack of the worlds' n_poses' plans (`_slam_plans`), and
+    `_block_sizes` bounds the active source problems and the worlds per
+    chunk. Yields, per chunk, its slice of the worlds, its priors and
+    increments (`pose_information_system` at the base poses and the source
+    landmarks), and its source problems' final states (poses, then
+    landmark; world-major) and (converged, n_iters, max_update). An
+    exception in any world's solves is raised for the whole block.
     """
-    base_plan, source_plan, increment_plan = plans = _slam_plans(worlds[0].config.n_poses)
+    n_poses = worlds[0].config.n_poses
+    base_plan, source_plan, increment_plan = plans = _slam_plans(n_poses)
     base_data, source_data, increment_data = _block_data(worlds, plans)
     poses = dead_reckoning_init(worlds)
     guess = triangulate_landmark(worlds, poses)
-    X = poses.reshape(len(worlds), -1)
-    states = np.concatenate([X.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
-    capacity = None if budget is None else source_plan.capacity(budget)
+    poses = poses.reshape(len(worlds), -1)
+    states = np.concatenate([poses.repeat(N_LANDMARKS, axis=0), guess.reshape(-1, 2)], axis=1)
+    capacity, size = _block_sizes(n_poses)
     outcomes = solve_gauss_newton_block(source_plan, source_data, states, capacity=capacity)
-    return SolvedBlock((base_plan, increment_plan), (base_data, increment_data), X, states, outcomes)
+    del source_data  # the chunks read only the base and increment stacks
+    for start in range(0, len(worlds), size):
+        chunk, a, b = slice(start, start + size), start * N_LANDMARKS, (start + size) * N_LANDMARKS
+        data = [(w[chunk], z[chunk]) for w, z in base_data], [(w[a:b], z[a:b]) for w, z in increment_data]
+        landmarks = states[a:b, -2:].reshape(-1, N_LANDMARKS, 2)
+        priors, deltas = pose_information_system(poses[chunk], landmarks, (base_plan, increment_plan), data)
+        yield chunk, priors, deltas, states[a:b], outcomes[a:b]
 
 
 @dataclass(frozen=True)
@@ -638,28 +617,28 @@ class SlamSolution:
 
 
 def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
-    """Solve the per-source SLAM problems of worlds of one config, in lockstep.
+    """Solve the per-source SLAM problems of worlds of one config: `solve_block`, per world.
 
-    `solve_block` with every source problem active at once, then
-    `pose_information_system` at the base poses and the source landmarks.
-    Each world's `base_result` holds its base poses, converged after 0
-    iterations. Each world's solution is the one it gets alone, bit for
-    bit. An exception in any world's solves is raised for the whole block.
+    Each world's `base_result` holds its base poses, its prior's mean,
+    converged after 0 iterations. Each world's solution is the one it gets
+    alone, bit for bit. An exception in any world's solves is raised for
+    the whole block.
     """
-    block = solve_block(worlds)
-    priors, deltas = block.information()
     base_plan, source_plan, _ = _slam_plans(worlds[0].config.n_poses)
-    states = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
-    results = [
-        GaussNewtonResult(source_plan.values(x, states[k % N_LANDMARKS]), *outcome)
-        for k, (x, outcome) in enumerate(zip(block.states, block.outcomes))
-    ]
-    return [
-        SlamSolution(
-            GaussNewtonResult(base_plan.values(x), converged=True, n_iters=0, max_update=0.0),
-            dict(enumerate(results[i * N_LANDMARKS : (i + 1) * N_LANDMARKS])),
-            prior,
-            delta,
-        )
-        for i, (x, prior, delta) in enumerate(zip(block.poses, priors, deltas))
-    ]
+    keys = [source_plan.state[:-1] + (("l", s),) for s in range(N_LANDMARKS)]
+    solutions = []
+    for _, priors, deltas, states, outcomes in solve_block(worlds):
+        results = [
+            GaussNewtonResult(source_plan.values(x, keys[k % N_LANDMARKS]), *outcome)
+            for k, (x, outcome) in enumerate(zip(states, outcomes))
+        ]
+        solutions += [
+            SlamSolution(
+                GaussNewtonResult(base_plan.values(prior.mean), converged=True, n_iters=0, max_update=0.0),
+                dict(enumerate(results[i * N_LANDMARKS : (i + 1) * N_LANDMARKS])),
+                prior,
+                delta,
+            )
+            for i, (prior, delta) in enumerate(zip(priors, deltas))
+        ]
+    return solutions

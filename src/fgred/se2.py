@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,3 +57,27 @@ def se2_inverse(a: Pose2) -> Pose2:
     """Group inverse: compose(a, inverse(a)) is the identity."""
     c, s = np.cos(a.theta), np.sin(a.theta)
     return Pose2(-(c * a.x + s * a.y), s * a.x - c * a.y, -a.theta)
+
+
+def compose_chain(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Poses (w, n + 1, 3) of w chains: start (w, 3), then each of steps (w, n, 3) composed on the right.
+
+    With wrapped step headings, each pose has the bits of `se2_compose`
+    chains: the heading, wrapped at each step, runs step by step, then x
+    adds c * step_x and -(s * step_y) per step, and y s * step_x and
+    c * step_y, in that order, so one cumulative sum gives each.
+    """
+    w, n = steps.shape[:2]
+    poses = np.empty((w, n + 1, 3))
+    poses[:, :, 2] = [
+        list(accumulate(turns, lambda t, turn: wrap_angle(t + turn), initial=t))
+        for t, turns in zip(start[:, 2].tolist(), steps[:, :, 2].tolist())
+    ]
+    c, s = np.cos(poses[:, :-1, 2]), np.sin(poses[:, :-1, 2])
+    ex, ey = steps[:, :, 0], steps[:, :, 1]
+    terms = np.empty((w, 2 * n + 1, 2))
+    terms[:, 0] = start[:, :2]
+    terms[:, 1::2, 0], terms[:, 2::2, 0] = c * ex, -(s * ey)
+    terms[:, 1::2, 1], terms[:, 2::2, 1] = s * ex, c * ey
+    poses[:, :, :2] = np.cumsum(terms, axis=1)[:, ::2]
+    return poses

@@ -11,7 +11,7 @@ A world is arrays: the true poses and the odometry as (x, y, theta) rows,
 the landmarks and the range-bearing measurements. `simulate_world` draws
 all of a world's step noise in one call, in the order a step-by-step draw
 takes it, so each world has the bits of the Pose2-at-a-time simulator in
-tests/reference.py; only the pose recursion runs step by step.
+tests/reference.py. The pose recursion is `se2.compose_chain`.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .se2 import Pose2, wrap_angle
+from .se2 import Pose2, compose_chain, wrap_angle
 
 N_LANDMARKS = 2
 
@@ -148,8 +148,8 @@ def simulate_world(config: SimConfig, seed: int) -> SimWorld:
     increment, the odometry noise, and per landmark the range and bearing
     noises; the steps' normals are one (n_poses, 6 + 2 N_LANDMARKS) draw.
     The walk and odometry noises are each step's noise root times its
-    normals. The pose recursion runs step by step, wrapping theta at each
-    step as Pose2 does; the ranges and bearings are computed as arrays.
+    normals. The pose recursion is `compose_chain`, which wraps theta at
+    each step as Pose2 does; the ranges and bearings are computed as arrays.
     """
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -169,14 +169,7 @@ def simulate_world(config: SimConfig, seed: int) -> SimWorld:
     odometry = eta + odom_noise
     odometry[:, 2] = wrap_angle(odometry[:, 2])
 
-    x, y, theta = float(x0[0]), float(x0[1]), wrap_angle(theta0)
-    poses = [(x, y, theta)]
-    for ex, ey, et in eta.tolist():
-        c, s = np.cos(theta), np.sin(theta)
-        x, y = float(x + c * ex - s * ey), float(y + s * ex + c * ey)
-        theta = wrap_angle(theta + et)
-        poses.append((x, y, theta))
-    truth = np.array(poses)
+    truth = compose_chain(np.array([[*x0, wrap_angle(theta0)]]), eta[None])[0]
 
     dx = landmarks[:, 0, None] - truth[None, 1:, 0]
     dy = landmarks[:, 1, None] - truth[None, 1:, 1]

@@ -171,8 +171,8 @@ def test_report_missing_records_exits_2(tmp_path):
     assert main(["report", "--out", str(tmp_path)]) == EXIT_IO
 
 
-def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
-    def boom(worlds, budget):
+def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch, caplog):
+    def boom(worlds):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(experiment, "solve_block", boom)
@@ -180,6 +180,9 @@ def test_analyze_failure_fraction_exits_3(tmp_path, monkeypatch):
     out = tmp_path / "out"
     rc = main(["analyze", "--config", str(cfg), "--out", str(out)])
     assert rc == EXIT_TOO_MANY_FAILURES
+    # every sim fails with the synthetic error, not with one of its own
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == [f"sim {i} failed: RuntimeError: synthetic failure" for i in range(3)]
     # outputs are still written so the failure can be inspected
     assert (out / "records.csv").exists()
 

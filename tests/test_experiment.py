@@ -96,9 +96,9 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
         unscoped = run_single(cfg, 2)
     seen = []
 
-    def counting_solve(worlds, budget):
+    def counting_solve(worlds):
         seen.append(blas_thread_counts(setters))
-        return solve_block(worlds, budget)
+        return solve_block(worlds)
 
     monkeypatch.setattr(experiment, "solve_block", counting_solve)
     assert run_single(cfg, 2) == unscoped
@@ -108,7 +108,7 @@ def test_run_single_one_blas_thread_same_record(monkeypatch):
     class Stop(BaseException):
         pass
 
-    def stop(worlds, budget):
+    def stop(worlds):
         raise Stop
 
     monkeypatch.setattr(experiment, "solve_block", stop)
@@ -232,16 +232,19 @@ def test_worlds_reuse_the_checked_sim_config(monkeypatch):
     assert calls == {"SimConfig": 0, "_psd_sqrt": 0}
 
 
-def test_failed_sim_recorded_not_raised(monkeypatch):
-    def boom(worlds, budget):
+def test_failed_sim_recorded_not_raised(monkeypatch, caplog):
+    def boom(worlds):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(experiment, "solve_block", boom)
-    recs = run_experiment(small_config(), jobs=1)
+    with caplog.at_level(logging.WARNING, logger="fgred.experiment"):
+        recs = run_experiment(small_config(), jobs=1)
     assert len(recs) == 6
     assert all(r.failed for r in recs)
     assert "synthetic failure" in recs[0].fail_reason
     assert not recs[0].is_usable()
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == [f"sim {i} failed: RuntimeError: synthetic failure" for i in range(6)]
 
 
 def solve_outcomes(sol):
@@ -257,9 +260,20 @@ def solve_outcomes(sol):
 
 
 def source_problem_bytes(sim):
-    """What one active source problem counts against _BLOCK_BYTES."""
+    """What one active source problem counts against nonlinear._BLOCK_BYTES."""
     plan = nonlinear._slam_plans(sim.n_poses)[1]
     return 8 * plan.n_cols * (plan.n_rows + 2 * plan.n_cols)
+
+
+def world_bytes(sim):
+    """What one world of a scoring chunk counts against nonlinear._BLOCK_BYTES.
+
+    2.5 times its dense J and J^T J: the base problem's and both source
+    increments', each increment with a symmetrized J^T J.
+    """
+    n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
+    n_s = n_x + 2  # an increment's columns: the poses and one landmark
+    return 20 * (2 * n_x * n_x + 2 * (2 * sim.n_poses + 2 * n_s) * n_s)
 
 
 def test_block_matches_one_world_runs(monkeypatch):
@@ -268,8 +282,8 @@ def test_block_matches_one_world_runs(monkeypatch):
     # 50-iteration cap, and it stays active while the others are refilled
     # around it: every solve keeps the bits it gets alone
     cfg = ExperimentConfig(n_sims=8, root_seed=5)
-    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 3 * source_problem_bytes(cfg.sim))
-    assert experiment.worlds_per_block(cfg.sim) == 1
+    monkeypatch.setattr(nonlinear, "_BLOCK_BYTES", 3 * source_problem_bytes(cfg.sim))
+    assert nonlinear._block_sizes(cfg.sim.n_poses) == (3, 1)
     blocks, sizes = [], []
     block, normal_equations = nonlinear.solve_gauss_newton_block, nonlinear._Plan.normal_equations
 
@@ -304,22 +318,40 @@ def test_block_matches_one_world_runs(monkeypatch):
     assert capped == [0, 5]
 
 
+def test_solve_worlds_chunks_keep_each_lone_solve(monkeypatch):
+    # three thirty-pose worlds are two scoring chunks at the default budget,
+    # of 2 worlds and 1: each world keeps the solves, prior and increments
+    # it gets alone, bit for bit
+    worlds = [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30), root_seed=5), i)
+              for i in range(3)]
+    alone = [solve_outcomes(solve_world(w)) for w in worlds]
+    assert nonlinear._block_sizes(30) == (10, 2)
+    chunks, information = [], nonlinear.pose_information_system
+
+    def counted(poses, *args):
+        chunks.append(len(poses))
+        return information(poses, *args)
+
+    monkeypatch.setattr(nonlinear, "pose_information_system", counted)
+    solutions = solve_worlds(worlds)
+    assert chunks == [2, 1]
+    assert [solve_outcomes(sol) for sol in solutions] == alone
+
+
 def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
     # chunks of 1, 15 and all 20 default worlds or of 1, 2 and 6 of 12
     # thirty-pose ones, with 4, 76 and 243 or 4, 10 and 32 source problems
     # active, in one block or in blocks of at most 7 worlds: records.csv
     # keeps its bytes
-    default = experiment._BLOCK_BYTES
+    default = nonlinear._BLOCK_BYTES
     for cfg, chunks, active in (
         (ExperimentConfig(n_sims=20), [1, 15, 49], [4, 76, 243]),
         (ExperimentConfig(sim=SimConfig(n_poses=30), n_sims=12), [1, 2, 6], [4, 10, 32]),
     ):
-        source = nonlinear._slam_plans(cfg.sim.n_poses)[1]
         outputs = []
-        for budget in (experiment._world_bytes(cfg.sim), default, 1 << 23):
-            monkeypatch.setattr(experiment, "_BLOCK_BYTES", budget)
-            assert experiment.worlds_per_block(cfg.sim) == chunks.pop(0)
-            assert source.capacity(budget) == active.pop(0)
+        for budget in (world_bytes(cfg.sim), default, 1 << 23):
+            monkeypatch.setattr(nonlinear, "_BLOCK_BYTES", budget)
+            assert nonlinear._block_sizes(cfg.sim.n_poses) == (active.pop(0), chunks.pop(0))
             for block_sims in (100, 7):
                 monkeypatch.setattr(experiment, "_BLOCK_SIMS", block_sims)
                 path = tmp_path / f"{cfg.sim.n_poses}-{budget}-{block_sims}.csv"
@@ -330,7 +362,7 @@ def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
 
 def test_block_peak_memory_stays_bounded():
     # a block of 30 worlds keeps its worlds, stacks and solved states, and
-    # its solves' active set and its chunks' scoring each fit _BLOCK_BYTES:
+    # its solves' active set and its chunks' scoring each fit nonlinear._BLOCK_BYTES:
     # traced peaks were 2.88 MiB (30 poses) and 2.40 MiB (10 poses), against
     # 34.6 and 4.66 MiB for a block that solves and scores all 30 at once
     for n_poses, limit in ((30, 3.5), (10, 3.0)):
@@ -408,16 +440,16 @@ def test_scoring_failure_fails_alone(monkeypatch, caplog):
     monkeypatch.setattr(metrics, "_IMHOF_BUDGET", 9000)
     score_block, scored = experiment._score_block, []
 
-    def recording_score_block(sim_ids, worlds, solved):
+    def recording_score_block(sim_ids, worlds, *solved):
         scored.append(list(sim_ids))
-        return score_block(sim_ids, worlds, solved)
+        return score_block(sim_ids, worlds, *solved)
 
     monkeypatch.setattr(experiment, "_score_block", recording_score_block)
     for block_bytes, chunks in (
-        (experiment._BLOCK_BYTES, [[0, 1, 2, 3, 4, 5]]),
-        (5 * experiment._world_bytes(cfg.sim), [[0, 1, 2, 3, 4], [5]]),
+        (nonlinear._BLOCK_BYTES, [[0, 1, 2, 3, 4, 5]]),
+        (5 * world_bytes(cfg.sim), [[0, 1, 2, 3, 4], [5]]),
     ):
-        monkeypatch.setattr(experiment, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(nonlinear, "_BLOCK_BYTES", block_bytes)
         scored.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="fgred.experiment"):

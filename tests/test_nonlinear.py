@@ -549,14 +549,14 @@ def test_refilled_block_keeps_each_lone_solve(monkeypatch):
         return normal_equations(self, x, data)
 
     monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
-    for capacity in (1, 2, 3, 17, None):
+    for capacity in (1, 2, 3, 17):
         sizes.clear()
         X = X0.copy()
         outcomes = nonlinear.solve_gauss_newton_block(plan, data, X, capacity=capacity)
         assert [(outcome_bits(o), x.tobytes()) for o, x in zip(outcomes, X)] == lone, capacity
         # never more than capacity active, and each problem is linearized
         # once per iteration of its own
-        assert max(sizes) == min(capacity or 17, 17)
+        assert max(sizes) == min(capacity, 17)
         assert sum(sizes) == sum(n for _, n, _ in outcomes)
     with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
         nonlinear.solve_gauss_newton_block(plan, data, X0.copy(), capacity=0)
