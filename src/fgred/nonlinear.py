@@ -1,48 +1,52 @@
-"""Nonlinear SLAM factor graph, Gauss-Newton, and linearization.
+"""Nonlinear SLAM factors, Gauss-Newton, and linearization.
 
-Variables are keyed ("x", i) for poses (dim 3) and ("l", s) for landmarks
-(dim 2). Each factor type has one batched kernel: given the stacked values
-of m factors' variables and their stacked measurements, it returns the
-residuals r(v) = h(v) - z (m x k, angles wrapped) and the Jacobians H of h
-(m x k x d). Each call fills one Jacobian array it allocates; the odometry
-and range-bearing kernels store it k x d x m, so that an entry's m values
-are one contiguous row, and return its m x k x d view. A factor's
-precision Gamma = L L^T is checked and factored once, when the
-NonlinearGraph is built; L^T is the factor's whitener.
+Variables are keyed ("x", i) for poses (width 3) and ("l", s) for landmarks
+(width 2). Each factor type declares its residual height k and has one
+batched kernel: given the stacked values of m factors' variables and their
+stacked measurements, it returns the residuals r(v) = h(v) - z (m x k,
+angles wrapped) and the Jacobians H of h (m x k x d). Each call fills one
+Jacobian array it allocates; the odometry and range-bearing kernels store
+it k x d x m, so that an entry's m values are one contiguous row, and
+return its m x k x d view.
 
-Linearization has one path, an index plan (`_Plan`) over a factor subset
-and a state ordering. Problems with one factor layout share a plan. Each
-problem adds only its stacked whiteners, measurements and state, so a
-block of p problems is linearized with one kernel call per factor type,
-and each type's whitened blocks are written into the p stacked J through
-the plan's flat indices. `solve_gauss_newton_block` runs Gauss-Newton on
-such a block with at most C problems active: per iteration one batched
-J^T J and J^T r and one `gauss.solve_pd_stack` over the active set. A
-problem leaves it when it converges, its normal equations fail to factor
-or it reaches max_iters, and the next pending problem joins at the next
-iteration, so a slow problem does not keep the others waiting in a
-half-empty block. Each problem counts its own iterations, and its steps
-are the ones it would take alone, bit for bit; `solve_gauss_newton` is the
-one-problem case. The state is one flat vector per problem, retracted
-additively (pose angles re-wrapped).
+The SLAM factor model is stated once: `_slam_layout(n_poses)` is every
+world's factor order as (type, variables) pairs, the anchor prior, the
+odometry chain, then each landmark's range-bearing factors, and
+`_precisions` gives their precisions Gamma = L L^T from a config and the
+measured ranges; L^T is a factor's whitener.
 
-`solve_block` is the study's SLAM block, and it builds no per-world graph.
-Every world of one n_poses has one factor layout, so the plans are built
-once per n_poses and process (`_slam_plans`), and `_block_data` fills the
-block's whitener and measurement stacks straight from the worlds' arrays,
-with the bits `_Plan.data` reads from their graphs. The base factors, an
-anchor prior and an odometry chain, form a tree with as many residual rows
-as unknowns, so their MAP fits every factor exactly: it is dead reckoning
-from the anchor measurement, in closed form (`dead_reckoning_init`). A
-block of worlds solves only its source problems, as one Gauss-Newton
-block, then hands out its worlds in chunks, each with the information
-forms `pose_information_system` takes: the base prior and each source
-increment, J^T J = sum_j H_j^T Gamma_j H_j, with one linearization of the
-base factors and one of the source factors. The block's active set and
-its chunks each fit _BLOCK_BYTES, sized from the plans' rows and columns
-(`_block_sizes`). `solve_worlds` is that block with its outputs as
-per-world solutions. `NonlinearGraph` and `build_nonlinear_graph` serve
-the one-problem API.
+Linearization has one path, an index plan (`_Plan`) over a layout and a
+state ordering. Problems with one layout share a plan. Each problem adds
+only its stacked whiteners, measurements and state, so a block of p
+problems is linearized with one kernel call per factor type, and each
+type's whitened blocks are written into the p stacked J through the plan's
+flat indices. `solve_gauss_newton_block` runs Gauss-Newton on such a block
+with at most C problems active: per iteration one batched J^T J and J^T r
+and one `gauss.solve_pd_stack` over the active set. A problem leaves it
+when it converges, its normal equations fail to factor or it reaches
+max_iters, and the next pending problem joins at the next iteration, so a
+slow problem does not keep the others waiting in a half-empty block. Each
+problem counts its own iterations, and its steps are the ones it would
+take alone, bit for bit. The state is one flat vector per problem,
+retracted additively (pose angles re-wrapped).
+
+`solve_block` is the study's SLAM block, and it builds no graph and no
+world beyond its own. Its plans come from the layout, once per n_poses and
+process (`_slam_plans`), and `_block_data` fills the block's whitener and
+measurement stacks straight from the worlds' arrays. The base factors form
+a tree with as many residual rows as unknowns, so their MAP fits every
+factor exactly: it is dead reckoning from the anchor measurement
+(`dead_reckoning_init`). A block solves only its source problems, as one
+Gauss-Newton block, then hands out its worlds in chunks, each with the
+information forms `pose_information_system` takes: the base prior and each
+source increment J^T J = sum_j H_j^T Gamma_j H_j. The active set and the
+chunks each fit _BLOCK_BYTES, sized from the plans (`_block_sizes`).
+
+The one-problem names stay only for perfbench and the tests:
+`NonlinearGraph` (which checks and factors each Gamma when it is built),
+`build_nonlinear_graph`, the factors' `residual`, `_Plan.data`,
+`_Plan.values`, `_stack`, `solve_gauss_newton` (the one-problem block),
+`GaussNewtonResult`, `SlamSolution` and `solve_worlds`.
 """
 from __future__ import annotations
 
@@ -54,9 +58,12 @@ import numpy as np
 
 from .gauss import GaussianBelief, _good_pivots, cholesky_pd, schur_complement, solve_pd_stack
 from .se2 import compose_chain, wrap_angle
-from .sim2d import N_LANDMARKS, SimConfig, SimWorld, simulate_world
+from .sim2d import N_LANDMARKS, SimConfig, SimWorld
 
 VarKey = tuple[str, int]
+
+# A variable's width by its key's kind: a pose (x, y, theta) or a landmark (x, y).
+_WIDTHS = {"x": 3, "l": 2}
 
 # Floor applied to measurement variances so noiseless worlds still produce
 # finite factor precisions; with exact measurements the MAP is exact anyway.
@@ -93,6 +100,7 @@ class _Factor:
 class PriorFactor(_Factor):
     """Direct observation of one pose in (x, y, theta) coordinates."""
 
+    height = 3
     var: VarKey
     measurement: np.ndarray
     gamma: np.ndarray
@@ -115,6 +123,7 @@ class PriorFactor(_Factor):
 class OdometryFactor(_Factor):
     """Relative-pose measurement h(X_a, X_b) = coords(X_a^-1 X_b)."""
 
+    height = 3
     var_from: VarKey
     var_to: VarKey
     measurement: np.ndarray
@@ -150,6 +159,7 @@ class OdometryFactor(_Factor):
 class RangeBearingFactor(_Factor):
     """Range and body-frame bearing from a pose to a landmark."""
 
+    height = 2
     pose_var: VarKey
     landmark_var: VarKey
     measurement: np.ndarray
@@ -188,7 +198,6 @@ class NonlinearGraph:
     """
 
     variables: tuple[VarKey, ...]
-    dims: dict
     factors: tuple
     base: frozenset[int]
     sources: dict
@@ -217,51 +226,47 @@ class GaussNewtonResult:
 
 
 class _Plan:
-    """Index structure of a factor subset over a state ordering.
+    """Index structure of a factor layout over a state ordering.
 
-    Problems whose factors have one layout share a plan: the base factors of
-    every world of a block, and every source problem (`_slam_plans`).
-    slices[i] holds the columns of state[i], and theta the pose-angle
-    columns. Factors are grouped by type; a group holds the positions in the
-    subset of its factors (slots), their rows of J, the columns of their
-    variables and the flat indices of their blocks in J. The index
-    structure is built with one pass over the factors and a few array
-    operations per type. A problem adds only its stacked whiteners and
-    measurements (`data`, or `_block_data` for a block of worlds) and its
-    state.
+    A layout is a sequence of (factor type, variables). Problems of one
+    layout share a plan: the base factors of every world of a block, and
+    every source problem (`_slam_plans`). slices[i] holds the columns of
+    state[i], and theta the pose-angle columns. Factors are grouped by type;
+    a group holds the type's kernel, the positions in the layout of its
+    factors (slots), their rows of J, the columns of their variables and
+    the flat indices of their blocks in J. A problem adds only its stacked
+    whiteners and measurements (`data`, or `_block_data` for a block of
+    worlds) and its state.
     """
 
-    def __init__(self, graph: NonlinearGraph, subset: Sequence[int], state: Sequence[VarKey]):
+    def __init__(self, layout: Sequence[tuple], state: Sequence[VarKey]):
         self.state = tuple(state)
         offsets, self.slices, self.n_cols = {}, [], 0
         for v in self.state:
             offsets[v] = self.n_cols
-            self.n_cols += graph.dims[v]
+            self.n_cols += _WIDTHS[v[0]]
             self.slices.append(slice(offsets[v], self.n_cols))
         self.theta = np.array([offsets[v] + 2 for v in self.state if v[0] == "x"], dtype=int)
-        # per type: [slots, first rows, variable offsets, rows per factor, variable widths]
-        by_kernel, self.n_rows = {}, 0
-        for slot, j in enumerate(subset):
-            f = graph.factors[j]
-            group = by_kernel.get(f.kernel)
-            if group is None:
-                height, widths = len(graph.whiteners[j]), [graph.dims[v] for v in f.vars]
-                group = by_kernel[f.kernel] = [[], [], [], height, widths]
+        # per type: [slots, first rows, variable offsets, its first factor's variables]
+        by_type, self.n_rows = {}, 0
+        for slot, (kind, variables) in enumerate(layout):
+            group = by_type.setdefault(kind, [[], [], [], variables])
             group[0].append(slot)
             group[1].append(self.n_rows)
             try:
-                group[2].extend([offsets[v] for v in f.vars])
+                group[2].extend([offsets[v] for v in variables])
             except KeyError as missing:
                 raise ValueError(f"factor touches {missing.args[0]}, outside the state") from None
-            self.n_rows += group[3]
+            self.n_rows += kind.height
         self.groups = []
-        for kernel, (slots, first_rows, starts, height, widths) in by_kernel.items():
+        for kind, (slots, first_rows, starts, variables) in by_type.items():
+            widths = [_WIDTHS[v[0]] for v in variables]
             var_of_col = [a for a, w in enumerate(widths) for _ in range(w)]
             within = [i for w in widths for i in range(w)]
             cols = np.array(starts).reshape(len(slots), -1)[:, var_of_col] + within
-            rows = np.add.outer(first_rows, range(height))
+            rows = np.add.outer(first_rows, range(kind.height))
             flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
-            self.groups.append((kernel, slots, rows.ravel(), cols, flat.ravel()))
+            self.groups.append((kind.kernel, slots, rows.ravel(), cols, flat.ravel()))
 
     def data(self, problems: Sequence[tuple]) -> list:
         """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
@@ -324,7 +329,7 @@ def solve_gauss_newton(
     for v in solve_vars:
         if v not in init:
             raise ValueError(f"initial values missing variable {v}")
-    plan = _Plan(graph, subset, solve_vars)
+    plan = _Plan([(type(graph.factors[j]), graph.factors[j].vars) for j in subset], solve_vars)
     X = _stack(init, solve_vars)[None]
     [outcome] = solve_gauss_newton_block(plan, plan.data([(graph, subset)]), X, 1, max_iters)
     values = {k: np.array(v, dtype=float) for k, v in init.items()}
@@ -339,16 +344,11 @@ def solve_gauss_newton_block(
 
     data holds the problems' stacked whiteners and measurements in
     `_Plan.data`'s layout, and X (p, cols) their initial states; X is
-    updated in place to the final states. Each iteration linearizes every
-    active problem with one kernel call per factor type, forms each J^T J
-    and J^T r in one batched product, and solves the normal equations with
-    `solve_pd_stack`. A problem leaves the active set when no state
-    component moves by GN_STEP_TOL, its normal equations fail to factor or
-    it has taken max_iters steps; its state is then frozen, and the next
-    pending problem, in index order, joins at the next iteration. Each
-    problem counts its own iterations, and its steps are the ones it would
-    take alone, bit for bit. Returns each problem's (converged, n_iters,
-    max_update).
+    updated in place to the final states. A problem leaves the active set
+    when no state component moves by GN_STEP_TOL, its normal equations fail
+    to factor or it has taken max_iters steps; its state is then frozen, and
+    the next pending problem, in index order, joins at the next iteration.
+    Returns each problem's (converged, n_iters, max_update).
     """
     n = len(X)
     if capacity < 1:
@@ -417,61 +417,59 @@ def pose_information_system(
     return [GaussianBelief(mean=mean, info=H) for mean, H in zip(poses, info)], deltas
 
 
-def _floored_precision(cov: np.ndarray) -> np.ndarray:
-    """Invert a measurement covariance, flooring eigenvalues at VAR_FLOOR."""
-    cov = np.asarray(cov, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (cov + cov.T))
-    w = np.clip(w, VAR_FLOOR, None)
-    return V @ np.diag(1.0 / w) @ V.T
+def _slam_layout(n_poses: int) -> tuple:
+    """The factors of every SLAM world of n_poses as (type, variables) pairs, in factor order.
 
-
-def _range_precisions(config: SimConfig, ranges: np.ndarray) -> list[float]:
-    """Each measured range's precision, in C order; the variance grows with the range.
-
-    The square is Python's float ** (libm's pow): numpy's elementwise square
-    differs from it in the last bit on some ranges.
+    The anchor prior on X_0 and the odometry chain are the base factors;
+    then source s, landmark s's range-bearing factors from X_1, ..., X_n.
     """
-    coeff = config.range_var_coeff
-    return [1.0 / max(coeff * max(r, 1e-3) ** 2, VAR_FLOOR) for r in ranges.ravel().tolist()]
+    steps = range(1, n_poses + 1)
+    return (
+        ((PriorFactor, (("x", 0),)),)
+        + tuple((OdometryFactor, (("x", i - 1), ("x", i))) for i in steps)
+        + tuple((RangeBearingFactor, (("x", i), ("l", s))) for s in range(N_LANDMARKS) for i in steps)
+    )
+
+
+def _precisions(config: SimConfig, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The precisions of the anchor, of each odometry factor and of each range-bearing pair.
+
+    The anchor has sigma ANCHOR_SIGMA per component. Odometry inverts the
+    config's covariance, its eigenvalues floored at VAR_FLOOR. ranges are
+    measured ranges (the quantity the robot has) of any shape, and their
+    (range, bearing) precisions have that shape plus (2,). The range
+    variance grows with the range and is floored, as the bearing variance
+    is. The range's square is Python's float ** (libm's pow): numpy's
+    elementwise square differs from it in the last bit on some ranges.
+    """
+    cov = np.asarray(config.sigma_odom, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (cov + cov.T))
+    coeff, rb = config.range_var_coeff, np.empty(ranges.shape + (2,))
+    rb[..., 0] = np.reshape(
+        [1.0 / max(coeff * max(r, 1e-3) ** 2, VAR_FLOOR) for r in ranges.ravel().tolist()], ranges.shape
+    )
+    rb[..., 1] = 1.0 / max(config.bearing_var, VAR_FLOOR)
+    return np.eye(3) / ANCHOR_SIGMA**2, V @ np.diag(1.0 / np.clip(w, VAR_FLOOR, None)) @ V.T, rb
 
 
 def build_nonlinear_graph(world: SimWorld) -> NonlinearGraph:
-    """SLAM graph for a simulated world.
+    """SLAM graph of a simulated world: `_slam_layout`'s factors with their `_precisions`.
 
-    Base factors: a weak anchor prior on X_0 (measurement = true initial
-    pose, sigma = ANCHOR_SIGMA per component) and one odometry factor per
-    step. Supplemental factors: n range-bearing measurements per landmark,
-    grouped into one source per landmark. Range precisions use the measured
-    range (the quantity the robot has), floored away from zero.
+    The anchor measures the true initial pose, and source s holds landmark
+    s's range-bearing factors.
     """
-    config = world.config
-    n = config.n_poses
-    variables = tuple(("x", i) for i in range(n + 1)) + tuple(
-        ("l", s) for s in range(N_LANDMARKS)
-    )
-    dims = {v: (3 if v[0] == "x" else 2) for v in variables}
-
-    factors = [PriorFactor(("x", 0), world.truth_array[0].copy(), np.eye(3) / ANCHOR_SIGMA**2)]
-    odom_gamma = _floored_precision(config.sigma_odom)
-    factors += [
-        OdometryFactor(("x", i - 1), ("x", i), z, odom_gamma)
-        for i, z in enumerate(world.odometry_array.copy(), start=1)
-    ]
-    bearing_precision = 1.0 / max(config.bearing_var, VAR_FLOOR)
-    range_precisions = iter(_range_precisions(config, world.rb_measurements[:, :, 0]))
-    sources = {}
-    for s in range(N_LANDMARKS):
-        sources[s] = frozenset(range(len(factors), len(factors) + n))
-        for i, z in enumerate(world.rb_measurements[s], start=1):
-            gamma = np.diag([next(range_precisions), bearing_precision])
-            factors.append(RangeBearingFactor(("x", i), ("l", s), np.array(z), gamma))
-
+    n = world.config.n_poses
+    anchor, odometry, rb = _precisions(world.config, world.rb_measurements[..., 0])
+    measurements = [world.truth_array[0], *world.odometry_array, *world.rb_measurements.reshape(-1, 2)]
+    gammas = [anchor] + [odometry] * n + [np.diag(p) for p in rb.reshape(-1, 2)]
     return NonlinearGraph(
-        variables=variables,
-        dims=dims,
-        factors=tuple(factors),
+        variables=tuple(("x", i) for i in range(n + 1)) + tuple(("l", s) for s in range(N_LANDMARKS)),
+        factors=tuple(
+            kind(*variables, z.copy(), gamma)
+            for (kind, variables), z, gamma in zip(_slam_layout(n), measurements, gammas)
+        ),
         base=frozenset(range(n + 1)),
-        sources=sources,
+        sources={s: frozenset(range(n + 1 + s * n, n + 1 + (s + 1) * n)) for s in range(N_LANDMARKS)},
     )
 
 
@@ -481,17 +479,11 @@ def _slam_plans(n_poses: int) -> tuple[_Plan, _Plan, _Plan]:
 
     The source plan holds the base factors and source 0's over the poses and
     landmark 0, the increment plan source 0's alone; source s's problems use
-    them with landmark s. The layout depends on n_poses only, so the plans
-    come from the graph of one default-config world of that length.
+    them with landmark s.
     """
-    g = build_nonlinear_graph(simulate_world(SimConfig(n_poses=n_poses), 0))
-    poses = tuple(v for v in g.variables if v[0] == "x")
-    source = poses + (("l", 0),)
-    return (
-        _Plan(g, sorted(g.base), poses),
-        _Plan(g, sorted(g.base | g.sources[0]), source),
-        _Plan(g, sorted(g.sources[0]), source),
-    )
+    layout, poses = _slam_layout(n_poses), tuple(("x", i) for i in range(n_poses + 1))
+    base, source = layout[: n_poses + 1], layout[n_poses + 1 : 2 * n_poses + 1]
+    return _Plan(base, poses), _Plan(base + source, poses + (("l", 0),)), _Plan(source, poses + (("l", 0),))
 
 
 def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list]:
@@ -500,25 +492,25 @@ def _block_data(worlds: Sequence[SimWorld], plans: Sequence[_Plan]) -> list[list
     The worlds must share one config. The layout is `_Plan.data`'s over the
     worlds' graphs: a plan over the poses alone has one problem per world,
     and a plan with a landmark one per world and source, world-major. The
-    config's anchor and odometry whiteners are factored once per block,
-    under the names a graph gives its factors 0 and 1. A range-bearing
-    whitener is diagonal: the square roots of the range and bearing
-    precisions, which are the bits of the graph's factor. A world with a
-    precision whose root fails the pivot rule has its graph built, which
-    raises the error naming that factor.
+    anchor and odometry whiteners are factored once per block, under the
+    names a graph gives its factors 0 and 1. A range-bearing whitener is
+    diagonal: the square roots of its range and bearing precisions, which
+    are the bits of a graph's factor. The block's first precision whose
+    root fails the pivot rule is factored as a graph factors it, which
+    raises the graph's error, naming that factor.
     """
     config = worlds[0].config
     if any(w.config != config for w in worlds):
         raise ValueError("a block of worlds must share one config")
-    anchor = cholesky_pd(np.eye(3) / ANCHOR_SIGMA**2, "gamma of factor 0")
-    odometry = cholesky_pd(_floored_precision(config.sigma_odom), "gamma of factor 1")
     rb = np.array([w.rb_measurements for w in worlds])
-    roots = np.zeros(rb.shape + (2,))
-    roots[..., 0, 0] = np.sqrt(_range_precisions(config, rb[..., 0])).reshape(rb.shape[:-1])
-    roots[..., 1, 1] = np.sqrt(1.0 / max(config.bearing_var, VAR_FLOOR))
-    for world, good in zip(worlds, _good_pivots(roots).reshape(len(worlds), -1).all(axis=1)):
-        if not good:
-            build_nonlinear_graph(world)  # raises, naming the factor
+    anchor, odometry, precisions = _precisions(config, rb[..., 0])
+    anchor, odometry = cholesky_pd(anchor, "gamma of factor 0"), cholesky_pd(odometry, "gamma of factor 1")
+    roots = np.sqrt(precisions)[..., None] * np.eye(2)
+    bad = np.flatnonzero(~_good_pivots(roots).all(axis=-1))
+    if bad.size:
+        n = config.n_poses
+        j = n + 1 + bad[0] % (N_LANDMARKS * n)
+        cholesky_pd(np.diag(precisions.reshape(-1, 2)[bad[0]]), f"gamma of factor {j}")  # raises
     per_world = {
         kernel: (np.broadcast_to(L.T, z.shape + z.shape[-1:]).copy(), z)
         for kernel, L, z in (

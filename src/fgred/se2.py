@@ -7,15 +7,18 @@ from itertools import accumulate
 import numpy as np
 
 
+_PI, _TWO_PI = np.pi, 2.0 * np.pi  # bound once: the float path is called per pose step
+
+
 def wrap_angle(a):
     """Wrap an angle to (-pi, pi]; an array is wrapped elementwise into a new array."""
     if not isinstance(a, np.ndarray) or a.ndim == 0:
-        w = (float(a) + np.pi) % (2.0 * np.pi) - np.pi
-        return np.pi if w == -np.pi else w
-    w = a + np.pi
-    w %= 2.0 * np.pi
-    w -= np.pi
-    w[w == -np.pi] = np.pi
+        w = (float(a) + _PI) % _TWO_PI - _PI
+        return _PI if w == -_PI else w
+    w = a + _PI
+    w %= _TWO_PI
+    w -= _PI
+    w[w == -_PI] = _PI
     return w
 
 

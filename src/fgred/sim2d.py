@@ -164,7 +164,7 @@ def simulate_world(config: SimConfig, seed: int) -> SimWorld:
     # one stacked matvec per root: S @ z per step, not z @ S.T, keeps the bits
     walk = (config._walk_sqrt[None] @ normals[:, :3, None])[:, :, 0]
     odom_noise = (config._odom_sqrt[None] @ normals[:, 3:6, None])[:, :, 0]
-    eta = Pose2(*config.step_mean).as_array() + walk  # the mean heading wrapped first
+    eta = walk + [*config.step_mean[:2], wrap_angle(config.step_mean[2])]  # the mean heading wrapped first
     eta[:, 2] = wrap_angle(eta[:, 2])
     odometry = eta + odom_noise
     odometry[:, 2] = wrap_angle(odometry[:, 2])

@@ -13,6 +13,7 @@ standard normals. The SE(2) helpers give relative poses and the rotation and
 translation parts of a pose, and ate the aligned error of one estimate.
 simulate_world_loop is the simulator one draw and one Pose2 at a time,
 the oracle for the library's array simulator.
+graph_layout is a graph subset's factor layout, the one a plan takes;
 linearize is one problem's whitened J and r through fgred.nonlinear's
 index plan, and pose_information_one one world's information forms from
 its graph's factors (`_Plan.data`); information_inputs gives the plans
@@ -420,6 +421,11 @@ def kernel_jacobians(f, values) -> list[np.ndarray]:
     return np.split(jac[0], np.cumsum([len(values[var]) for var in f.vars])[:-1], axis=1)
 
 
+def graph_layout(graph, subset) -> list:
+    """The (type, variables) of `subset`'s factors: the layout a `_Plan` takes."""
+    return [(type(graph.factors[j]), graph.factors[j].vars) for j in subset]
+
+
 def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
     """Whitened Jacobian J and residual r of `subset`'s factors at `values`.
 
@@ -429,7 +435,7 @@ def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
     `state`, which must contain every variable the factors touch.
     """
     subset = list(subset)
-    plan = _Plan(graph, subset, state)
+    plan = _Plan(graph_layout(graph, subset), state)
     J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
     return J[0], r[0]
 
@@ -443,12 +449,12 @@ def pose_information_one(graph, base_values, landmarks) -> tuple[GaussianBelief,
     """
     state = tuple(v for v in graph.variables if v[0] == "x")
     poses = _stack(base_values, state)[None]
-    base = _Plan(graph, sorted(graph.base), state)
+    base = _Plan(graph_layout(graph, sorted(graph.base)), state)
     info, _ = base.normal_equations(poses, base.data([(graph, sorted(graph.base))]))
     deltas = {}
     for s in sorted(landmarks):
         subset = sorted(graph.sources[s])
-        plan = _Plan(graph, subset, state + (("l", s),))
+        plan = _Plan(graph_layout(graph, subset), state + (("l", s),))
         x = np.concatenate([poses[0], landmarks[s]])[None]
         H, _ = plan.normal_equations(x, plan.data([(graph, subset)]))
         deltas[s] = schur_complement(H[0], np.arange(poses.shape[1]))
@@ -478,7 +484,7 @@ def triangulate_one(world, s: int, pose_values) -> np.ndarray:
 
 def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
     """`linearize`, one factor at a time."""
-    offsets = np.cumsum([0] + [graph.dims[v] for v in state])
+    offsets = np.cumsum([0] + [len(values[v]) for v in state])
     col = {v: slice(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
     J_rows, r_rows = [], []
     for j in subset:
@@ -506,7 +512,7 @@ def solve_gauss_newton_loop(graph, subset, init, max_iters=50) -> GaussNewtonRes
             return GaussNewtonResult(values, False, it, float("nan"))
         start = 0
         for var in solve_vars:
-            d = graph.dims[var]
+            d = len(values[var])
             values[var] = values[var] + delta[start : start + d]
             if var[0] == "x":
                 values[var][2] = wrap_scalar(values[var][2])

@@ -7,6 +7,7 @@ from the Monte Carlo estimates themselves.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fgred.alignment import wc_ate
 from fgred.experiment import (
     ExperimentConfig,
     correlation_report,
+    emit_outputs,
     run_experiment,
     write_records_csv,
 )
@@ -54,6 +56,8 @@ from reference import (
 SR_SEED_BASE = 4_899_568
 EXP_SEED_BASE = 3_997
 MOMENT_SEED_BASE = 7_000
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "scripts" / "reference"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -469,6 +473,18 @@ def test_criterion_8_redundancy_tracks_landmark_distance(default_run):
         f"rho wass = {wass['rho']:.3f}, wb = {wb['rho']:.3f}, both p < 0.01, "
         f"{'; '.join(details)} vs batch {med_batch[0]:.2f}/{med_batch[1]:.2f}",
     )
+
+
+def test_default_outputs_equal_the_behaviour_reference(default_run, tmp_path):
+    # the default batch's records.csv and summary.json, as emit_outputs
+    # writes them, are the committed reference outputs, byte for byte
+    records, summary, _ = default_run
+    paths = emit_outputs(records, summary, tmp_path)
+    for key in ("records", "summary"):
+        got, want = paths[key], REFERENCE_DIR / f"default-{paths[key].name}"
+        assert got.read_bytes() == want.read_bytes(), (
+            f"{got.name} differs from {want}; python3 scripts/check_reference.py explains how"
+        )
 
 
 def test_criterion_9_worker_count_determinism(tmp_path):

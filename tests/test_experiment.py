@@ -360,14 +360,25 @@ def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
         assert all(out == outputs[0] for out in outputs)
 
 
-def test_block_peak_memory_stays_bounded():
+def test_block_peak_memory_stays_bounded(monkeypatch):
     # a block of 30 worlds keeps its worlds, stacks and solved states, and
     # its solves' active set and its chunks' scoring each fit nonlinear._BLOCK_BYTES:
-    # traced peaks were 2.88 MiB (30 poses) and 2.40 MiB (10 poses), against
-    # 34.6 and 4.66 MiB for a block that solves and scores all 30 at once
-    for n_poses, limit in ((30, 3.5), (10, 3.0)):
+    # traced peaks were 2.89 MiB (30 poses) and 2.41 MiB (10 poses), against
+    # 34.6 and 4.66 MiB for a block that solves and scores all 30 at once.
+    # When the first chunk's information forms are taken, the source stacks
+    # are freed: 0.35 and 0.14 MiB were live then, against 0.52 and 0.20 MiB
+    # for a block that kept them through scoring
+    information, live = nonlinear.pose_information_system, []
+
+    def traced(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return information(*args)
+
+    monkeypatch.setattr(nonlinear, "pose_information_system", traced)
+    for n_poses, limit, first_chunk in ((30, 3.5, 0.43), (10, 3.0, 0.17)):
         cfg = ExperimentConfig(sim=SimConfig(n_poses=n_poses), n_sims=30, root_seed=5)
         run_block(cfg, [0])  # the layout's plans are built once per process
+        live.clear()
         tracemalloc.start()
         try:
             records = run_block(cfg, range(30))
@@ -376,6 +387,7 @@ def test_block_peak_memory_stays_bounded():
             tracemalloc.stop()
         assert all(rec.is_usable() for rec in records)
         assert peak <= limit * 2**20, (n_poses, peak / 2**20)
+        assert live[0] <= first_chunk * 2**20, (n_poses, live[0] / 2**20)
 
 
 def test_raising_world_fails_alone(monkeypatch, caplog):

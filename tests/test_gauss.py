@@ -388,7 +388,7 @@ def gauge_free_odometry_system():
     variables = (("x", 0), ("x", 1))
     odometry = OdometryFactor(variables[0], variables[1], np.array([1.0, 0.0, 0.1]), np.eye(3))
     g = NonlinearGraph(
-        variables=variables, dims={v: 3 for v in variables}, factors=(odometry,),
+        variables=variables, factors=(odometry,),
         base=frozenset({0}), sources={},
     )
     J, _ = linearize(g, [0], {v: np.zeros(3) for v in variables}, variables)

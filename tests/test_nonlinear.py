@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import fgred.nonlinear as nonlinear
-from fgred.experiment import ExperimentConfig, simulate_batch_world
+import fgred.sim2d as sim2d
+from fgred.experiment import ExperimentConfig, run_block, simulate_batch_world, world_seed
 from fgred.gauss import NotPositiveDefiniteError, cholesky_pd
 from fgred.nonlinear import (
     NonlinearGraph,
@@ -102,7 +103,7 @@ def test_zero_range_degenerate():
         measurement=np.array([1.0, 0.0]), gamma=np.eye(2),
     )
     g = NonlinearGraph(
-        variables=tuple(values), dims={("x", 0): 3, ("l", 0): 2}, factors=(f,),
+        variables=tuple(values), factors=(f,),
         base=frozenset({0}), sources={},
     )
     with pytest.raises(ValueError, match="degenerate range-bearing geometry"):
@@ -176,7 +177,7 @@ def test_solver_matches_loop_reference():
     variables = (("x", 0), ("x", 1))
     odometry = OdometryFactor(variables[0], variables[1], np.array([1.0, 0.0, 0.1]), np.eye(3))
     g = NonlinearGraph(
-        variables=variables, dims={v: 3 for v in variables}, factors=(odometry,),
+        variables=variables, factors=(odometry,),
         base=frozenset({0}), sources={},
     )
     res = assert_same_solve(g, [0], {v: np.zeros(3) for v in variables})
@@ -272,13 +273,12 @@ def test_linearize_affine_factors_independent_of_point():
     # whitened Jacobian and the same effective measurement J v - r
     rng = np.random.default_rng(6)
     variables = (("x", 0), ("x", 1))
-    dims = {("x", 0): 3, ("x", 1): 3}
     factors = tuple(
         PriorFactor(var=v, measurement=rng.uniform(-0.5, 0.5, 3), gamma=random_spd(rng, 3))
         for v in variables
     )
     g = NonlinearGraph(
-        variables=variables, dims=dims, factors=factors,
+        variables=variables, factors=factors,
         base=frozenset({0, 1}), sources={},
     )
     vals1 = {v: rng.uniform(-0.5, 0.5, 3) for v in variables}
@@ -354,7 +354,7 @@ def test_metrics_invariant_under_rigid_reanchoring():
         gamma=g.factors[0].gamma,
     )
     g2 = NonlinearGraph(
-        variables=g.variables, dims=g.dims,
+        variables=g.variables,
         factors=(moved_anchor,) + tuple(g.factors[1:]),
         base=g.base, sources=g.sources,
     )
@@ -436,6 +436,8 @@ def test_block_data_equals_graph_data():
         [simulate_batch_world(ExperimentConfig(), i) for i in range(15)],
         [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30), root_seed=5), i)
          for i in range(2)],
+        # the shortest layout a SimConfig allows
+        [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=2)), i) for i in range(3)],
     ]
     for worlds in blocks:
         got = nonlinear._block_data(worlds, nonlinear._slam_plans(worlds[0].config.n_poses))
@@ -463,25 +465,37 @@ def test_range_whitener_keeps_libm_square():
     assert whiteners[0, 1].tobytes() == graph.whiteners[12].tobytes() == want.tobytes()
 
 
-def test_block_builds_one_graph_for_its_layout(monkeypatch):
-    # the plans depend on n_poses alone: a process builds one layout graph
-    # per n_poses, from a default world of that length, however many blocks
-    # it solves, and none from the blocks' own worlds
-    worlds = [simulate_batch_world(ExperimentConfig(), i) for i in range(15)]
-    long = [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30)), i) for i in range(2)]
-    alone = [information_bits(solve_worlds([w])[0]) for w in worlds[:2]]
-    built, build = [], nonlinear.build_nonlinear_graph
+def test_block_builds_its_plans_once_per_layout(monkeypatch):
+    # the plans depend on n_poses alone and come from the layout: a study run
+    # builds each n_poses' three plans once per process, however many blocks
+    # it solves, and no graph and no world beyond the blocks' own
+    cfgs = [ExperimentConfig(n_sims=15), ExperimentConfig(sim=SimConfig(n_poses=30), n_sims=2)]
+    worlds = [simulate_batch_world(cfgs[0], i) for i in range(2)]
+    alone = [information_bits(solve_worlds([w])[0]) for w in worlds]
+    assert not hasattr(nonlinear, "simulate_world")
+    built, drawn, planned = [], [], []
+    world_init, plan_init = sim2d.SimWorld.__init__, nonlinear._Plan.__init__
 
-    def counted(world):
-        built.append((world.config, world.seed))
-        return build(world)
+    def counted_world(self, *args, **kwargs):
+        drawn.append(kwargs["seed"])
+        world_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(nonlinear, "build_nonlinear_graph", counted)
+    def counted_plan(self, layout, state):
+        planned.append(len(state))
+        plan_init(self, layout, state)
+
+    monkeypatch.setattr(nonlinear, "build_nonlinear_graph", built.append)
+    monkeypatch.setattr(sim2d.SimWorld, "__init__", counted_world)
+    monkeypatch.setattr(nonlinear._Plan, "__init__", counted_plan)
     nonlinear._slam_plans.cache_clear()
-    for block in (worlds[:5], worlds[5:], long, long[:1]):
-        solve_worlds(block)
-    assert built == [(SimConfig(), 0), (SimConfig(n_poses=30), 0)]
-    assert [information_bits(sol) for sol in solve_worlds(worlds[:2])] == alone
+    blocks = [(cfgs[0], range(5)), (cfgs[0], range(5, 15)), (cfgs[1], range(2)), (cfgs[1], range(1))]
+    for cfg, sim_ids in blocks:
+        assert all(rec.is_usable() for rec in run_block(cfg, sim_ids))
+    assert built == []
+    assert drawn == [world_seed(cfg.root_seed, i) for cfg, sim_ids in blocks for i in sim_ids]
+    # base, source and increment plans: 11 poses, then one landmark more
+    assert planned == [11, 12, 12, 31, 32, 32]
+    assert [information_bits(sol) for sol in solve_worlds(worlds)] == alone
 
 
 def test_block_fills_its_stacks_once(monkeypatch):
@@ -583,7 +597,7 @@ def test_nonconvergence_flagged_not_raised():
 
 def information_oracle(graph, subset, values, state):
     """sum_j H_j^T Gamma_j H_j and the stacked L_j^T r_j, factor by factor."""
-    offsets = np.cumsum([0] + [graph.dims[v] for v in state])
+    offsets = np.cumsum([0] + [len(values[v]) for v in state])
     col = {v: slice(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
     info = np.zeros((offsets[-1], offsets[-1]))
     rs = []
@@ -643,7 +657,7 @@ def test_graph_rejects_bad_gamma_at_construction():
         )
         with pytest.raises(err, match="gamma of factor 1"):
             NonlinearGraph(
-                variables=variables, dims={v: 3 for v in variables}, factors=factors,
+                variables=variables, factors=factors,
                 base=frozenset({0, 1}), sources={},
             )
 
@@ -670,6 +684,6 @@ def test_whiteners_equal_per_factor_cholesky():
         factors[rb] = RangeBearingFactor(f.pose_var, f.landmark_var, f.measurement, gamma)
         with pytest.raises(err, match=f"^gamma of factor {rb} is not {why}"):
             NonlinearGraph(
-                variables=g.variables, dims=g.dims, factors=tuple(factors),
+                variables=g.variables, factors=tuple(factors),
                 base=g.base, sources=g.sources,
             )
