@@ -38,9 +38,9 @@ from .metrics import (
     wb_coefficients_info,
     wass_coefficients_info,
 )
-from .se2 import Pose2, se2_compose, se2_inverse, wrap_angle
+from .se2 import Pose2, wrap_angle
 from .sim2d import SimConfig, SimWorld, simulate_world
-from .alignment import umeyama_align, wc_ate
+from .alignment import wc_ate
 
 __all__ = [
     "Antichain",
@@ -65,10 +65,7 @@ __all__ = [
     "redundancy_mc_info",
     "redundancy_pair_info",
     "schur_complement",
-    "se2_compose",
-    "se2_inverse",
     "simulate_world",
-    "umeyama_align",
     "validate_antichain",
     "wb_coefficients_info",
     "wass_coefficients_info",

@@ -7,41 +7,20 @@ largest squared error across the candidate estimates and sums over poses.
 
 The arithmetic runs on stacks of point sets (`wc_ates`), one matmul, SVD
 and determinant per step for the whole stack, which gives each member the
-bits of its own 2-D computation; the one-trajectory functions are its
-one-member cases.
+bits of its own 2-D computation; `wc_ate` is its checked one-world case.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _as_xy(traj) -> np.ndarray:
-    """Coerce a trajectory (array of points or sequence of poses) to (k, 2)."""
-    if isinstance(traj, np.ndarray):
-        pts = np.asarray(traj, dtype=float)
-    else:
-        items = list(traj)
-        if items and hasattr(items[0], "x"):
-            pts = np.array([[p.x, p.y] for p in items])
-        else:
-            pts = np.asarray(items, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (k, 2) planar points, got shape {pts.shape}")
-    return pts
-
-
-def _checked_pair(source, target) -> tuple[np.ndarray, np.ndarray]:
-    src = _as_xy(source)
-    tgt = _as_xy(target)
-    if src.shape != tgt.shape:
-        raise ValueError("point sets must have matching shapes")
-    if src.shape[0] < 2:
-        raise ValueError("need at least two points to align")
-    return src, tgt
-
-
 def _align(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """umeyama_align of each member of stacks src, tgt (m, k, 2): R (m, 2, 2), t (m, 2)."""
+    """Best rigid motion of each member of stacks src, tgt (m, k, 2): R (m, 2, 2), t (m, 2).
+
+    R_i and t_i minimize sum ||tgt_i - R_i src_i - t_i||^2 with det R_i = +1
+    and no scale, via SVD of the cross-covariance with the usual sign
+    correction. A member whose points all coincide raises.
+    """
     src_mean, tgt_mean = src.mean(axis=1), tgt.mean(axis=1)
     src_c = src - src_mean[:, None]
     tgt_c = tgt - tgt_mean[:, None]
@@ -56,31 +35,6 @@ def _align(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, tgt_mean - (R @ src_mean[:, :, None])[:, :, 0]
 
 
-def _aligned_sq_errors(truth: np.ndarray, estimate: np.ndarray) -> np.ndarray:
-    """aligned_sq_errors of each member of stacks truth, estimate (m, k, 2): shape (m, k)."""
-    R, t = _align(estimate, truth)
-    dev = truth - (estimate @ R.swapaxes(1, 2) + t[:, None, :])
-    return np.einsum("...ij,...ij->...i", dev, dev)
-
-
-def umeyama_align(source, target) -> tuple[np.ndarray, np.ndarray]:
-    """Best rigid motion (R, t) minimizing sum ||target_i - R source_i - t||^2.
-
-    Rotation only (determinant +1, no scale), via SVD of the cross-covariance
-    with the usual sign correction. Needs at least two points and a
-    non-degenerate spread in both clouds.
-    """
-    src, tgt = _checked_pair(source, target)
-    R, t = _align(src[None], tgt[None])
-    return R[0], t[0]
-
-
-def aligned_sq_errors(truth, estimate) -> np.ndarray:
-    """Per-pose squared errors after rigid alignment of estimate to truth."""
-    src, tgt = _checked_pair(estimate, truth)
-    return _aligned_sq_errors(tgt[None], src[None])[0]
-
-
 def wc_ates(truths: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """wc_ate of each member of a stack: truths (w, k, 2), estimates (w, e, k, 2) -> (w,).
 
@@ -89,20 +43,30 @@ def wc_ates(truths: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """
     w, e = estimates.shape[:2]
     truth = np.repeat(truths, e, axis=0)
-    per_pose = _aligned_sq_errors(truth, estimates.reshape(w * e, *estimates.shape[2:]))
+    est = estimates.reshape(w * e, *estimates.shape[2:])
+    R, t = _align(est, truth)
+    dev = truth - (est @ R.swapaxes(1, 2) + t[:, None, :])
+    per_pose = np.einsum("...ij,...ij->...i", dev, dev)
     return per_pose.reshape(w, e, -1).max(axis=1).sum(axis=1)
 
 
 def wc_ate(truth, estimates) -> float:
-    """Worst-case trajectory error across candidate estimates.
+    """Worst-case trajectory error of (k, 2) point arrays across candidate estimates.
 
     Each estimate is aligned to the truth independently; the per-pose
     squared errors are maximized across estimates, then summed. Always at
-    least as large as any single estimate's aligned error sum.
+    least as large as any single estimate's aligned error sum. Needs at
+    least one estimate and two points, each of the truth's shape.
     """
-    est_list = list(estimates)
-    if not est_list:
+    truth = np.asarray(truth, dtype=float)
+    stack = [np.asarray(est, dtype=float) for est in estimates]
+    if not stack:
         raise ValueError("need at least one estimated trajectory")
-    truth_xy = _as_xy(truth)
-    stack = np.array([_checked_pair(est, truth_xy)[0] for est in est_list])
-    return float(wc_ates(truth_xy[None], stack[None])[0])
+    for pts in (truth, *stack):
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"expected (k, 2) planar points, got shape {pts.shape}")
+        if pts.shape != truth.shape:
+            raise ValueError("point sets must have matching shapes")
+    if truth.shape[0] < 2:
+        raise ValueError("need at least two points to align")
+    return float(wc_ates(truth[None], np.array(stack)[None])[0])

@@ -21,8 +21,8 @@ import numpy as np
 from .gauss import (
     GaussianBelief,
     NotPositiveDefiniteError,
+    _cholesky_symmetric,
     check_symmetric,
-    cholesky_pd,
     solve_pd,
 )
 
@@ -65,7 +65,7 @@ class LinearFactor:
             raise ValueError(
                 f"gamma dim {gamma.shape[0]} != residual dim {A.shape[0]}"
             )
-        cholesky_pd(gamma, name="gamma")
+        _cholesky_symmetric(gamma, "gamma")
         args = tuple(sorted({int(a) for a in self.args}))
         A = A.copy()
         z = z.copy()

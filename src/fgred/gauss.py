@@ -289,7 +289,12 @@ def schur_complement(M: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianBelief:
-    """Gaussian in information form: mean vector and PD information matrix."""
+    """Gaussian in information form: mean vector and PD information matrix.
+
+    Every belief, a posterior too, is built here: the mean is checked (1-D,
+    finite) and copied, and `info` checked, factored once and copied, all
+    read-only.
+    """
 
     mean: np.ndarray
     info: np.ndarray
@@ -302,11 +307,7 @@ class GaussianBelief:
             raise ValueError("mean is not finite")
         mean = mean.copy()
         mean.setflags(write=False)
-        self._freeze(mean, self.info)
-
-    def _freeze(self, mean: np.ndarray, info: np.ndarray) -> None:
-        """Set a checked read-only mean and `info`, checked, factored and made read-only."""
-        info = check_symmetric(info, name="info")
+        info = check_symmetric(self.info, name="info")
         if info.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean dim {mean.shape[0]} != info dim {info.shape[0]}"
@@ -317,12 +318,6 @@ class GaussianBelief:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "_chol", chol)
-
-    def _with_info(self, info: np.ndarray) -> "GaussianBelief":
-        """The belief with this mean, shared, not checked or copied again, and `info`."""
-        belief = object.__new__(GaussianBelief)
-        belief._freeze(self.mean, info)
-        return belief
 
     @property
     def dim(self) -> int:

@@ -38,7 +38,7 @@ redundancy_mc_info estimates it by Monte Carlo for any number.
 Validation happens at the boundary. The prior is a GaussianBelief, which
 checked and factored Lam_B when it was built. The coefficient functions check
 each Delta (symmetric, the prior's shape) on entry and build the posterior
-(mu_B, Lam_B + Delta) on the prior's own checked mean; its cov() and
+GaussianBelief (mu_B, Lam_B + Delta) with the one constructor; its cov() and
 logdet_info() give Ltilde^-1 and log det Ltilde from its one factor;
 quality_info reads only the quality, through the same private helper as
 the coefficient functions.
@@ -57,6 +57,7 @@ from __future__ import annotations
 import enum
 import functools
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -135,16 +136,15 @@ class RedundancyEstimate:
 def _posterior(prior: GaussianBelief, delta: np.ndarray) -> tuple[np.ndarray, GaussianBelief]:
     """Delta checked symmetric and of the prior's shape, and the posterior.
 
-    The posterior is the belief (mu_B, Lam_B + Delta), which shares the
-    prior's checked mean and checks and factors Ltilde once; its cov() is
-    Ltilde^-1.
+    The posterior is the GaussianBelief (mu_B, Lam_B + Delta), which
+    checks and factors Ltilde once; its cov() is Ltilde^-1.
     """
     delta = check_symmetric(delta, name="delta")
     if delta.shape != prior.info.shape:
         raise ValueError(
             f"delta has shape {delta.shape}, prior info has shape {prior.info.shape}"
         )
-    return delta, prior._with_info(prior.info + delta)
+    return delta, GaussianBelief(prior.mean, prior.info + delta)
 
 
 def _quality(kind: QualityKind, prior: GaussianBelief, post: GaussianBelief) -> float:
@@ -258,8 +258,10 @@ def redundancy_mc_info(
     sqrt(n_samples). Runs on one BLAS thread (gauss._one_blas_thread).
     """
     kind = QualityKind.parse(kind)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not deltas:
         raise ValueError("need at least one source delta")
     with _one_blas_thread:

@@ -1,4 +1,4 @@
-"""Minimal SE(2) pose algebra on (x, y, theta) triples."""
+"""Planar poses on (x, y, theta) triples: angle wrapping and the SE(2) chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,38 +35,13 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
-    @classmethod
-    def from_array(cls, v) -> "Pose2":
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != 3:
-            raise ValueError("a pose needs exactly (x, y, theta)")
-        return cls(v[0], v[1], v[2])
-
-
-def se2_compose(a: Pose2, b: Pose2) -> Pose2:
-    """Group composition a * b (apply b in a's frame)."""
-    c, s = np.cos(a.theta), np.sin(a.theta)
-    return Pose2(
-        a.x + c * b.x - s * b.y,
-        a.y + s * b.x + c * b.y,
-        a.theta + b.theta,
-    )
-
-
-def se2_inverse(a: Pose2) -> Pose2:
-    """Group inverse: compose(a, inverse(a)) is the identity."""
-    c, s = np.cos(a.theta), np.sin(a.theta)
-    return Pose2(-(c * a.x + s * a.y), s * a.x - c * a.y, -a.theta)
-
 
 def compose_chain(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Poses (w, n + 1, 3) of w chains: start (w, 3), then each of steps (w, n, 3) composed on the right.
 
-    With wrapped step headings, each pose has the bits of `se2_compose`
-    chains: the heading, wrapped at each step, runs step by step, then x
+    With wrapped step headings, each pose has the bits of composing one
+    pose at a time (a * b: apply b in a's frame, as tests/reference.py
+    does): the heading, wrapped at each step, runs step by step, then x
     adds c * step_x and -(s * step_y) per step, and y s * step_x and
     c * step_y, in that order, so one cumulative sum gives each.
     """

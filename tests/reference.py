@@ -9,10 +9,12 @@ measurement draw. The 1-D quadrature
 redundancy is the oracle for the Monte Carlo and exact two-source
 redundancies, and the x-space Monte Carlo, which draws states with
 GaussianBelief.sample, is the reference for the library's draws of
-standard normals. The SE(2) helpers give relative poses and the rotation and
-translation parts of a pose, and ate the aligned error of one estimate.
+standard normals. The SE(2) helpers compose, invert and relate poses one
+Pose2 at a time and give a pose's array and rotation; aligned_sq_errors and
+ate are one estimate's aligned errors through fgred.alignment's `_align`.
 simulate_world_loop is the simulator one draw and one Pose2 at a time,
-the oracle for the library's array simulator.
+composed with se2_compose: the oracle for the library's array simulator
+and its `se2.compose_chain`.
 graph_layout is a graph subset's factor layout, the one a plan takes;
 linearize is one problem's whitened J and r through fgred.nonlinear's
 index plan, and pose_information_one one world's information forms from
@@ -36,7 +38,7 @@ import scipy.linalg
 import scipy.stats
 from scipy import integrate
 
-from fgred.alignment import aligned_sq_errors
+from fgred.alignment import _align
 from fgred.factor_graph import SupplementedGraph
 from fgred.gauss import (
     PIVOT_TOL,
@@ -66,7 +68,7 @@ from fgred.nonlinear import (
     dead_reckoning_init,
     triangulate_landmark,
 )
-from fgred.se2 import Pose2, se2_compose, se2_inverse, wrap_angle
+from fgred.se2 import Pose2, wrap_angle
 from fgred.sim2d import N_LANDMARKS, SimConfig
 
 
@@ -316,6 +318,27 @@ def simulate_world_loop(config: SimConfig, seed: int) -> tuple:
     return tuple(poses), landmarks, tuple(odometry), rb
 
 
+def pose_array(p: Pose2) -> np.ndarray:
+    """The pose as an (x, y, theta) array."""
+    return np.array([p.x, p.y, p.theta])
+
+
+def se2_compose(a: Pose2, b: Pose2) -> Pose2:
+    """Group composition a * b (apply b in a's frame)."""
+    c, s = np.cos(a.theta), np.sin(a.theta)
+    return Pose2(
+        a.x + c * b.x - s * b.y,
+        a.y + s * b.x + c * b.y,
+        a.theta + b.theta,
+    )
+
+
+def se2_inverse(a: Pose2) -> Pose2:
+    """Group inverse: compose(a, inverse(a)) is the identity."""
+    c, s = np.cos(a.theta), np.sin(a.theta)
+    return Pose2(-(c * a.x + s * a.y), s * a.x - c * a.y, -a.theta)
+
+
 def se2_relative(a: Pose2, b: Pose2) -> Pose2:
     """b expressed in a's frame: a^-1 * b."""
     return se2_compose(se2_inverse(a), b)
@@ -327,7 +350,14 @@ def pose_rotation(p: Pose2) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def ate(truth, estimate) -> float:
+def aligned_sq_errors(truth: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+    """Per-pose squared errors of one (k, 2) estimate after `_align` moves it onto the truth."""
+    R, t = _align(estimate[None], truth[None])
+    dev = truth - (estimate @ R[0].T + t[0])
+    return np.einsum("ij,ij->i", dev, dev)
+
+
+def ate(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Sum of squared aligned errors for one estimate."""
     return float(aligned_sq_errors(truth, estimate).sum())
 
@@ -342,11 +372,6 @@ def wc_ate_loop(truth: np.ndarray, estimates: Sequence[np.ndarray]) -> float:
         dev = truth - (src @ R.T + (truth.mean(axis=0) - R @ src.mean(axis=0))[None, :])
         per_pose.append(np.einsum("ij,ij->i", dev, dev))
     return float(np.stack(per_pose).max(axis=0).sum())
-
-
-def pose_translation(p: Pose2) -> np.ndarray:
-    """The pose's position (x, y)."""
-    return np.array([p.x, p.y])
 
 
 def wrap_scalar(a: float) -> float:

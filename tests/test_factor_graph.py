@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgred.factor_graph import LinearFactor, SupplementedGraph
-from fgred.gauss import GaussianBelief
+from fgred.gauss import GaussianBelief, NotPositiveDefiniteError
 from fgred.metrics import QualityKind, quality
 from reference import posterior_belief, sample_measurements
 
@@ -38,8 +38,10 @@ def test_factor_validation():
     assert f.rows == 2
     with pytest.raises(ValueError):
         LinearFactor(A=A, z=np.zeros(3), gamma=gamma, args=(0,))
-    with pytest.raises(Exception):
+    with pytest.raises(NotPositiveDefiniteError, match="^gamma is not positive definite"):
         LinearFactor(A=A, z=np.zeros(2), gamma=-gamma, args=(0,))
+    with pytest.raises(ValueError, match="^gamma is not symmetric"):
+        LinearFactor(A=A, z=np.zeros(2), gamma=[[1.0, 0.5], [0.0, 1.0]], args=(0,))
     with pytest.raises(ValueError):
         f.A[0, 0] = 5.0  # read-only
 

