@@ -32,11 +32,11 @@ LONG_CONFIG = {"sim": {"n_poses": 30}, "n_sims": 40, "root_seed": 5}
 # reference output is REFERENCE_DIR / f"{batch name}-{output file}"
 REFERENCE = (
     ("default", None, {
-        "records.csv": "67c54c8a0f28f72f30b61602059da602e18cd4794e3267f5a260026b1d76f4b7",
-        "summary.json": "a3b3d82c706e52db9ec219309bd189ea038d271fa384c48b47df52373cdbb08f",
+        "records.csv": "11a4fccd23f447b4b61c0e43e2e276a5dcac0575d413ab4d4710000af900b258",
+        "summary.json": "1271de98bd965158f1a516e4be96c482fef8e9e971fabc9dc581f486af33d684",
     }),
     ("30-pose", LONG_CONFIG, {
-        "records.csv": "2492b4b462455e4223b6af23b1217f5ba4618b5cb16166383a35b512ae59f93d",
+        "records.csv": "bda7ea432629974cf522bcb9101a75d12363f9f6649b23717ff580614abbc8fb",
     }),
 )
 JOBS = (1, 2)

@@ -10,7 +10,7 @@ trajectory-to-landmark distances are recorded alongside.
 Simulations run in blocks of at most _BLOCK_SIMS consecutive sim ids
 (`run_block`), each one task of the worker pool; a batch is cut into the
 same number of blocks for each worker. A block's source problems are solved
-as one Gauss-Newton block (nonlinear.solve_block) that keeps a bounded
+as one Newton solver block (nonlinear.solve_block) that keeps a bounded
 number of problems active and lets the next one in as each leaves, so each
 iteration makes one kernel call per factor type for the whole active set.
 It then hands out the block's worlds in chunks of bounded size with their
@@ -44,7 +44,7 @@ from . import __version__
 from .alignment import wc_ates
 from .gauss import _one_blas_thread
 from .metrics import QualityKind, _pair_scores
-from .nonlinear import SlamSolution, solve_block, solve_worlds
+from .nonlinear import MAX_ITERS, SlamSolution, solve_block, solve_worlds
 from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count, simulate_world
 from .svgplot import scatter_svg
 
@@ -132,7 +132,8 @@ class SimRecord:
     """Per-simulation outcome row. Failed rows carry NaNs and a reason.
 
     r_wb_se and r_wass_se are the redundancies' standard errors; run_single
-    writes 0.0 because its redundancies are exact.
+    writes 0.0 because its redundancies are exact. fail_reason and each
+    source solve's iteration count, n_iters, stay out of records.csv.
     """
 
     sim_id: int
@@ -147,6 +148,7 @@ class SimRecord:
     converged: tuple = (False,) * N_LANDMARKS
     failed: bool = False
     fail_reason: str = ""
+    n_iters: tuple = ()
 
     def is_usable(self) -> bool:
         vals = [self.r_wb, self.r_wass, self.wc_ate, *self.mean_dist]
@@ -185,7 +187,7 @@ def run_single(config: ExperimentConfig, sim_id: int) -> SimRecord:
 def run_block(config: ExperimentConfig, sim_ids: Sequence[int]) -> list[SimRecord]:
     """Records of a block of simulations, solved together. Exceptions become failed records.
 
-    The block's source problems are one Gauss-Newton block
+    The block's source problems are one Newton solver block
     (`nonlinear.solve_block`), and each chunk of worlds it hands out is
     scored together. If any of that raises, each world is run again as a
     block of one, so only the world at fault fails, with its own reason.
@@ -237,6 +239,7 @@ def _score_block(
             wc_ate=float(wc[k]),
             mean_dist=tuple(float(d) for d in world.landmark_distances().mean(axis=1)),
             converged=tuple(c for c, _, _ in outcomes[k * N_LANDMARKS : (k + 1) * N_LANDMARKS]),
+            n_iters=tuple(n for _, n, _ in outcomes[k * N_LANDMARKS : (k + 1) * N_LANDMARKS]),
         ))
     return records
 
@@ -252,7 +255,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     the pool. The blocks are as even as can be, hold at most _BLOCK_SIMS
     worlds, and come in a multiple of the worker count, min(jobs, n_sims),
     so every worker gets as many. Each failed sim is logged at WARNING with
-    its reason.
+    its reason, and the run's source solves at INFO: their count, the
+    median, p90 and largest iteration count, and how many were capped.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -273,6 +277,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[SimRecord]:
     for rec in records:
         if rec.failed:
             logger.warning("sim %d failed: %s", rec.sim_id, rec.fail_reason)
+    solves = [(n, c) for rec in records for n, c in zip(rec.n_iters, rec.converged)]
+    if solves:
+        iters = np.array([n for n, _ in solves])
+        logger.info(
+            "%d source solves: iterations median %g, p90 %g, max %d; %d capped at %d",
+            len(solves), np.median(iters), np.percentile(iters, 90), iters.max(),
+            sum(n == MAX_ITERS and not c for n, c in solves), MAX_ITERS,
+        )
     return records
 
 

@@ -3,11 +3,12 @@
 Everything downstream (factor graphs, redundancy metrics, the SLAM pipeline)
 funnels its linear algebra through this module. Every Cholesky
 factorization is of one matrix (`_cholesky_symmetric`), after one symmetry
-test (`_symmetrized`) of it or of its stack, which also rejects NaN and
-inf, and passes one pivot rule (`_good_pivots`): the error names the
-matrix and the first leading minor that LAPACK stops at or whose pivot is
-at or below PIVOT_TOL. `solve_pd_stack` checks a stack with one symmetry
-test, factors each member on its own and reports, instead of raising, a
+test (`_symmetrized`), which also rejects NaN and inf, and passes one pivot
+rule (`_good_pivots`): the error names the matrix and the first leading
+minor that LAPACK stops at or whose pivot is at or below PIVOT_TOL.
+`solve_pd_stack` reads only the lower triangle of each member of a stack,
+which the factorization reads, so it tests only that the stack is finite;
+it factors each member on its own and reports, instead of raising, a
 member that fails the pivot rule. The module is the one owner
 of the LAPACK routines it binds once at import (`potrf`, `potrs`,
 `trtrs`): they are the routines the `scipy.linalg` wrappers call, with the
@@ -149,7 +150,7 @@ def cholesky_pd(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def _cholesky_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """cholesky_pd of a matrix that `_symmetrized` has returned.
+    """cholesky_pd of a matrix that `_symmetrized` has returned, or a `solve_pd_stack` member.
 
     The minor named is potrf's `info`, or an earlier one whose pivot fails
     `_good_pivots`; the pivot is given only when potrf ran to the end.
@@ -244,23 +245,27 @@ def solve_pd_stack(
 ) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError]]:
     """`solve_pd` of each member of a stack: M_i x_i = b_i for M (p, n, n), b (p, n).
 
-    One symmetry test covers the stack and raises, naming member i as
-    "<name> i", where `solve_pd` would; then each member is factored and
-    solved on its own, so each x_i has `solve_pd`'s bits. A member that
-    fails the pivot rule does not stop the others: it is returned in the
-    dict of failures, keyed by its index, and its row of x is NaN.
+    Each member stands for the symmetric matrix of its lower triangle,
+    which is all the factorization reads, so the upper triangles may be
+    left zero and no symmetry is tested. The stack must be finite; the
+    error names member i as "<name> i". Each member is factored and solved
+    on its own, so a symmetric member's x_i has `solve_pd`'s bits. A member
+    that fails the pivot rule does not stop the others: it is returned in
+    the dict of failures, keyed by its index, and its row of x is NaN.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise ValueError(f"{name} must be a stack of square matrices, got shape {M.shape}")
-    names = [f"{name} {i}" for i in range(len(M))]
     x = np.full(np.shape(b), np.nan)
     failed = {}
-    for i, Mi in enumerate(_symmetrized(M, names)):
+    for i, Mi in enumerate(M):  # potrf copies each member
+        if not np.isfinite(Mi).all():
+            raise ValueError(f"{name} {i} is not finite")
         try:
-            L = _cholesky_symmetric(Mi, names[i])
+            L = _cholesky_symmetric(Mi, f"{name} {i}")
         except NotPositiveDefiniteError as exc:
-            failed[i] = exc
+            # without its traceback, which holds this frame and so the stack
+            failed[i] = exc.with_traceback(None)
             continue
         x[i] = _potrs(L, b[i], lower=1)[0]
     return x, failed
@@ -356,8 +361,9 @@ class GaussianBelief:
         With info = L L.T, a draw is mean + L^-T eps for standard normal eps;
         this avoids forming the covariance.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        from .sim2d import _check_count  # the package's one rule for counts
+
+        _check_count("count", count, 1)
         eps = rng.standard_normal((self.dim, count))
         dev = _trtrs(self._chol, eps, lower=1, trans=1)[0]
         return self.mean[None, :] + dev.T

@@ -1,52 +1,34 @@
-"""Nonlinear SLAM factors, Gauss-Newton, and linearization.
+"""Nonlinear SLAM factors, their normal equations, and the Newton solver.
 
 Variables are keyed ("x", i) for poses (width 3) and ("l", s) for landmarks
-(width 2). Each factor type declares its residual height k and has one
-batched kernel: given the stacked values of m factors' variables and their
-stacked measurements, it returns the residuals r(v) = h(v) - z (m x k,
-angles wrapped) and the Jacobians H of h (m x k x d). Each call fills one
-Jacobian array it allocates; the odometry and range-bearing kernels store
-it k x d x m, so that an entry's m values are one contiguous row, and
-return its m x k x d view.
+(width 2). Each factor type has one batched kernel: given the stacked values
+of m factors' variables and their measurements, it returns the residuals
+r = h(v) - z (m x k, angles wrapped) and the Jacobians H of h (m x k x d);
+the odometry and range-bearing types also give `curvature`, the weighted
+sum of h's Hessians. `_slam_layout(n_poses)` is every world's factor order
+and `_precisions` its precisions Gamma = L L^T; L^T whitens a factor.
 
-The SLAM factor model is stated once: `_slam_layout(n_poses)` is every
-world's factor order as (type, variables) pairs, the anchor prior, the
-odometry chain, then each landmark's range-bearing factors, and
-`_precisions` gives their precisions Gamma = L L^T from a config and the
-measured ranges; L^T is a factor's whitener.
+A `_Plan` indexes a layout over a state ordering, and problems of one
+layout share it. Its `products` are each factor's J_j^T J_j and J_j^T r_j
+(J_j = L^T H_j), with one kernel call per factor type for a whole block of
+problems, and `sums` scatters them into the lower triangle of each
+problem's normal equations through index arrays built once; no dense J is
+formed. `solve_gauss_newton_block` minimizes 1/2 |L^T r|^2 with at most
+`capacity` problems active, refilled as problems leave: each iteration
+takes the Newton step on the cost's Hessian where it is PD and does not
+raise the cost, else the Gauss-Newton step, and a problem stops once its
+step's |J delta| (or Newton decrement) is below STEP_TOL measurement SDs.
+Each problem takes the steps it would take alone, bit for bit.
 
-Linearization has one path, an index plan (`_Plan`) over a layout and a
-state ordering. Problems with one layout share a plan. Each problem adds
-only its stacked whiteners, measurements and state, so a block of p
-problems is linearized with one kernel call per factor type, and each
-type's whitened blocks are written into the p stacked J through the plan's
-flat indices. `solve_gauss_newton_block` runs Gauss-Newton on such a block
-with at most C problems active: per iteration one batched J^T J and J^T r
-and one `gauss.solve_pd_stack` over the active set. A problem leaves it
-when it converges, its normal equations fail to factor or it reaches
-max_iters, and the next pending problem joins at the next iteration, so a
-slow problem does not keep the others waiting in a half-empty block. Each
-problem counts its own iterations, and its steps are the ones it would
-take alone, bit for bit. The state is one flat vector per problem,
-retracted additively (pose angles re-wrapped).
-
-`solve_block` is the study's SLAM block, and it builds no graph and no
-world beyond its own. Its plans come from the layout, once per n_poses and
-process (`_slam_plans`), and `_block_data` fills the block's whitener and
-measurement stacks straight from the worlds' arrays. The base factors form
-a tree with as many residual rows as unknowns, so their MAP fits every
-factor exactly: it is dead reckoning from the anchor measurement
-(`dead_reckoning_init`). A block solves only its source problems, as one
-Gauss-Newton block, then hands out its worlds in chunks, each with the
-information forms `pose_information_system` takes: the base prior and each
-source increment J^T J = sum_j H_j^T Gamma_j H_j. The active set and the
-chunks each fit _BLOCK_BYTES, sized from the plans (`_block_sizes`).
-
-The one-problem names stay only for perfbench and the tests:
-`NonlinearGraph` (which checks and factors each Gamma when it is built),
-`build_nonlinear_graph`, the factors' `residual`, `_Plan.data`,
-`_Plan.values`, `_stack`, `solve_gauss_newton` (the one-problem block),
-`GaussNewtonResult`, `SlamSolution` and `solve_worlds`.
+`solve_block` is the study's path. The base MAP is dead reckoning
+(`dead_reckoning_init`), so a block solves only its source problems, then
+hands out its worlds in chunks with `pose_information_system`'s forms: the
+base prior and each source's J^T J, its landmark Schur-marginalized. The
+active set and the chunks fit _BLOCK_BYTES (`_block_sizes`). The
+one-problem names (`NonlinearGraph`, `build_nonlinear_graph`, the factors'
+`residual`, `_Plan.data`, `_Plan.values`, `_stack`, `solve_gauss_newton`,
+`GaussNewtonResult`, `SlamSolution`, `solve_worlds`) serve perfbench and
+the tests.
 """
 from __future__ import annotations
 
@@ -58,7 +40,7 @@ import numpy as np
 
 from .gauss import GaussianBelief, _good_pivots, cholesky_pd, schur_complement, solve_pd_stack
 from .se2 import compose_chain, wrap_angle
-from .sim2d import N_LANDMARKS, SimConfig, SimWorld
+from .sim2d import N_LANDMARKS, SimConfig, SimWorld, _check_count
 
 VarKey = tuple[str, int]
 
@@ -72,12 +54,15 @@ VAR_FLOOR = 1e-12
 # Weak anchor prior keeping the gauge fixed without dominating the estimate.
 ANCHOR_SIGMA = 0.3
 
-# Gauss-Newton has converged once no state component moves by this much.
-GN_STEP_TOL = 1e-8
+# A solve has converged once its step moves the whitened residuals by less
+# than this, |J delta| in measurement standard deviations.
+STEP_TOL = 1e-8
+# Steps a solve may take; one that takes them all unconverged is capped.
+MAX_ITERS = 50
 
-# Memory budget of a study block's two stages (`_block_sizes`): 76 default
-# source problems active at once (34 kB each) or 10 thirty-pose ones (261 kB
-# each), and chunks of 15 default worlds or 2 thirty-pose ones.
+# Memory budget of a study block's two stages (`_block_sizes`): 89 default
+# source problems active at once (29 kB each) or 17 thirty-pose ones (152 kB
+# each), and chunks of 16 default worlds or 2 thirty-pose ones.
 _BLOCK_BYTES = 5 << 19
 
 Values = Mapping[VarKey, np.ndarray]
@@ -154,6 +139,24 @@ class OdometryFactor(_Factor):
         r[:, 2] = wrap_angle(r[:, 2])
         return r, jac.transpose(2, 0, 1)
 
+    @staticmethod
+    def curvature(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_l w_l times the Hessian of h_l (m, 6, 6) for weights w (m, 3).
+
+        h_x and h_y are bilinear in the rotation by theta_a and the
+        translation, and the angle is linear, so only theta_a's row and
+        column are nonzero.
+        """
+        c, s = np.cos(v[:, 2]), np.sin(v[:, 2])
+        dx, dy = v[:, 3] - v[:, 0], v[:, 4] - v[:, 1]
+        out = np.zeros((6, 6, len(v)))
+        out[2, 0] = out[0, 2] = w[:, 0] * s + w[:, 1] * c
+        out[2, 1] = out[1, 2] = w[:, 1] * s - w[:, 0] * c
+        np.negative(out[2, :2], out=out[2, 3:5])
+        out[3:5, 2] = out[2, 3:5]
+        out[2, 2] = -(w[:, 0] * (c * dx + s * dy) + w[:, 1] * (c * dy - s * dx))
+        return out.transpose(2, 0, 1)
+
 
 @dataclass(frozen=True, eq=False)
 class RangeBearingFactor(_Factor):
@@ -187,6 +190,27 @@ class RangeBearingFactor(_Factor):
         np.negative(jac[:, 3:], out=jac[:, :2])
         jac[1, 2] = -1.0
         return r, jac.transpose(2, 0, 1)
+
+    @staticmethod
+    def curvature(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_l w_l times the Hessian of h_l (m, 5, 5) for weights w (m, 2).
+
+        Both h depend on the pose's position and the landmark only through
+        (dx, dy) = l - (x, y), so the Hessian is K on the position and
+        landmark blocks and -K between them, with K = w_0 (dy^2, -dx dy,
+        dx^2) / d^3 + w_1 (2 dx dy, dy^2 - dx^2, -2 dx dy) / q^2 the Hessians
+        of d and of atan2(dy, dx) in (dx, dy); theta enters linearly.
+        """
+        dx, dy = v[:, 3] - v[:, 0], v[:, 4] - v[:, 1]
+        q = dx * dx + dy * dy
+        u, t, xy = w[:, 0] / (q * np.sqrt(q)), w[:, 1] / (q * q), dx * dy
+        K = np.empty((2, 2, len(v)))
+        K[0, 0], K[1, 1] = u * dy * dy + 2 * t * xy, u * dx * dx - 2 * t * xy
+        K[0, 1] = K[1, 0] = t * (dy * dy - dx * dx) - u * xy
+        out = np.zeros((5, 5, len(v)))
+        out[:2, :2] = out[3:, 3:] = K
+        out[:2, 3:] = out[3:, :2] = -K
+        return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +246,7 @@ class GaussNewtonResult:
     values: dict
     converged: bool
     n_iters: int
-    max_update: float
+    step_norm: float
 
 
 class _Plan:
@@ -232,11 +256,13 @@ class _Plan:
     layout share a plan: the base factors of every world of a block, and
     every source problem (`_slam_plans`). slices[i] holds the columns of
     state[i], and theta the pose-angle columns. Factors are grouped by type;
-    a group holds the type's kernel, the positions in the layout of its
-    factors (slots), their rows of J, the columns of their variables and
-    the flat indices of their blocks in J. A problem adds only its stacked
-    whiteners and measurements (`data`, or `_block_data` for a block of
-    worlds) and its state.
+    a group holds the type's kernel and curvature (None for a linear
+    factor), the positions in the layout of its factors (slots), the columns
+    of their variables (d, m), the pairs (a >= b) of a factor's d columns in
+    row-major order, and each pair's flat index in the lower triangle of a
+    problem's normal equations (pairs, m). n_rows counts the residual rows.
+    A problem adds only its stacked whiteners and measurements (`data`, or
+    `_block_data` for a block of worlds) and its state.
     """
 
     def __init__(self, layout: Sequence[tuple], state: Sequence[VarKey]):
@@ -247,26 +273,27 @@ class _Plan:
             self.n_cols += _WIDTHS[v[0]]
             self.slices.append(slice(offsets[v], self.n_cols))
         self.theta = np.array([offsets[v] + 2 for v in self.state if v[0] == "x"], dtype=int)
-        # per type: [slots, first rows, variable offsets, its first factor's variables]
+        # per type: [slots, variable offsets, its first factor's variables]
         by_type, self.n_rows = {}, 0
         for slot, (kind, variables) in enumerate(layout):
-            group = by_type.setdefault(kind, [[], [], [], variables])
+            group = by_type.setdefault(kind, [[], [], variables])
             group[0].append(slot)
-            group[1].append(self.n_rows)
+            self.n_rows += kind.height
             try:
-                group[2].extend([offsets[v] for v in variables])
+                group[1].extend([offsets[v] for v in variables])
             except KeyError as missing:
                 raise ValueError(f"factor touches {missing.args[0]}, outside the state") from None
-            self.n_rows += kind.height
         self.groups = []
-        for kind, (slots, first_rows, starts, variables) in by_type.items():
+        for kind, (slots, starts, variables) in by_type.items():
             widths = [_WIDTHS[v[0]] for v in variables]
             var_of_col = [a for a, w in enumerate(widths) for _ in range(w)]
             within = [i for w in widths for i in range(w)]
-            cols = np.array(starts).reshape(len(slots), -1)[:, var_of_col] + within
-            rows = np.add.outer(first_rows, range(kind.height))
-            flat = rows[:, :, None] * self.n_cols + cols[:, None, :]
-            self.groups.append((kind.kernel, slots, rows.ravel(), cols, flat.ravel()))
+            cols = (np.array(starts).reshape(len(slots), -1)[:, var_of_col] + within).T
+            pairs = np.tril_indices(len(cols))
+            a, b = cols[pairs[0]], cols[pairs[1]]
+            entries = np.maximum(a, b) * self.n_cols + np.minimum(a, b)
+            self.groups.append((kind.kernel, getattr(kind, "curvature", None), slots, cols, pairs, entries))
+        self.n_products = sum(entries.size for *_, entries in self.groups)
 
     def data(self, problems: Sequence[tuple]) -> list:
         """Each group's whiteners (p, m, k, k) and measurements (p, m, k).
@@ -275,7 +302,7 @@ class _Plan:
         and k its residual size.
         """
         out = []
-        for _, slots, _, _, _ in self.groups:
+        for _, _, slots, *_ in self.groups:
             ids = [(g, [subset[i] for i in slots]) for g, subset in problems]
             whiteners = np.array([g.whiteners[j] for g, js in ids for j in js])
             z = np.array([g.factors[j].measurement for g, js in ids for j in js], dtype=float)
@@ -287,40 +314,92 @@ class _Plan:
         """A problem's state x (cols,) by variable: `state`'s keys, else the plan's."""
         return dict(zip(state or self.state, (x[cols] for cols in self.slices)))
 
-    def linearize(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened J (p, rows, cols) and r (p, rows) of p problems at states x (p, cols).
+    def _whitened(self, x: np.ndarray, data: list) -> Iterator[tuple]:
+        """Per group at states x (p, cols), for its M = p m factors: the kernel's
+        inputs v (M, d) and Jacobians (M, k, d), the whiteners L^T (k, k, M)
+        and the whitened residuals L^T r (k, M).
+        """
+        for (kernel, _, _, cols, *_), (whiteners, z) in zip(self.groups, data):
+            v = x[:, cols.T].reshape(-1, len(cols))
+            res, jac = kernel(v, z.reshape(-1, z.shape[-1]))
+            L_t = np.ascontiguousarray(whiteners.reshape(-1, *whiteners.shape[2:]).transpose(1, 2, 0))
+            yield v, jac, L_t, np.einsum("ilm,ml->im", L_t, res)
 
-        One kernel call per factor type covers every problem.
+    def cost(self, x: np.ndarray, data: list) -> np.ndarray:
+        """1/2 |L^T r|^2 (p,) of p problems at states x (p, cols)."""
+        return sum((_half_square(r, len(x)) for *_, r in self._whitened(x, data)), np.zeros(len(x)))
+
+    def products(self, x: np.ndarray, data: list, second_order: bool = False) -> tuple[list, np.ndarray]:
+        """Each factor's blocks at states x (p, cols), and the problems' cost 1/2 |r|^2 (p,).
+
+        J and r are whitened: factor j has J_j = L_j^T H_j and L_j^T r_j.
+        Per group, over its M = p m factors: J_j^T J_j at the group's pairs
+        (pairs, M), with second_order its second-order block there, sum_l
+        (Gamma_j r_j)_l times the Hessian of h_l (None for a linear factor),
+        and J_j^T r_j (d, M).
         """
         p = len(x)
-        J = np.zeros((p, self.n_rows * self.n_cols))
-        r = np.zeros((p, self.n_rows))
-        for (kernel, _, rows, cols, flat), (whiteners, z) in zip(self.groups, data):
-            whiteners = whiteners.reshape(-1, *whiteners.shape[2:])
-            res, jac = kernel(x[:, cols].reshape(-1, cols.shape[1]), z.reshape(-1, z.shape[2]))
-            r[:, rows] = (whiteners @ res[:, :, None]).reshape(p, -1)
-            J[:, flat] = (whiteners @ jac).reshape(p, -1)
-        return J.reshape(p, self.n_rows, self.n_cols), r
+        cost, out = np.zeros(p), []
+        for (_, curvature, _, _, pairs, _), (v, jac, L_t, r) in zip(self.groups, self._whitened(x, data)):
+            cost += _half_square(r, p)
+            J = np.einsum("ilm,mla->iam", L_t, jac)
+            second = None
+            if second_order and curvature is not None:
+                second = curvature(v, np.einsum("ilm,im->ml", L_t, r)).transpose(1, 2, 0)[pairs]
+            out.append((np.einsum("iam,ibm->abm", J, J)[pairs], second, np.einsum("iam,im->am", J, r)))
+        return out, cost
 
-    def normal_equations(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray]:
-        """J^T J (p, cols, cols) and -J^T r (p, cols) at states x; J is freed on return."""
-        J, r = self.linearize(x, data)
-        Jt = J.transpose(0, 2, 1)
-        return Jt @ J, -(Jt @ r[:, :, None])[:, :, 0]
+    def sums(self, blocks: Iterable[np.ndarray], p: int, full: bool = False) -> np.ndarray:
+        """The lower triangles (p, cols, cols) of p problems' sums of their factors' blocks.
+
+        blocks holds one (pairs, p m) per group. Each is scattered through
+        the plan's indices, so no J is formed, and a problem's sums run in
+        an order the other problems do not change. The strict upper
+        triangles stay zero, or with full are scattered too, at the mirrored
+        entries in the same order, so each sum is symmetric bit for bit.
+        """
+        n = self.n_cols
+        out = np.zeros(p * n * n)
+        offsets = n * n * np.arange(p)[:, None]
+        for (*_, pairs, entries), block in zip(self.groups, blocks):
+            np.add.at(out, (entries[:, None] + offsets).ravel(), block.ravel())
+            if full:
+                off = pairs[0] != pairs[1]
+                mirrored = entries[off] % n * n + entries[off] // n
+                np.add.at(out, (mirrored[:, None] + offsets).ravel(), block[off].ravel())
+        return out.reshape(p, n, n)
+
+    def gradient(self, products: list, p: int) -> np.ndarray:
+        """J^T r (p, cols) of p problems from their `products`."""
+        n = self.n_cols
+        out = np.zeros(p * n)
+        for (_, _, _, cols, *_), (_, _, g) in zip(self.groups, products):
+            np.add.at(out, (cols[:, None] + n * np.arange(p)[:, None]).ravel(), g.ravel())
+        return out.reshape(p, n)
+
+    def normal_equations(self, x: np.ndarray, data: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """J^T J (p, cols, cols), -J^T r (p, cols) and the cost (p,) of p problems at states x."""
+        products, cost = self.products(x, data)
+        normal = self.sums((jtj for jtj, _, _ in products), len(x), full=True)
+        return normal, -self.gradient(products, len(x)), cost
+
+
+def _half_square(r: np.ndarray, p: int) -> np.ndarray:
+    """1/2 |r|^2 (p,) of one group's whitened residuals (k, p m), summed in an order p does not change."""
+    return 0.5 * (r * r).reshape(len(r), p, -1).sum(axis=2).sum(axis=0)
 
 
 def solve_gauss_newton(
     graph: NonlinearGraph,
     subset: Iterable[int],
     init: Values,
-    max_iters: int = 50,
+    max_iters: int = MAX_ITERS,
 ) -> GaussNewtonResult:
-    """Gauss-Newton over the variables touched by `subset`.
+    """`solve_gauss_newton_block` on one problem: the variables touched by `subset`.
 
     The subset must include the base factors so the normal equations are
     well posed. Non-convergence within max_iters is reported through the
-    flag, never raised; a singular step also just flags failure. This is
-    the one-problem block of `solve_gauss_newton_block`.
+    flag, never raised; a singular step also just flags failure.
     """
     subset = sorted({int(j) for j in subset})
     if not graph.base <= set(subset):
@@ -338,24 +417,31 @@ def solve_gauss_newton(
 
 
 def solve_gauss_newton_block(
-    plan: _Plan, data: list, X: np.ndarray, capacity: int, max_iters: int = 50
+    plan: _Plan, data: list, X: np.ndarray, capacity: int, max_iters: int = MAX_ITERS
 ) -> list[tuple[bool, int, float]]:
-    """Gauss-Newton on p problems that share `plan`, at most `capacity` at a time.
+    """Minimize 1/2 |r|^2 for p problems that share `plan`, at most `capacity` at a time.
 
     data holds the problems' stacked whiteners and measurements in
     `_Plan.data`'s layout, and X (p, cols) their initial states; X is
-    updated in place to the final states. A problem leaves the active set
-    when no state component moves by GN_STEP_TOL, its normal equations fail
-    to factor or it has taken max_iters steps; its state is then frozen, and
-    the next pending problem, in index order, joins at the next iteration.
-    Returns each problem's (converged, n_iters, max_update).
+    updated in place to the final states. Each iteration takes the Newton
+    step where the cost's Hessian is PD and the step does not raise the
+    cost, else the Gauss-Newton step on J^T J. A problem leaves the active
+    set when its step's |g . delta|^(1/2) (g the gradient J^T r) falls
+    below STEP_TOL, when J^T J fails to factor or after max_iters steps; its
+    state is then frozen, and the next pending problem, in index order,
+    joins at the next iteration. That measure is |J delta| for a
+    Gauss-Newton step and the Newton decrement for a Newton step, in
+    measurement SDs; its square is twice the cost decrease the step's model
+    predicts.
+    Returns each problem's (converged, n_iters, step_norm), step_norm being
+    that measure of its last step (NaN if J^T J failed to factor).
     """
+    _check_count("capacity", capacity, 1)
+    _check_count("max_iters", max_iters, 0)
     n = len(X)
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
     converged = np.zeros(n, dtype=bool)
     n_iters = np.zeros(n, dtype=int)
-    max_update = np.full(n, np.inf)
+    step_norm = np.full(n, np.inf)
     active, left = np.arange(0), False
     pending = 0 if max_iters >= 1 else n  # with no step allowed, no problem joins
     while True:
@@ -369,22 +455,40 @@ def solve_gauss_newton_block(
             active_data = [(whiteners[active], z[active]) for whiteners, z in data]
         x = X[active]
         n_iters[active] += 1
-        delta, failed = solve_pd_stack(*plan.normal_equations(x, active_data), "normal equations")
-        stay = np.ones(len(active), dtype=bool)
-        if failed:
-            stay[list(failed)] = False
-            max_update[active[~stay]] = np.nan
-            x, delta = x[stay], delta[stay]
-        moved = active[stay]
-        x += delta
-        x[:, plan.theta] = wrap_angle(x[:, plan.theta])
-        X[moved] = x
-        max_update[moved] = np.abs(delta).max(axis=1, initial=0.0)
-        converged[moved] = max_update[moved] < GN_STEP_TOL
-        stay[stay] = ~converged[moved] & (n_iters[moved] < max_iters)
+        products, cost = plan.products(x, active_data, second_order=True)
+        minus_grad = -plan.gradient(products, len(x))
+        hessian = plan.sums((jtj if second is None else jtj + second for jtj, second, _ in products), len(x))
+        delta, failed = solve_pd_stack(hessian, minus_grad, "Newton system")
+        del hessian  # before a fallback's normal equations are built
+        newton = np.ones(len(active), dtype=bool)
+        newton[list(failed)] = False
+        trial = _retract(plan, x, np.where(newton[:, None], delta, 0.0))
+        # a rise within the cost's rounding, n_rows ulps of it, is no rise
+        newton &= plan.cost(trial, active_data) <= cost * (1.0 + plan.n_rows * np.finfo(float).eps)
+        fallback, unfactored = np.flatnonzero(~newton), []
+        if fallback.size:
+            normal = plan.sums(
+                (jtj.reshape(len(jtj), len(x), -1)[:, fallback] for jtj, _, _ in products), fallback.size
+            )
+            delta[fallback], failed = solve_pd_stack(normal, minus_grad[fallback], "normal equations")
+            unfactored = fallback[list(failed)]
+            trial[fallback] = _retract(plan, x[fallback], delta[fallback])
+        step_norm[active] = np.sqrt(np.abs((minus_grad * delta).sum(axis=1)))
+        moved = np.ones(len(active), dtype=bool)
+        moved[unfactored] = False
+        X[active[moved]] = trial[moved]
+        converged[active] = step_norm[active] < STEP_TOL
+        stay = moved & ~converged[active] & (n_iters[active] < max_iters)
         left = not stay.all()
         active = active[stay]
-    return list(zip(converged.tolist(), n_iters.tolist(), max_update.tolist()))
+    return list(zip(converged.tolist(), n_iters.tolist(), step_norm.tolist()))
+
+
+def _retract(plan: _Plan, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """States x + delta with the pose angles wrapped."""
+    out = x + delta
+    out[:, plan.theta] = wrap_angle(out[:, plan.theta])
+    return out
 
 
 def pose_information_system(
@@ -405,10 +509,10 @@ def pose_information_system(
     Delta_s over the poses. Returns each world's prior and its {s: Delta_s}.
     """
     (base, increment), (base_data, increment_data) = plans, data
-    info, _ = base.normal_equations(poses, base_data)
+    info = base.normal_equations(poses, base_data)[0]
     n_sources = landmarks.shape[1]
     x = np.concatenate([poses.repeat(n_sources, axis=0), landmarks.reshape(-1, 2)], axis=1)
-    increments, _ = increment.normal_equations(x, increment_data)
+    increments = increment.normal_equations(x, increment_data)[0]
     keep = np.arange(poses.shape[1])
     deltas = [
         {s: schur_complement(H, keep) for s, H in enumerate(world)}
@@ -554,21 +658,23 @@ def triangulate_landmark(worlds: Sequence[SimWorld], poses: np.ndarray) -> np.nd
 def _block_sizes(n_poses: int) -> tuple[int, int]:
     """Source problems active at once and worlds per chunk in a block of n_poses, within _BLOCK_BYTES.
 
-    An active source problem holds its dense J, J^T J and symmetrized J^T J.
-    A chunk's traced peak was 2.46 (10 poses) and 2.59 (30 poses) times its
-    base and increment J and J^T J, so a world counts 2.5 times those bytes.
+    An active source problem's traced peak was 2.99 (10 poses) and 2.10
+    (30 poses) times its n^2 floats for n columns: its Newton system, the
+    normal equations of the problems that fall back, and its factors'
+    products, kept for the fallback, with their indices and temporaries.
+    1.5 n^2 floats and 5 per product (`_Plan.n_products`) fit both.
+    A chunk's traced peak per world, information forms and scoring, was 4.0
+    and 5.5 times the floats of its prior and its increments before
+    marginalization, so a world counts 5.5 times those.
     """
     base, source, increment = _slam_plans(n_poses)
-    problem = 8 * source.n_cols * (source.n_rows + 2 * source.n_cols)
-    world = 20 * (
-        base.n_cols * (base.n_rows + base.n_cols)
-        + N_LANDMARKS * increment.n_cols * (increment.n_rows + 2 * increment.n_cols)
-    )
+    problem = 12 * source.n_cols**2 + 40 * source.n_products
+    world = 44 * (base.n_cols**2 + N_LANDMARKS * increment.n_cols**2)
     return max(1, _BLOCK_BYTES // problem), max(1, _BLOCK_BYTES // world)
 
 
 def solve_block(worlds: Sequence[SimWorld]) -> Iterator[tuple]:
-    """The source solves of worlds of one config as one Gauss-Newton block, then their chunks.
+    """The source solves of worlds of one config as one solver block, then their chunks.
 
     The base poses are the base MAP in closed form, `dead_reckoning_init`,
     and each landmark is triangulated there. One `_block_data` call fills
@@ -577,7 +683,7 @@ def solve_block(worlds: Sequence[SimWorld]) -> Iterator[tuple]:
     chunk. Yields, per chunk, its slice of the worlds, its priors and
     increments (`pose_information_system` at the base poses and the source
     landmarks), and its source problems' final states (poses, then
-    landmark; world-major) and (converged, n_iters, max_update). An
+    landmark; world-major) and (converged, n_iters, step_norm). An
     exception in any world's solves is raised for the whole block.
     """
     n_poses = worlds[0].config.n_poses
@@ -626,7 +732,7 @@ def solve_worlds(worlds: Sequence[SimWorld]) -> list[SlamSolution]:
         ]
         solutions += [
             SlamSolution(
-                GaussNewtonResult(base_plan.values(prior.mean), converged=True, n_iters=0, max_update=0.0),
+                GaussNewtonResult(base_plan.values(prior.mean), converged=True, n_iters=0, step_norm=0.0),
                 dict(enumerate(results[i * N_LANDMARKS : (i + 1) * N_LANDMARKS])),
                 prior,
                 delta,

@@ -16,16 +16,19 @@ simulate_world_loop is the simulator one draw and one Pose2 at a time,
 composed with se2_compose: the oracle for the library's array simulator
 and its `se2.compose_chain`.
 graph_layout is a graph subset's factor layout, the one a plan takes;
-linearize is one problem's whitened J and r through fgred.nonlinear's
-index plan, and pose_information_one one world's information forms from
-its graph's factors (`_Plan.data`); information_inputs gives the plans
-and stacks a block's information forms are taken with.
-dead_reckoning_values and triangulate_one are the one-world cases of the
-block's initial values.
-The factor bodies, linearization and Gauss-Newton solver
-compute one factor at a time what fgred.nonlinear computes with one
-batched kernel per factor type, and the tests ask for the same bits;
-near_pi_angles draws the angles at the wrap boundary they are asked on.
+plan_linearize fills the dense whitened J and r of a plan's problems
+through flat indices, the oracle of the plan's per-factor normal
+equations, and linearize is its one-problem case; pose_information_one
+gives one world's information forms from its graph's factors
+(`_Plan.data`), and information_inputs the plans and stacks a block's
+information forms are taken with. dead_reckoning_values and
+triangulate_one are the one-world cases of the block's initial values.
+The factor bodies, Jacobians and Hessians and the linearization compute
+one factor at a time what fgred.nonlinear computes with one batched
+kernel per factor type; the tests ask the bodies for the same bits, and
+the solver loop, Newton steps on the dense J with a Gauss-Newton
+fallback, for the same steps; near_pi_angles draws the angles at the wrap
+boundary they are asked on.
 The permutation test draws one shuffle at a time and compares
 standardized rho in floats.
 blas_thread_counts reads each OpenBLAS copy's thread count. None of this is
@@ -56,7 +59,7 @@ from fgred.metrics import (
     wb_coefficients_info,
 )
 from fgred.nonlinear import (
-    GN_STEP_TOL,
+    STEP_TOL,
     GaussNewtonResult,
     OdometryFactor,
     PriorFactor,
@@ -451,17 +454,40 @@ def graph_layout(graph, subset) -> list:
     return [(type(graph.factors[j]), graph.factors[j].vars) for j in subset]
 
 
+def plan_linearize(plan, layout, x, data) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened J (p, rows, cols) and r (p, rows) of p problems of `plan` at states x (p, cols).
+
+    The dense oracle of `_Plan.normal_equations`: rows stack the layout's
+    factors in order, each type's whitened blocks are written into J through
+    flat indices, and one kernel call per factor type covers every problem.
+    """
+    first = np.cumsum([0] + [kind.height for kind, _ in layout])
+    p, n_rows, n_cols = len(x), first[-1], plan.n_cols
+    J = np.zeros((p, n_rows * n_cols))
+    r = np.zeros((p, n_rows))
+    for (kernel, _, slots, cols, *_), (whiteners, z) in zip(plan.groups, data):
+        k = z.shape[-1]
+        rows = np.add.outer(first[slots], range(k))
+        flat = rows[:, :, None] * n_cols + cols.T[:, None, :]
+        whiteners = whiteners.reshape(-1, k, k)
+        res, jac = kernel(x[:, cols.T].reshape(-1, len(cols)), z.reshape(-1, k))
+        r[:, rows.ravel()] = (whiteners @ res[:, :, None]).reshape(p, -1)
+        J[:, flat.ravel()] = (whiteners @ jac).reshape(p, -1)
+    return J.reshape(p, n_rows, n_cols), r
+
+
 def linearize(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray]:
     """Whitened Jacobian J and residual r of `subset`'s factors at `values`.
 
-    The one-problem case of the library's `_Plan`. Rows stack the factors
-    in `subset` order, factor j contributing L_j^T H_j and L_j^T
-    r_j(values), so J^T J = sum_j H_j^T Gamma_j H_j. Columns follow
-    `state`, which must contain every variable the factors touch.
+    `plan_linearize` for one problem. Rows stack the factors in `subset`
+    order, factor j contributing L_j^T H_j and L_j^T r_j(values), so
+    J^T J = sum_j H_j^T Gamma_j H_j. Columns follow `state`, which must
+    contain every variable the factors touch.
     """
     subset = list(subset)
-    plan = _Plan(graph_layout(graph, subset), state)
-    J, r = plan.linearize(_stack(values, state)[None], plan.data([(graph, subset)]))
+    layout = graph_layout(graph, subset)
+    plan = _Plan(layout, state)
+    J, r = plan_linearize(plan, layout, _stack(values, state)[None], plan.data([(graph, subset)]))
     return J[0], r[0]
 
 
@@ -475,13 +501,13 @@ def pose_information_one(graph, base_values, landmarks) -> tuple[GaussianBelief,
     state = tuple(v for v in graph.variables if v[0] == "x")
     poses = _stack(base_values, state)[None]
     base = _Plan(graph_layout(graph, sorted(graph.base)), state)
-    info, _ = base.normal_equations(poses, base.data([(graph, sorted(graph.base))]))
+    info = base.normal_equations(poses, base.data([(graph, sorted(graph.base))]))[0]
     deltas = {}
     for s in sorted(landmarks):
         subset = sorted(graph.sources[s])
         plan = _Plan(graph_layout(graph, subset), state + (("l", s),))
         x = np.concatenate([poses[0], landmarks[s]])[None]
-        H, _ = plan.normal_equations(x, plan.data([(graph, subset)]))
+        H = plan.normal_equations(x, plan.data([(graph, subset)]))[0]
         deltas[s] = schur_complement(H[0], np.arange(poses.shape[1]))
     return GaussianBelief(mean=poses[0], info=info[0]), deltas
 
@@ -522,30 +548,92 @@ def linearize_loop(graph, subset, values, state) -> tuple[np.ndarray, np.ndarray
     return np.vstack(J_rows), np.concatenate(r_rows)
 
 
+def factor_hessians(f, values) -> np.ndarray:
+    """Hessians of h (k, d, d) of one factor over its variables' stacked columns, on scalars."""
+    if isinstance(f, PriorFactor):
+        return np.zeros((3, 3, 3))
+    if isinstance(f, OdometryFactor):
+        x1, y1, t1 = values[f.var_from]
+        x2, y2, _ = values[f.var_to]
+        c, s = np.cos(t1), np.sin(t1)
+        dx, dy = x2 - x1, y2 - y1
+        out = np.zeros((3, 6, 6))
+        # d h_x / d theta_a = h_y and d h_y / d theta_a = -h_x, each linear in (x_a, y_a, x_b, y_b)
+        for row, mixed, h in ((0, [s, -c, -s, c], c * dx + s * dy), (1, [c, s, -c, -s], -s * dx + c * dy)):
+            out[row, 2, [0, 1, 3, 4]] = out[row, [0, 1, 3, 4], 2] = mixed
+            out[row, 2, 2] = -h
+        return out
+    x, y, _ = values[f.pose_var]
+    lx, ly = values[f.landmark_var]
+    dx, dy = lx - x, ly - y
+    q = dx * dx + dy * dy
+    d = np.sqrt(q)
+    in_offset = (
+        np.array([[dy * dy, -dx * dy], [-dx * dy, dx * dx]]) / d**3,
+        np.array([[2 * dx * dy, dy * dy - dx * dx], [dy * dy - dx * dx, -2 * dx * dy]]) / q**2,
+    )
+    out = np.zeros((2, 5, 5))
+    for row, K in enumerate(in_offset):
+        out[row][np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = np.kron([[1.0, -1.0], [-1.0, 1.0]], K)
+    return out
+
+
+def newton_system_loop(graph, subset, values, state) -> tuple:
+    """J^T J, the cost's Hessian, -J^T r and the cost 1/2 |r|^2 of one problem, from the dense J.
+
+    The Hessian adds sum_j sum_l (Gamma_j r_j)_l times the Hessian of h_jl,
+    factor by factor.
+    """
+    J, r = linearize_loop(graph, subset, values, state)
+    offsets = np.cumsum([0] + [len(values[v]) for v in state])
+    col = {v: np.arange(offsets[i], offsets[i + 1]) for i, v in enumerate(state)}
+    JtJ = J.T @ J
+    hessian = JtJ.copy()
+    for j in subset:
+        f = graph.factors[j]
+        cols = np.concatenate([col[v] for v in f.vars])
+        weights = f.gamma @ factor_residual(f, values)
+        hessian[np.ix_(cols, cols)] += np.einsum("l,lab->ab", weights, factor_hessians(f, values))
+    return JtJ, hessian, -(J.T @ r), 0.5 * float(r @ r)
+
+
 def solve_gauss_newton_loop(graph, subset, init, max_iters=50) -> GaussNewtonResult:
-    """fgred.nonlinear.solve_gauss_newton over a dict of per-variable values."""
+    """fgred.nonlinear.solve_gauss_newton over a dict of per-variable values, on the dense J."""
     subset = tuple(sorted({int(j) for j in subset}))
     solve_vars = graph.touched_vars(subset)
     values = {k: np.array(v, dtype=float) for k, v in init.items()}
-    max_update = np.inf
-    for it in range(1, max_iters + 1):
-        J, r = linearize_loop(graph, subset, values, solve_vars)
-        H = J.T @ J
-        try:
-            delta = solve_pd(0.5 * (H + H.T), -(J.T @ r), name="normal equations")
-        except NotPositiveDefiniteError:
-            return GaussNewtonResult(values, False, it, float("nan"))
-        start = 0
+
+    def retract(delta):
+        out, start = dict(values), 0
         for var in solve_vars:
             d = len(values[var])
-            values[var] = values[var] + delta[start : start + d]
+            out[var] = values[var] + delta[start : start + d]
             if var[0] == "x":
-                values[var][2] = wrap_scalar(values[var][2])
+                out[var][2] = wrap_scalar(out[var][2])
             start += d
-        max_update = float(np.abs(delta).max()) if delta.size else 0.0
-        if max_update < GN_STEP_TOL:
-            return GaussNewtonResult(values, True, it, max_update)
-    return GaussNewtonResult(values, False, max_iters, max_update)
+        return out
+
+    step_norm = np.inf
+    for it in range(1, max_iters + 1):
+        JtJ, hessian, minus_grad, cost = newton_system_loop(graph, subset, values, solve_vars)
+        try:
+            delta = solve_pd(hessian, minus_grad, name="Newton system")
+            trial = retract(delta)
+            rows = sum(len(graph.whiteners[j]) for j in subset)
+            newton = newton_system_loop(graph, subset, trial, solve_vars)[3] <= cost * (1.0 + rows * np.finfo(float).eps)
+        except NotPositiveDefiniteError:
+            newton = False
+        if not newton:
+            try:
+                delta = solve_pd(JtJ, minus_grad, name="normal equations")
+            except NotPositiveDefiniteError:
+                return GaussNewtonResult(values, False, it, float("nan"))
+            trial = retract(delta)
+        step_norm = float(np.sqrt(abs(minus_grad @ delta)))
+        values = trial
+        if step_norm < STEP_TOL:
+            return GaussNewtonResult(values, True, it, step_norm)
+    return GaussNewtonResult(values, False, max_iters, step_norm)
 
 
 def spearman_permutation_loop(x, y, n_shuffles, seed) -> tuple[float, int]:

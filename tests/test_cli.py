@@ -13,7 +13,7 @@ from fgred.cli import (
     EXIT_TOO_MANY_FAILURES,
     main,
 )
-from fgred.experiment import ExperimentConfig, SimRecord, write_records_csv
+from fgred.experiment import ExperimentConfig, SimRecord, run_experiment, write_records_csv
 from fgred.sim2d import SimConfig
 
 
@@ -205,3 +205,26 @@ def test_log_level_debug_turns_on_library_debug_lines(tmp_path, caplog):
     assert logging.getLogger("fgred").level == logging.ERROR
     with pytest.raises(SystemExit):
         main(["report", "--out", str(loud), "--log-level", "LOUD"])
+
+
+def test_log_level_info_reports_the_source_solves(tmp_path, caplog):
+    # one INFO line per run gives the source solves' count, the median, p90
+    # and largest of their iteration counts and how many were capped, from
+    # the records' n_iters; records.csv keeps its bytes at every log level
+    # and worker count
+    cfg = tiny_config_file(tmp_path, n_sims=4)
+    iters = np.array([n for rec in run_experiment(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+                      for n in rec.n_iters])
+    assert len(iters) == 8
+    want = (f"8 source solves: iterations median {np.median(iters):g}, p90 {np.percentile(iters, 90):g}, "
+            f"max {iters.max()}; 0 capped at 50")
+    outputs = []
+    for level, jobs in (("WARNING", 1), ("INFO", 1), ("DEBUG", 1), ("INFO", 2)):
+        caplog.clear()
+        out = tmp_path / f"{level}-{jobs}"
+        argv = ["analyze", "--config", str(cfg), "--out", str(out), "--log-level", level, "--jobs", str(jobs)]
+        assert main(argv) == EXIT_OK
+        info = [r.getMessage() for r in caplog.records if r.name == "fgred.experiment" and r.levelno == logging.INFO]
+        assert info == ([] if level == "WARNING" else [want]), level
+        outputs.append((out / "records.csv").read_bytes())
+    assert all(out == outputs[0] for out in outputs)

@@ -251,7 +251,7 @@ def solve_outcomes(sol):
     """Bits of a world's solves (iterations, flag, last step, values) and info forms."""
     results = [sol.base_result] + [sol.source_results[s] for s in sorted(sol.source_results)]
     solves = [
-        (r.n_iters, r.converged, np.float64(r.max_update).tobytes(),
+        (r.n_iters, r.converged, np.float64(r.step_norm).tobytes(),
          {k: np.asarray(v).tobytes() for k, v in r.values.items()})
         for r in results
     ]
@@ -260,51 +260,56 @@ def solve_outcomes(sol):
 
 
 def source_problem_bytes(sim):
-    """What one active source problem counts against nonlinear._BLOCK_BYTES."""
-    plan = nonlinear._slam_plans(sim.n_poses)[1]
-    return 8 * plan.n_cols * (plan.n_rows + 2 * plan.n_cols)
+    """What one active source problem counts against nonlinear._BLOCK_BYTES.
+
+    1.5 n^2 floats for its n columns and 5 per product of its factors'
+    Jacobian blocks, d (d + 1) / 2 for a factor over d columns.
+    """
+    n = 3 * (sim.n_poses + 1) + 2
+    products = 6 + sim.n_poses * (21 + 15)  # the anchor, odometry and range-bearing factors
+    return 12 * n * n + 40 * products
 
 
 def world_bytes(sim):
     """What one world of a scoring chunk counts against nonlinear._BLOCK_BYTES.
 
-    2.5 times its dense J and J^T J: the base problem's and both source
-    increments', each increment with a symmetrized J^T J.
+    5.5 floats per entry of its prior and of both increments before the
+    landmark is marginalized.
     """
-    n_x = 3 * (sim.n_poses + 1)  # pose columns; the base J has as many rows
+    n_x = 3 * (sim.n_poses + 1)  # pose columns
     n_s = n_x + 2  # an increment's columns: the poses and one landmark
-    return 20 * (2 * n_x * n_x + 2 * (2 * sim.n_poses + 2 * n_s) * n_s)
+    return 44 * (n_x * n_x + 2 * n_s * n_s)
 
 
 def test_block_matches_one_world_runs(monkeypatch):
-    # one block of 8 worlds, 16 source problems with 3 active at a time;
-    # sims 0 and 5 of root seed 5 hold a source solve that stops at the
-    # 50-iteration cap, and it stays active while the others are refilled
-    # around it: every solve keeps the bits it gets alone
+    # one block of 8 worlds, 16 source problems with 3 active at a time and
+    # a cap of 11 steps; sim 0's source 0 and sim 2's source 1 of root seed
+    # 5 need more and stop at the cap, and sim 0's stays active while the
+    # others are refilled around it: every solve keeps the bits it gets alone
     cfg = ExperimentConfig(n_sims=8, root_seed=5)
     monkeypatch.setattr(nonlinear, "_BLOCK_BYTES", 3 * source_problem_bytes(cfg.sim))
     assert nonlinear._block_sizes(cfg.sim.n_poses) == (3, 1)
     blocks, sizes = [], []
-    block, normal_equations = nonlinear.solve_gauss_newton_block, nonlinear._Plan.normal_equations
+    block, products = nonlinear.solve_gauss_newton_block, nonlinear._Plan.products
 
     def recorded(plan, data, X, *args, **kwargs):
-        outcomes = block(plan, data, X, *args, **kwargs)
+        outcomes = block(plan, data, X, *args, max_iters=11, **kwargs)
         blocks.append((kwargs["capacity"], X, outcomes))
         return outcomes
 
-    def counted(self, x, data):
-        sizes.append(len(x))
-        return normal_equations(self, x, data)
+    def counted(self, x, data, second_order=False):
+        if second_order:  # a Newton system: one per active problem and iteration
+            sizes.append(len(x))
+        return products(self, x, data, second_order)
 
     monkeypatch.setattr(nonlinear, "solve_gauss_newton_block", recorded)
-    monkeypatch.setattr(nonlinear._Plan, "normal_equations", counted)
+    monkeypatch.setattr(nonlinear._Plan, "products", counted)
     records = run_experiment(cfg, jobs=1)
     [(capacity, X, outcomes)] = blocks
-    iterations = sizes[: -2 * cfg.n_sims]  # then the worlds' base and increment linearizations
-    # sim 0's capped solve holds a place through the first 50 iterations,
+    # sim 0's capped solve holds a place through the first 11 iterations,
     # and the other two are refilled the whole time
-    assert capacity == 3 and iterations[:50] == [3] * 50 and max(iterations) == 3
-    assert sum(iterations) == sum(n for _, n, _ in outcomes)
+    assert capacity == 3 and sizes[:11] == [3] * 11 and max(sizes) == 3
+    assert sum(sizes) == sum(n for _, n, _ in outcomes)
     worlds = [simulate_batch_world(cfg, i) for i in range(cfg.n_sims)]
     capped = []
     for i, world in enumerate(worlds):
@@ -312,10 +317,10 @@ def test_block_matches_one_world_runs(monkeypatch):
         alone = solve_world(world)
         for s, res in sorted(alone.source_results.items()):
             k = 2 * i + s
-            assert outcomes[k] == (res.converged, res.n_iters, res.max_update), (i, s)
+            assert outcomes[k] == (res.converged, res.n_iters, res.step_norm), (i, s)
             assert X[k].tobytes() == np.concatenate(list(res.values.values())).tobytes(), (i, s)
-            capped += [i] if (res.converged, res.n_iters) == (False, 50) else []
-    assert capped == [0, 5]
+            capped += [i] if (res.converged, res.n_iters) == (False, 11) else []
+    assert capped == [0, 2]
 
 
 def test_solve_worlds_chunks_keep_each_lone_solve(monkeypatch):
@@ -325,7 +330,7 @@ def test_solve_worlds_chunks_keep_each_lone_solve(monkeypatch):
     worlds = [simulate_batch_world(ExperimentConfig(sim=SimConfig(n_poses=30), root_seed=5), i)
               for i in range(3)]
     alone = [solve_outcomes(solve_world(w)) for w in worlds]
-    assert nonlinear._block_sizes(30) == (10, 2)
+    assert nonlinear._block_sizes(30) == (17, 2)
     chunks, information = [], nonlinear.pose_information_system
 
     def counted(poses, *args):
@@ -339,14 +344,14 @@ def test_solve_worlds_chunks_keep_each_lone_solve(monkeypatch):
 
 
 def test_records_csv_same_for_any_block_size(tmp_path, monkeypatch):
-    # chunks of 1, 15 and all 20 default worlds or of 1, 2 and 6 of 12
-    # thirty-pose ones, with 4, 76 and 243 or 4, 10 and 32 source problems
+    # chunks of 1, 16 and all 20 default worlds or of 1, 2 and 7 of 12
+    # thirty-pose ones, with 5, 89 and 285 or 7, 17 and 55 source problems
     # active, in one block or in blocks of at most 7 worlds: records.csv
     # keeps its bytes
     default = nonlinear._BLOCK_BYTES
     for cfg, chunks, active in (
-        (ExperimentConfig(n_sims=20), [1, 15, 49], [4, 76, 243]),
-        (ExperimentConfig(sim=SimConfig(n_poses=30), n_sims=12), [1, 2, 6], [4, 10, 32]),
+        (ExperimentConfig(n_sims=20), [1, 16, 53], [5, 89, 285]),
+        (ExperimentConfig(sim=SimConfig(n_poses=30), n_sims=12), [1, 2, 7], [7, 17, 55]),
     ):
         outputs = []
         for budget in (world_bytes(cfg.sim), default, 1 << 23):

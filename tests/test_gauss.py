@@ -293,6 +293,15 @@ def test_belief_basic_properties(monkeypatch):
         GaussianBelief(mean=mean, info=skewed)
     with pytest.raises(ValueError):
         GaussianBelief(mean=mean[:3], info=info)
+    # a sample count is a count: an integer, bools excluded, at least 1
+    for count, message in (
+        (2.0, "count must be an integer, got 2.0"),
+        (True, "count must be an integer, got True"),
+        (0, "count must be >= 1, got 0"),
+        (-3, "count must be >= 1, got -3"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            b.sample(np.random.default_rng(0), count)
 
 
 def test_posterior_is_the_belief_of_the_summed_information():
@@ -391,14 +400,13 @@ def test_solve_pd_stack_matches_solve_pd():
     for n in (35, 95):
         Ms = np.array([random_spd(rng, n) for _ in range(4)])
         b = rng.standard_normal((4, n))
-        # a within-tolerance asymmetric member sends the whole stack down
-        # the symmetrizing path, which keeps the bits of the others
-        for stack in (Ms, np.concatenate([Ms, (Ms[0] + 1e-13 * np.triu(Ms[0], 1))[None]])):
-            rhs = np.concatenate([b, b[:1]])[: len(stack)]
-            x, failed = solve_pd_stack(stack, rhs, name="m")
+        # a member is read by its lower triangle alone, as its upper
+        # triangle zeroed shows, with solve_pd's bits
+        for stack in (Ms, np.tril(Ms)):
+            x, failed = solve_pd_stack(stack, b, name="m")
             assert failed == {}
-            for i, M in enumerate(stack):
-                assert np.array_equal(x[i], solve_pd(M, rhs[i], name="m")), (n, i)
+            for i, M in enumerate(Ms):
+                assert np.array_equal(x[i], solve_pd(M, b[i], name="m")), (n, i)
     # a singular member is reported by index; the others still solve
     H = gauge_free_odometry_system()
     with pytest.raises(NotPositiveDefiniteError) as alone:
@@ -411,7 +419,7 @@ def test_solve_pd_stack_matches_solve_pd():
     assert np.isnan(x[1]).all()
     for i in (0, 2):
         assert np.array_equal(x[i], solve_pd(stack[i], b[i]))
-    # a NaN or inf member raises what _symmetrized raises, naming it
+    # a NaN or inf anywhere in a member raises, naming it
     for bad in (np.nan, np.inf, -np.inf):
         for at in range(3):
             stack = np.array([random_spd(rng, 4) for _ in range(3)])
